@@ -1,7 +1,7 @@
-// Capacity-signature admission gate shared by the batch and incoming
-// engines (core/multi_tenant.cpp, core/incoming.cpp).
+// Capacity-signature admission gate of the admission engine
+// (core/engine.cpp), behind run_batch, run_incoming and run_streaming.
 //
-// Both engines keep a queue of jobs that could not be placed yet and used
+// The engine keeps a queue of jobs that could not be placed yet and used
 // to re-run a full placement for every queued job at every decision point
 // (each arrival and each completion) — with an optimizing placer that is a
 // whole annealing/genetic run per queued job per event. Placement failure

@@ -1,18 +1,11 @@
 #include "core/incoming.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <map>
-#include <stdexcept>
 
 #include "circuit/workloads.hpp"
-#include "cloud/churn.hpp"
 #include "common/check.hpp"
-#include "core/admission_gate.hpp"
-#include "placement/placement_cache.hpp"
-#include "sim/network_sim.hpp"
+#include "core/engine.hpp"
 
 namespace cloudqc {
 
@@ -28,304 +21,26 @@ std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
                         "arrival trace must be sorted by time");
     }
   }
+  CLOUDQC_CHECK_MSG(
+      options.classes.empty() || options.classes.size() == jobs.size(),
+      "classes must be empty or indexed like the trace");
 
-  const std::vector<JobClass>& classes = options.classes;
-  CLOUDQC_CHECK_MSG(classes.empty() || classes.size() == jobs.size(),
-                    "classes must be empty or indexed like the trace");
-
-  Rng rng(options.seed);
-  NetworkSimulator sim(cloud, allocator, rng.fork());
-  sim.set_change_gated(options.gated_allocation);
-  if (options.churn != nullptr && options.churn->drift_amplitude > 0.0) {
-    sim.set_calibration_drift(options.churn->drift_amplitude,
-                              options.churn->drift_period);
-  }
-  static const std::vector<ChurnEvent> kNoChurn;
-  const std::vector<ChurnEvent>& churn_events =
-      options.churn != nullptr ? options.churn->events : kNoChurn;
-  std::size_t next_churn = 0;
-  std::vector<int> fenced(static_cast<std::size_t>(cloud.num_qpus()), 0);
-
-  AdmissionGate gate(jobs.size(), options.gated_admission);
-  // Per-job stats live in the in-flight record until completion; they are
-  // copied into the O(jobs) return table only when the caller asked for
-  // it (aggregate-only callers fold them into options.metrics instead).
-  std::vector<IncomingJobStats> stats(options.per_job_stats ? jobs.size()
-                                                            : 0);
-  if (options.metrics != nullptr) {
-    options.metrics->submitted += jobs.size();
-  }
-  // Arrived, not yet placed. Classless: plain FIFO. With classes the
-  // queue is kept sorted by (priority desc, trace index asc) — a stable
-  // priority queue, identical to FIFO under uniform classes.
-  std::deque<std::size_t> queue;
-  std::size_t next_arrival = 0;
-  std::vector<int> restarts(jobs.size(), 0);
-  struct InFlight {
-    std::size_t idx = 0;
-    std::vector<int> reservation;
-    IncomingJobStats record;
+  // Submit id = trace index.
+  EngineConfig config;
+  static_cast<EngineOptions&>(config) = options;
+  config.max_pending = std::numeric_limits<std::size_t>::max();
+  config.intake_shards = 1;
+  config.churn = options.churn;
+  if (!options.classes.empty()) config.classes = &options.classes;
+  std::vector<IncomingJobStats> stats(jobs.size());
+  config.on_complete = [&](std::uint64_t idx, IncomingJobStats&& record) {
+    stats[idx] = std::move(record);
   };
-  std::map<int, InFlight> in_flight;
-
-  auto priority_of = [&](std::size_t idx) {
-    return classes.empty() ? 0 : classes[idx].priority;
-  };
-  // Ordered insert by (priority desc, trace index asc). New arrivals have
-  // a larger index than everything queued, so under uniform classes this
-  // is exactly push_back — bit-identical to the plain FIFO queue — while
-  // displaced jobs re-enter at their original rank.
-  auto enqueue = [&](std::size_t idx) {
-    const int priority = priority_of(idx);
-    auto pos = queue.end();
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      const int p = priority_of(*it);
-      if (p < priority || (p == priority && *it > idx)) {
-        pos = it;
-        break;
-      }
-    }
-    queue.insert(pos, idx);
-  };
-
-  // Cancel the in-flight job `sim_id`, release its reservation and put it
-  // back in the queue (restart semantics — it will re-run from scratch).
-  auto displace = [&](int sim_id) {
-    const auto entry = in_flight.find(sim_id);
-    CLOUDQC_CHECK(entry != in_flight.end());
-    const std::size_t idx = entry->second.idx;
-    sim.cancel_job(sim_id);
-    cloud.release(entry->second.reservation);
-    ++restarts[idx];
-    enqueue(idx);
-    in_flight.erase(entry);
-    return idx;
-  };
-
-  // One placement attempt for `idx` under the current gate snapshot; does
-  // NOT touch `queue`. Returns true when the job was admitted.
-  auto try_admit_one = [&](std::size_t idx) {
-    const auto placement = cached_place(options.cache, jobs[idx].circuit,
-                                        cloud, placer, rng,
-                                        &gate.signature());
-    if (!placement.has_value()) {
-      gate.record_failure(idx, jobs[idx].circuit.num_qubits());
-      return false;
-    }
-    gate.record_admission(idx);
-    CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-    gate.refresh(cloud);
-    const int sim_id = sim.add_job(jobs[idx].circuit,
-                                   placement->qubit_to_qpu);
-    InFlight& entry = in_flight[sim_id];
-    entry.idx = idx;
-    entry.reservation = placement->qubits_per_qpu;
-    IncomingJobStats& s = entry.record;
-    s.name = jobs[idx].circuit.name();
-    s.arrival = jobs[idx].arrival;
-    s.placed_time = sim.now();
-    s.remote_ops = placement->remote_ops;
-    s.qpus_used = placement->num_qpus_used();
-    s.restarts = restarts[idx];
-    return true;
-  };
-
-  // Preemption: evict the lowest-priority in-flight job strictly below
-  // `idx`'s priority (ties broken toward the most recently admitted).
-  auto preempt_one_for = [&](std::size_t idx) {
-    int victim = -1;
-    int victim_priority = classes[idx].priority;
-    for (const auto& [sim_id, rec] : in_flight) {
-      const int p = classes[rec.idx].priority;
-      if (p < victim_priority || (victim >= 0 && p == victim_priority)) {
-        victim_priority = p;
-        victim = sim_id;  // ascending sim ids: last match = newest job
-      }
-    }
-    if (victim < 0) return false;
-    displace(victim);
-    sim.run_pending_allocation();
-    gate.refresh(cloud);
-    return true;
-  };
-
-  // `force` bypasses the capacity signature (used when the cloud is idle,
-  // so a stochastic placer always gets a fresh shot before the engine
-  // would otherwise declare deadlock).
-  auto admit = [&](bool force) {
-    // Snapshot the capacity signature once per admission round; it is
-    // refreshed after each reservation below so later queue entries (and
-    // the placement cache, which shares the snapshot as its capacity key)
-    // never see a stale free-computing vector.
-    gate.refresh(cloud);
-    std::size_t i = 0;
-    while (i < queue.size()) {
-      const std::size_t idx = queue[i];
-      if (!force && !gate.should_attempt(idx)) {
-        ++i;  // no computing qubits released since its last failure
-        continue;
-      }
-      bool admitted = try_admit_one(idx);
-      if (!admitted && !classes.empty() && classes[idx].preempt) {
-        // Victims re-enter `queue` behind `idx` (strictly lower
-        // priority), so position i stays valid.
-        while (!admitted && preempt_one_for(idx)) {
-          admitted = try_admit_one(idx);
-        }
-      }
-      if (admitted) {
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;  // keeps its queue position; smaller jobs behind may fit
-      }
-    }
-  };
-
-  auto apply_offline = [&](int q, std::vector<std::size_t>& displaced) {
-    // Displace every in-flight job holding computing qubits on q, in
-    // ascending sim-id order (deterministic).
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
-      const int sim_id = it->first;
-      ++it;  // displace() erases sim_id; advance first
-      if (in_flight.at(sim_id)
-              .reservation[static_cast<std::size_t>(q)] > 0) {
-        displaced.push_back(displace(sim_id));
-      }
-    }
-    // Fence the QPU's remaining free computing capacity so no later
-    // placement lands on it while it is offline.
-    std::vector<int> blanket(static_cast<std::size_t>(cloud.num_qpus()), 0);
-    blanket[static_cast<std::size_t>(q)] = cloud.qpu(q).free_computing();
-    CLOUDQC_CHECK(cloud.try_reserve(blanket));
-    fenced[static_cast<std::size_t>(q)] =
-        blanket[static_cast<std::size_t>(q)];
-    sim.set_qpu_offline(q);
-  };
-  auto apply_online = [&](int q) {
-    std::vector<int> blanket(static_cast<std::size_t>(cloud.num_qpus()), 0);
-    blanket[static_cast<std::size_t>(q)] =
-        fenced[static_cast<std::size_t>(q)];
-    cloud.release(blanket);
-    fenced[static_cast<std::size_t>(q)] = 0;
-    sim.set_qpu_online(q);
-  };
-
-  while (next_arrival < jobs.size() || !in_flight.empty() ||
-         (next_churn < churn_events.size() && !queue.empty())) {
-    const SimTime t_arrival = next_arrival < jobs.size()
-                                  ? jobs[next_arrival].arrival
-                                  : std::numeric_limits<SimTime>::infinity();
-    const SimTime t_churn = next_churn < churn_events.size()
-                                ? churn_events[next_churn].time
-                                : std::numeric_limits<SimTime>::infinity();
-    const auto t_event = sim.next_event_time();
-
-    // Maintenance edges fire strictly before arrivals and simulator
-    // events at the same instant settle first — a completion releasing
-    // capacity at t is visible to an outage starting at t, and a job
-    // arriving exactly at an outage still sees the pre-outage admission
-    // round.
-    if (t_churn < t_arrival &&
-        (!t_event.has_value() || t_churn < *t_event)) {
-      sim.advance_time(t_churn);
-      std::vector<std::size_t> displaced;
-      while (next_churn < churn_events.size() &&
-             churn_events[next_churn].time == t_churn) {
-        const ChurnEvent& ev = churn_events[next_churn++];
-        if (ev.offline) {
-          apply_offline(ev.qpu, displaced);
-        } else {
-          apply_online(ev.qpu);
-        }
-      }
-      // Cancellations returned communication qubits and online edges
-      // released impounds — both are decision points.
-      sim.run_pending_allocation();
-      if (options.churn != nullptr &&
-          options.churn->policy == ChurnPolicy::kMigrate &&
-          !displaced.empty()) {
-        // Migrate: immediately re-place the displaced jobs on the
-        // remaining QPUs (warm starts apply via the shared cache
-        // signature); failures simply stay queued.
-        gate.refresh(cloud);
-        for (const std::size_t idx : displaced) {
-          if (try_admit_one(idx)) {
-            const auto pos = std::find(queue.begin(), queue.end(), idx);
-            CLOUDQC_CHECK(pos != queue.end());
-            queue.erase(pos);
-          }
-        }
-      }
-      admit(/*force=*/in_flight.empty());
-      continue;
-    }
-
-    if (!t_event.has_value() || t_arrival <= *t_event) {
-      // Nothing happens before the next arrival: admit it (and any
-      // simultaneous arrivals).
-      if (next_arrival >= jobs.size()) {
-        // No arrivals left and no events — but jobs are still in flight?
-        CLOUDQC_CHECK_MSG(in_flight.empty(),
-                          "in-flight jobs with no scheduled events");
-        if (!queue.empty()) {
-          // Reachable only with churn: every remaining maintenance edge
-          // passed without freeing enough capacity.
-          throw std::logic_error(
-              "incoming-mode deadlock: queued jobs cannot be admitted into "
-              "an idle cloud");
-        }
-        break;
-      }
-      sim.advance_time(t_arrival);
-      while (next_arrival < jobs.size() &&
-             jobs[next_arrival].arrival <= sim.now()) {
-        enqueue(next_arrival++);
-      }
-      admit(/*force=*/in_flight.empty());
-      if (sim.next_event_time().has_value() || next_arrival < jobs.size()) {
-        continue;
-      }
-      if (next_churn < churn_events.size()) {
-        continue;  // a future maintenance edge may still unblock the queue
-      }
-      if (!queue.empty()) {
-        throw std::logic_error(
-            "incoming-mode deadlock: queued jobs cannot be admitted into an "
-            "idle cloud");
-      }
-      break;
-    }
-
-    // Process one simulator event.
-    if (const auto completion = sim.step()) {
-      const auto entry = in_flight.find(completion->job);
-      CLOUDQC_CHECK(entry != in_flight.end());
-      // Bind by reference: copying the reservation vector per completion
-      // is pure overhead (it stays valid until the erase below).
-      InFlight& flight = entry->second;
-      flight.record.completion_time = completion->time;
-      flight.record.est_fidelity = completion->est_fidelity;
-      if (options.metrics != nullptr) {
-        options.metrics->record_completion(flight.record.jct(),
-                                           flight.record.est_fidelity,
-                                           flight.record.completion_time);
-      }
-      cloud.release(flight.reservation);
-      if (options.per_job_stats) {
-        stats[flight.idx] = std::move(flight.record);
-      }
-      in_flight.erase(entry);
-      admit(/*force=*/in_flight.empty());
-      if (in_flight.empty() && !queue.empty() &&
-          next_arrival >= jobs.size() &&
-          next_churn >= churn_events.size()) {
-        throw std::logic_error(
-            "incoming-mode deadlock: queued jobs cannot be admitted into an "
-            "idle cloud");
-      }
-    }
-  }
-  CLOUDQC_CHECK(queue.empty());
+  IndexedSource source(jobs.size(), [&](std::size_t idx) { return jobs[idx]; });
+  const StreamingMetrics metrics =
+      run_engine(source, cloud, placer, allocator, config);
+  if (options.metrics != nullptr) options.metrics->merge(metrics);
+  throw_on_deadlock(metrics);
   return stats;
 }
 
@@ -342,18 +57,7 @@ std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
 std::vector<ArrivingJob> poisson_trace(const std::vector<std::string>& names,
                                        int num_jobs, double mean_gap,
                                        Rng& rng) {
-  CLOUDQC_CHECK(!names.empty());
-  CLOUDQC_CHECK(num_jobs >= 0);
-  CLOUDQC_CHECK(mean_gap > 0.0);
-  std::vector<ArrivingJob> trace;
-  trace.reserve(static_cast<std::size_t>(num_jobs));
-  SimTime t = 0.0;
-  for (int i = 0; i < num_jobs; ++i) {
-    // Exponential inter-arrival gap via inverse CDF.
-    t += -mean_gap * std::log1p(-rng.uniform());
-    trace.push_back({make_workload(rng.pick(names)), t});
-  }
-  return trace;
+  return burst_trace(names, num_jobs, 1, mean_gap, rng);
 }
 
 std::vector<ArrivingJob> burst_trace(const std::vector<std::string>& names,

@@ -2,14 +2,19 @@
 // them first-in-first-out — each arrival is placed as soon as resources
 // allow, runs concurrently with already-admitted tenants, and JCT is
 // measured from *arrival* (so queueing delay counts).
+//
+// This header also declares the job, record and option types that
+// run_batch (core/multi_tenant.hpp) and run_streaming (core/streaming.hpp)
+// share: all three are adapters over one admission engine.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
 #include "common/rng.hpp"
-#include "core/multi_tenant.hpp"
 #include "metrics/streaming_metrics.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
@@ -17,13 +22,28 @@
 
 namespace cloudqc {
 
+class PlacementCache;
+struct ChurnPlan;
+
+/// Tenant-class attributes of one job in a shared-cloud engine run
+/// (batch and incoming modes). Default-constructed = the classless
+/// engine: priority 0, no preemption.
+struct JobClass {
+  /// Higher-priority jobs are attempted first at every admission round.
+  int priority = 0;
+  /// May evict strictly-lower-priority in-flight jobs when placement
+  /// fails (restart semantics: the victim re-runs from scratch).
+  bool preempt = false;
+};
+
 /// One entry of an arrival trace: a circuit and its submission time.
 struct ArrivingJob {
   Circuit circuit;
   SimTime arrival = 0.0;
 };
 
-/// Per-job outcome of one incoming-mode run (indexed like the trace).
+/// Per-job outcome of one run_batch or run_incoming call, indexed like the
+/// caller's input. Batch jobs arrive at t = 0.
 struct IncomingJobStats {
   std::string name;
   SimTime arrival = 0.0;
@@ -40,8 +60,8 @@ struct IncomingJobStats {
   int restarts = 0;
 };
 
-/// Knobs of run_incoming.
-struct IncomingOptions {
+/// Knobs shared by run_batch, run_incoming and run_streaming.
+struct EngineOptions {
   /// Engine RNG seed (placement draws and EPR outcomes derive from it).
   std::uint64_t seed = 1;
   /// Change-gated decision points (see README "Simulator event loop &
@@ -59,16 +79,18 @@ struct IncomingOptions {
   /// owns the cache so it can persist across runs and read stats; it must
   /// only be shared across *serial* runs against the same cloud topology.
   PlacementCache* cache = nullptr;
-  /// Optional streaming-aggregates sink: every completed job folds its
-  /// JCT/fidelity/makespan in (O(1) residual, quantiles via the sketch).
-  /// Callers that only need aggregates pair this with per_job_stats =
-  /// false so the engine stops holding a per-job vector it never returns.
+};
+
+/// Throws std::logic_error when `circuit` cannot fit the cloud even when it
+/// is completely idle — the shared admission precondition of the batch and
+/// incoming engines.
+void check_fits_cloud(const Circuit& circuit, const QuantumCloud& cloud);
+
+/// Knobs of run_incoming.
+struct IncomingOptions : EngineOptions {
+  /// Optional streaming-aggregates sink: the run's StreamingMetrics are
+  /// merged into it before returning.
   StreamingMetrics* metrics = nullptr;
-  /// When false, run_incoming returns an empty vector instead of the
-  /// per-job table — aggregate-only callers then hold O(in-flight) stats
-  /// state instead of O(jobs) (the arrival trace itself remains the
-  /// caller's O(jobs); run_streaming removes that too).
-  bool per_job_stats = true;
   /// Optional per-job tenant classes, indexed like the trace. Empty keeps
   /// the classless FIFO queue bit-identical; non-empty must match
   /// jobs.size(). Arrivals enter the queue before any strictly
@@ -77,14 +99,22 @@ struct IncomingOptions {
   /// evict strictly-lower-priority in-flight work when placement fails.
   std::vector<JobClass> classes;
   /// Optional maintenance/churn timeline (not owned; see
-  /// cloud/churn.hpp and MultiTenantOptions::churn — same semantics).
+  /// cloud/churn.hpp). Null — or a plan with no events and zero drift —
+  /// keeps the static cloud. Offline edges displace every in-flight job
+  /// holding qubits on the departing QPU (policy kRequeue re-queues at
+  /// the original position, kMigrate attempts an immediate re-placement
+  /// first) and fence the QPU's computing and communication capacity
+  /// until the matching online edge.
   const ChurnPlan* churn = nullptr;
 };
 
 /// Run an arrival trace to completion. Jobs must be sorted by
 /// non-decreasing arrival time. Admission is FIFO with head-of-line
 /// skipping (a job that cannot be placed right now does not block smaller
-/// jobs behind it, but keeps its queue position).
+/// jobs behind it, but keeps its queue position). `cloud`'s computing-qubit
+/// reservations are restored before returning. Jobs that can never fit the
+/// cloud, and jobs that cannot be placed into an otherwise idle cloud
+/// (deadlock), throw std::logic_error.
 std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
                                            QuantumCloud& cloud,
                                            const Placer& placer,

@@ -1,295 +1,54 @@
 #include "core/multi_tenant.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <map>
-#include <stdexcept>
 #include <vector>
 
-#include "cloud/churn.hpp"
 #include "common/check.hpp"
-#include "core/admission_gate.hpp"
-#include "placement/placement_cache.hpp"
-#include "sim/network_sim.hpp"
+#include "core/engine.hpp"
 
 namespace cloudqc {
 
-void check_fits_cloud(const Circuit& circuit, const QuantumCloud& cloud) {
-  // Sums the live per-QPU capacities, not num_qpus * config value — the
-  // two differ on heterogeneous clouds (cloud/topologies.hpp profiles).
-  if (circuit.num_qubits() > cloud.total_computing_capacity()) {
-    throw std::logic_error("job '" + circuit.name() +
-                           "' exceeds total cloud capacity");
-  }
-}
-
-std::vector<TenantJobStats> run_batch(const std::vector<Circuit>& jobs,
-                                      QuantumCloud& cloud,
-                                      const Placer& placer,
-                                      const CommAllocator& allocator,
-                                      const MultiTenantOptions& options) {
+std::vector<IncomingJobStats> run_batch(const std::vector<Circuit>& jobs,
+                                        QuantumCloud& cloud,
+                                        const Placer& placer,
+                                        const CommAllocator& allocator,
+                                        const MultiTenantOptions& options) {
   for (const auto& job : jobs) check_fits_cloud(job, cloud);
   const std::vector<JobClass>& classes = options.classes;
   CLOUDQC_CHECK_MSG(classes.empty() || classes.size() == jobs.size(),
                     "classes must be empty or indexed like jobs");
 
-  Rng rng(options.seed);
+  // Rank order; priority-first when classed, stable within a priority
+  // level, so uniform classes reproduce the classless order exactly.
   auto order = options.fifo ? fifo_order(jobs.size())
                             : batch_order(jobs, options.weights);
   if (!classes.empty()) {
-    // Priority-first admission: stable within a priority level, so
-    // uniform classes reproduce the classless order exactly.
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                        return classes[a].priority > classes[b].priority;
                      });
   }
-  std::deque<std::size_t> pending(order.begin(), order.end());
-  // rank[idx] = position in the admission order; displaced/preempted jobs
-  // re-enter the queue at their original rank, keeping `pending` sorted
-  // by rank at all times (deterministic re-queue positions).
-  std::vector<std::size_t> rank(jobs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
 
-  NetworkSimulator sim(cloud, allocator, rng.fork());
-  sim.set_change_gated(options.gated_allocation);
-  const bool churn_active =
-      options.churn != nullptr && options.churn->has_events();
-  if (options.churn != nullptr && options.churn->drift_amplitude > 0.0) {
-    sim.set_calibration_drift(options.churn->drift_amplitude,
-                              options.churn->drift_period);
+  // Submit id = rank, so the engine's queue key is the rank order.
+  EngineConfig config;
+  static_cast<EngineOptions&>(config) = options;
+  config.max_pending = std::numeric_limits<std::size_t>::max();
+  config.intake_shards = 1;
+  config.churn = options.churn;
+  std::vector<JobClass> ranked_classes;
+  if (!classes.empty()) {
+    for (const std::size_t idx : order) ranked_classes.push_back(classes[idx]);
+    config.classes = &ranked_classes;
   }
-  AdmissionGate gate(jobs.size(), options.gated_admission);
-  std::vector<TenantJobStats> stats(jobs.size());
-  // sim job id -> (batch index, computing-qubit reservation to release).
-  std::map<int, std::pair<std::size_t, std::vector<int>>> in_flight;
-
-  auto requeue = [&](std::size_t idx) {
-    const auto pos = std::lower_bound(
-        pending.begin(), pending.end(), idx,
-        [&](std::size_t a, std::size_t b) { return rank[a] < rank[b]; });
-    pending.insert(pos, idx);
+  std::vector<IncomingJobStats> stats(jobs.size());
+  config.on_complete = [&](std::uint64_t rank, IncomingJobStats&& record) {
+    stats[order[rank]] = std::move(record);
   };
-
-  // Cancel the in-flight job `sim_id`, release its reservation and put it
-  // back in the queue (restart semantics — it will re-run from scratch).
-  auto displace = [&](int sim_id) {
-    const auto entry = in_flight.find(sim_id);
-    CLOUDQC_CHECK(entry != in_flight.end());
-    const auto& [idx, reservation] = entry->second;
-    sim.cancel_job(sim_id);
-    cloud.release(reservation);
-    ++stats[idx].restarts;
-    requeue(idx);
-    const std::size_t displaced_idx = idx;
-    in_flight.erase(entry);
-    return displaced_idx;
-  };
-
-  // One placement attempt for `idx` under the current gate snapshot.
-  // Handles all gate/cache/reservation bookkeeping; does NOT touch
-  // `pending`. Returns true when the job was admitted.
-  auto try_admit_one = [&](std::size_t idx) {
-    const auto placement = cached_place(options.cache, jobs[idx], cloud,
-                                        placer, rng, &gate.signature());
-    if (!placement.has_value()) {
-      gate.record_failure(idx, jobs[idx].num_qubits());
-      return false;
-    }
-    gate.record_admission(idx);
-    CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-    gate.refresh(cloud);
-    const int sim_id = sim.add_job(jobs[idx], placement->qubit_to_qpu);
-    in_flight[sim_id] = {idx, placement->qubits_per_qpu};
-
-    TenantJobStats& s = stats[idx];
-    s.name = jobs[idx].name();
-    s.placed_time = sim.now();
-    s.remote_ops = placement->remote_ops;
-    s.qpus_used = placement->num_qpus_used();
-    return true;
-  };
-
-  // Preemption: evict the lowest-priority in-flight job strictly below
-  // `idx`'s priority (ties broken toward the most recently admitted), so
-  // `idx` can retry on the freed capacity. Returns false when no victim
-  // qualifies.
-  auto preempt_one_for = [&](std::size_t idx) {
-    int victim = -1;
-    int victim_priority = classes[idx].priority;
-    for (const auto& [sim_id, rec] : in_flight) {
-      const int p = classes[rec.first].priority;
-      if (p < victim_priority || (victim >= 0 && p == victim_priority)) {
-        victim_priority = p;
-        victim = sim_id;  // ascending sim ids: last match = newest job
-      }
-    }
-    if (victim < 0) return false;
-    displace(victim);
-    sim.run_pending_allocation();
-    gate.refresh(cloud);
-    return true;
-  };
-
-  // `force` bypasses the capacity signature (used when the cloud is idle,
-  // so a stochastic placer always gets a fresh shot before the engine
-  // would otherwise declare deadlock).
-  auto admit_pending = [&](bool force) {
-    // Work-conserving admission: walk the queue in admission order and
-    // place every job the current free resources can host. Skipped jobs
-    // stay in order and are retried at the next completion that released
-    // computing qubits they could use. The gate's capacity signature is
-    // snapshotted once per round (and again after each reservation — the
-    // free-computing state the later jobs see has changed); the placement
-    // cache reuses the same snapshot as its capacity key.
-    gate.refresh(cloud);
-    std::size_t i = 0;
-    while (i < pending.size()) {
-      const std::size_t idx = pending[i];
-      if (!force && !gate.should_attempt(idx)) {
-        ++i;
-        continue;
-      }
-      bool admitted = try_admit_one(idx);
-      if (!admitted && !classes.empty() && classes[idx].preempt) {
-        // Evict strictly-lower-priority jobs one at a time until the
-        // placement fits or no victim remains. Victims re-enter `pending`
-        // behind `idx` (their rank is larger), so position i stays valid.
-        while (!admitted && preempt_one_for(idx)) {
-          admitted = try_admit_one(idx);
-        }
-      }
-      if (admitted) {
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  };
-
-  auto handle_completion = [&](const JobCompletion& completion) {
-    const auto entry = in_flight.find(completion.job);
-    CLOUDQC_CHECK(entry != in_flight.end());
-    // Bind by reference: copying the reservation vector per completion
-    // is pure overhead (it stays valid until the erase below).
-    const auto& [idx, reservation] = entry->second;
-    stats[idx].completion_time = completion.time;
-    stats[idx].est_fidelity = completion.est_fidelity;
-    cloud.release(reservation);
-    in_flight.erase(entry);
-    admit_pending(/*force=*/in_flight.empty());
-  };
-
-  admit_pending(/*force=*/true);
-  if (!churn_active) {
-    while (!in_flight.empty()) {
-      const auto completion = sim.run_until_next_completion();
-      CLOUDQC_CHECK_MSG(completion.has_value(),
-                        "in-flight jobs but simulator has no events");
-      handle_completion(*completion);
-      if (in_flight.empty() && !pending.empty()) {
-        throw std::logic_error(
-            "multi-tenant deadlock: pending jobs cannot be admitted into an "
-            "otherwise idle cloud");
-      }
-    }
-  } else {
-    // Churn-capable loop: race the next maintenance edge against the next
-    // simulator event (strict < — simulator events at the same instant
-    // settle first, so a completion releasing capacity at t is visible to
-    // an outage starting at t). Per-QPU computing capacity is fenced via
-    // a blanket reservation while the QPU is offline.
-    const auto& events = options.churn->events;
-    std::size_t next_churn = 0;
-    std::vector<int> fenced(static_cast<std::size_t>(cloud.num_qpus()), 0);
-
-    auto apply_offline = [&](int q, std::vector<std::size_t>& displaced) {
-      // Displace every in-flight job holding computing qubits on q, in
-      // ascending sim-id order (deterministic).
-      for (auto it = in_flight.begin(); it != in_flight.end();) {
-        const auto sim_id = it->first;
-        ++it;  // displace() erases sim_id; advance first
-        const auto& rec = in_flight.at(sim_id);
-        if (rec.second[static_cast<std::size_t>(q)] > 0) {
-          displaced.push_back(displace(sim_id));
-        }
-      }
-      // Fence the QPU's remaining free computing capacity so no later
-      // placement lands on it while it is offline.
-      std::vector<int> blanket(static_cast<std::size_t>(cloud.num_qpus()),
-                               0);
-      blanket[static_cast<std::size_t>(q)] = cloud.qpu(q).free_computing();
-      CLOUDQC_CHECK(cloud.try_reserve(blanket));
-      fenced[static_cast<std::size_t>(q)] =
-          blanket[static_cast<std::size_t>(q)];
-      sim.set_qpu_offline(q);
-    };
-    auto apply_online = [&](int q) {
-      std::vector<int> blanket(static_cast<std::size_t>(cloud.num_qpus()),
-                               0);
-      blanket[static_cast<std::size_t>(q)] =
-          fenced[static_cast<std::size_t>(q)];
-      cloud.release(blanket);
-      fenced[static_cast<std::size_t>(q)] = 0;
-      sim.set_qpu_online(q);
-    };
-
-    while (!in_flight.empty() || !pending.empty()) {
-      const auto t_event = sim.next_event_time();
-      const bool churn_left = next_churn < events.size();
-      if (!t_event.has_value() && !churn_left) {
-        CLOUDQC_CHECK_MSG(in_flight.empty(),
-                          "in-flight jobs but simulator has no events");
-        throw std::logic_error(
-            "multi-tenant deadlock: pending jobs cannot be admitted into an "
-            "otherwise idle cloud");
-      }
-      if (churn_left &&
-          (!t_event.has_value() || events[next_churn].time < *t_event)) {
-        const double t_churn = events[next_churn].time;
-        sim.advance_time(t_churn);
-        std::vector<std::size_t> displaced;
-        while (next_churn < events.size() &&
-               events[next_churn].time == t_churn) {
-          const ChurnEvent& ev = events[next_churn++];
-          if (ev.offline) {
-            apply_offline(ev.qpu, displaced);
-          } else {
-            apply_online(ev.qpu);
-          }
-        }
-        // Cancellations returned communication qubits and online edges
-        // released impounds — both are decision points.
-        sim.run_pending_allocation();
-        if (options.churn->policy == ChurnPolicy::kMigrate &&
-            !displaced.empty()) {
-          // Migrate: immediately re-place the displaced jobs on the
-          // remaining QPUs (warm starts apply via the shared cache
-          // signature); failures simply stay queued at their rank.
-          gate.refresh(cloud);
-          for (const std::size_t idx : displaced) {
-            if (try_admit_one(idx)) {
-              const auto pos =
-                  std::find(pending.begin(), pending.end(), idx);
-              CLOUDQC_CHECK(pos != pending.end());
-              pending.erase(pos);
-            }
-          }
-        }
-        admit_pending(/*force=*/in_flight.empty());
-        continue;
-      }
-      // Simulator event next (one step, so churn edges interleave at the
-      // right instants); admission rounds fire on completions only, as in
-      // the static loop.
-      if (const auto completion = sim.step()) {
-        handle_completion(*completion);
-      }
-    }
-  }
-  CLOUDQC_CHECK_MSG(pending.empty(),
-                    "batch finished with unplaced jobs — cloud too small");
+  IndexedSource source(order.size(), [&](std::size_t rank) {
+    return ArrivingJob{jobs[order[rank]], 0.0};
+  });
+  throw_on_deadlock(run_engine(source, cloud, placer, allocator, config));
   return stats;
 }
 

@@ -5,105 +5,41 @@
 // CloudQC control loop evaluated in Sec. VI-D.
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "circuit/circuit.hpp"
-#include "cloud/cloud.hpp"
-#include "common/rng.hpp"
 #include "core/batch_manager.hpp"
-#include "placement/placement.hpp"
-#include "schedule/allocators.hpp"
+#include "core/incoming.hpp"
 
 namespace cloudqc {
 
-class PlacementCache;
-struct ChurnPlan;
-
-/// Tenant-class attributes of one job in a shared-cloud engine run
-/// (batch and incoming modes). Default-constructed = the classless
-/// engine: priority 0, no preemption.
-struct JobClass {
-  /// Higher-priority jobs are attempted first at every admission round.
-  int priority = 0;
-  /// May evict strictly-lower-priority in-flight jobs when placement
-  /// fails (restart semantics: the victim re-runs from scratch).
-  bool preempt = false;
-};
-
 /// Knobs of run_batch.
-struct MultiTenantOptions {
+struct MultiTenantOptions : EngineOptions {
   /// Importance-metric weights used for batch ordering.
   BatchWeights weights{};
   /// Use submission order instead of the importance metric
   /// (CloudQC-FIFO baseline).
   bool fifo = false;
-  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
-  std::uint64_t seed = 1;
-  /// Change-gated decision points (see README "Simulator event loop &
-  /// decision points"). Both default on; the ungated paths are kept as
-  /// the regression baseline for bench_network_sim and for A/B studies.
-  /// `gated_admission` suppresses placement retries for pending jobs until
-  /// computing qubits have been released since their last failed attempt
-  /// (capacity-signature rule; bypassed whenever the cloud is idle).
-  /// `gated_allocation` is NetworkSimulator::set_change_gated.
-  bool gated_admission = true;
-  bool gated_allocation = true;
-  /// Optional cross-request placement cache (not owned; see
-  /// placement/placement_cache.hpp). Null keeps the exact pre-cache
-  /// behaviour: every admission attempt runs the placer cold. The caller
-  /// owns the cache so it can persist across runs and read stats; it must
-  /// only be shared across *serial* runs against the same cloud topology.
-  PlacementCache* cache = nullptr;
   /// Optional per-job tenant classes, indexed like `jobs`. Empty keeps
   /// the classless engine bit-identical (no priority sort, no
   /// preemption); non-empty must match jobs.size(). Jobs are admitted in
   /// priority order (stable within a priority level, so uniform classes
   /// reproduce the classless order exactly).
   std::vector<JobClass> classes;
-  /// Optional maintenance/churn timeline (not owned; see
-  /// cloud/churn.hpp). Null — or a plan with no events and zero drift —
-  /// keeps the static-cloud event loop byte-identical. Offline edges
-  /// displace every in-flight job holding qubits on the departing QPU
-  /// (policy kRequeue re-queues at original rank, kMigrate attempts an
-  /// immediate re-placement first) and fence the QPU's computing and
-  /// communication capacity until the matching online edge.
+  /// Optional maintenance/churn timeline (not owned); same semantics as
+  /// IncomingOptions::churn.
   const ChurnPlan* churn = nullptr;
 };
 
-/// Per-job outcome of one batch run. Times are simulation time units
-/// (CX-gate durations); the batch arrives at t = 0, so completion_time is
-/// the job completion time (JCT).
-struct TenantJobStats {
-  std::string name;
-  /// When the job was admitted (placement succeeded).
-  double placed_time = 0.0;
-  /// When its last gate finished — the JCT, since the batch arrives at 0.
-  double completion_time = 0.0;
-  /// 2-qubit gates whose endpoints landed on different QPUs.
-  std::size_t remote_ops = 0;
-  /// Distinct QPUs the placement spans.
-  int qpus_used = 0;
-  /// First-order output-fidelity estimate (see FidelityModel).
-  double est_fidelity = 1.0;
-  /// Times the job was displaced (churn) or preempted and re-run from
-  /// scratch; placed_time/remote_ops/qpus_used describe the final run.
-  int restarts = 0;
-};
-
-/// Throws std::logic_error when `circuit` cannot fit the cloud even when it
-/// is completely idle — the shared admission precondition of the batch and
-/// incoming engines.
-void check_fits_cloud(const Circuit& circuit, const QuantumCloud& cloud);
-
-/// Run one batch to completion. `cloud` carries the topology/resource
-/// configuration; its computing-qubit reservations are restored to their
-/// initial state before returning. Jobs that can never fit the cloud
-/// (more qubits than total capacity) throw std::logic_error.
-std::vector<TenantJobStats> run_batch(const std::vector<Circuit>& jobs,
-                                      QuantumCloud& cloud,
-                                      const Placer& placer,
-                                      const CommAllocator& allocator,
-                                      const MultiTenantOptions& options = {});
+/// Run one batch to completion: every job arrives at t = 0 in batch-manager
+/// rank order, so completion_time is the JCT. `cloud` carries the
+/// topology/resource configuration; its computing-qubit reservations are
+/// restored to their initial state before returning. Jobs that can never
+/// fit the cloud (more qubits than total capacity), and jobs that cannot be
+/// placed into an otherwise idle cloud (deadlock), throw std::logic_error.
+std::vector<IncomingJobStats> run_batch(const std::vector<Circuit>& jobs,
+                                        QuantumCloud& cloud,
+                                        const Placer& placer,
+                                        const CommAllocator& allocator,
+                                        const MultiTenantOptions& options = {});
 
 }  // namespace cloudqc

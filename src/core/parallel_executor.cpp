@@ -63,12 +63,12 @@ std::vector<IndependentJobResult> ParallelExecutor::run_independent(
   return results;
 }
 
-std::vector<std::vector<TenantJobStats>> ParallelExecutor::run_batch_sweep(
+std::vector<std::vector<IncomingJobStats>> ParallelExecutor::run_batch_sweep(
     const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
     const Placer& placer, const CommAllocator& allocator,
     const MultiTenantOptions& base, int num_runs) {
   CLOUDQC_CHECK(num_runs >= 0);
-  std::vector<std::vector<TenantJobStats>> runs(
+  std::vector<std::vector<IncomingJobStats>> runs(
       static_cast<std::size_t>(num_runs));
   for_each_index(runs.size(), [&](std::size_t r) {
     MultiTenantOptions options = base;

@@ -85,7 +85,7 @@ class ParallelExecutor {
   /// sharing one across concurrently executing runs would make each run's
   /// hit pattern depend on worker scheduling, breaking the bit-identical
   /// determinism contract.
-  std::vector<std::vector<TenantJobStats>> run_batch_sweep(
+  std::vector<std::vector<IncomingJobStats>> run_batch_sweep(
       const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
       const Placer& placer, const CommAllocator& allocator,
       const MultiTenantOptions& base, int num_runs);

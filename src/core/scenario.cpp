@@ -1093,6 +1093,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         static_cast<std::size_t>(spec.engine.cache_capacity);
     cache = std::make_unique<PlacementCache>(cache_options);
   }
+  EngineOptions shared;
+  shared.seed = spec.engine.seed;
+  shared.gated_admission = spec.engine.gated_admission;
+  shared.gated_allocation = spec.engine.gated_allocation;
+  shared.cache = cache.get();
 
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
@@ -1113,54 +1118,33 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       }
       break;
     }
-    case EngineMode::kMultiTenant: {
-      const std::vector<Circuit> jobs =
-          strip_arrivals(build_trace(spec.workload));
-      MultiTenantOptions options;
-      options.fifo = spec.engine.fifo;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.churn = churn_on ? &churn_plan : nullptr;
-      std::vector<int> tenant_of;
-      if (!spec.tenants.empty()) {
-        tenant_of = assign_tenants(spec.tenants, jobs.size(),
-                                   spec.workload.trace_seed);
-        options.classes = classes_for(spec.tenants, tenant_of);
-      }
-      const auto stats =
-          run_batch(jobs, cloud, counting, *allocator, options);
-      result.jobs.resize(stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        ScenarioJobResult& job = result.jobs[i];
-        job.name = stats[i].name;
-        job.placed_time = stats[i].placed_time;
-        job.completion_time = stats[i].completion_time;
-        job.remote_ops = stats[i].remote_ops;
-        job.qpus_used = stats[i].qpus_used;
-        job.est_fidelity = stats[i].est_fidelity;
-        job.restarts = stats[i].restarts;
-        if (!tenant_of.empty()) job.tenant = tenant_of[i];
-      }
-      break;
-    }
+    case EngineMode::kMultiTenant:
     case EngineMode::kIncoming: {
-      const std::vector<ArrivingJob> trace = build_trace(spec.workload);
-      IncomingOptions options;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
-      options.churn = churn_on ? &churn_plan : nullptr;
+      std::vector<ArrivingJob> trace = build_trace(spec.workload);
       std::vector<int> tenant_of;
+      std::vector<JobClass> classes;
       if (!spec.tenants.empty()) {
         tenant_of = assign_tenants(spec.tenants, trace.size(),
                                    spec.workload.trace_seed);
-        options.classes = classes_for(spec.tenants, tenant_of);
+        classes = classes_for(spec.tenants, tenant_of);
       }
-      const auto stats =
-          run_incoming(trace, cloud, counting, *allocator, options);
+      const ChurnPlan* churn = churn_on ? &churn_plan : nullptr;
+      std::vector<IncomingJobStats> stats;
+      if (spec.engine.mode == EngineMode::kMultiTenant) {
+        MultiTenantOptions options;
+        static_cast<EngineOptions&>(options) = shared;
+        options.fifo = spec.engine.fifo;
+        options.classes = std::move(classes);
+        options.churn = churn;
+        stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
+                          *allocator, options);
+      } else {
+        IncomingOptions options;
+        static_cast<EngineOptions&>(options) = shared;
+        options.classes = std::move(classes);
+        options.churn = churn;
+        stats = run_incoming(trace, cloud, counting, *allocator, options);
+      }
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
         ScenarioJobResult& job = result.jobs[i];
@@ -1187,10 +1171,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     case EngineMode::kStreaming: {
       const std::unique_ptr<JobSource> source = build_source(spec.workload);
       StreamingOptions options;
-      options.seed = spec.engine.seed;
-      options.gated_admission = spec.engine.gated_admission;
-      options.gated_allocation = spec.engine.gated_allocation;
-      options.cache = cache.get();
+      static_cast<EngineOptions&>(options) = shared;
       options.max_pending =
           static_cast<std::size_t>(spec.engine.max_pending);
       options.backpressure = spec.engine.backpressure;

@@ -3,27 +3,26 @@
 // admission discipline and the shared NetworkSimulator with O(1) memory
 // residual per completed job.
 //
-// Every other engine ingests a full job vector and retains per-job state
-// until the run ends — memory grows O(jobs), so a jobs=1e6 workload is out
-// of reach. run_streaming() replaces both ends of that lifecycle:
+// run_streaming() is the engine run_batch and run_incoming share, fed by
+// the caller's JobSource, with no per-job table:
 //
 //   intake   — jobs are *pulled* from a JobSource one at a time (never
-//              materialised as a vector) into sharded intake queues; the
-//              pending set is bounded by max_pending with a documented
+//              materialised as a vector) into the pending queue, ordered
+//              by (submit id mod intake_shards, submit id); the pending
+//              set is bounded by max_pending with a documented
 //              backpressure policy (defer = stop pulling until admissions
 //              free space, the arrival timestamps are the source's and do
 //              not shift; reject = keep pulling, drop and count overflow).
-//   admission— shards are scanned in fixed index order, FIFO with
-//              head-of-line skipping inside each shard, through the same
-//              AdmissionGate capacity-signature rule and (optional)
-//              placement cache as run_incoming.
-//   drain    — completed jobs fold into per-shard StreamingMetrics
-//              (QuantileSketch JCT + fidelity) and every byte of per-job
-//              state is freed: the engine erases its in-flight record and
-//              the simulator recycles the job slot
-//              (NetworkSimulator::set_recycle_completed). Steady-state
-//              memory is O(max_pending + in-flight + sketch), independent
-//              of how many jobs have streamed through.
+//   admission— the queue is scanned in key order with head-of-line
+//              skipping, through the same AdmissionGate capacity-signature
+//              rule and (optional) placement cache as run_incoming.
+//   drain    — completed jobs fold into one StreamingMetrics (QuantileSketch
+//              JCT + fidelity) and every byte of per-job state is freed:
+//              the engine erases its in-flight record and the simulator
+//              recycles the job slot (NetworkSimulator::
+//              set_recycle_completed). Steady-state memory is
+//              O(max_pending + in-flight + sketch), independent of how many
+//              jobs have streamed through.
 //
 // Jobs that can never fit the cloud's total capacity, and pending jobs
 // that fail a forced placement attempt against a fully idle cloud, are
@@ -33,9 +32,9 @@
 // Determinism contract: a (source, seed, options) triple fully determines
 // the resulting StreamingMetrics at any worker count. The engine is a
 // serial control loop (workers only parallelise a racing placer, which is
-// already worker-count-invariant), intake shards are a fixed option (not
-// the worker count), and shard sketches merge commutatively — so metrics,
-// including every quantile, are bit-identical at 1/2/8 workers.
+// already worker-count-invariant) and intake shards are a fixed option
+// (not the worker count), so metrics, including every quantile, are
+// bit-identical at 1/2/8 workers.
 #pragma once
 
 #include <cstdint>
@@ -98,24 +97,17 @@ struct StreamingProgress {
   double sim_now = 0.0;
 };
 
-/// Knobs of run_streaming.
-struct StreamingOptions {
-  /// Engine RNG seed (placement draws and EPR outcomes derive from it).
-  std::uint64_t seed = 1;
-  /// Change-gated decision points, as in IncomingOptions.
-  bool gated_admission = true;
-  bool gated_allocation = true;
-  /// Optional cross-request placement cache (not owned); at streaming
-  /// traffic this is what keeps placement off the critical path.
-  PlacementCache* cache = nullptr;
+/// Knobs of run_streaming. At streaming traffic the placement cache is what
+/// keeps placement off the critical path.
+struct StreamingOptions : EngineOptions {
   /// Bound on the pending set (arrived, not yet placed). The engine's
   /// memory residual is O(max_pending + in-flight + sketches).
   std::size_t max_pending = 4096;
   StreamingBackpressure backpressure = StreamingBackpressure::kDefer;
-  /// Intake shard count (>= 1). A *fixed* partition of the fold: job i
-  /// lands in shard i % intake_shards, per-shard sketches merge in shard
-  /// order. Deliberately not tied to any worker count, so the metrics
-  /// partition never changes with parallelism.
+  /// Intake shard count (>= 1). A *fixed* partition of the admission
+  /// order: job i lands in shard i % intake_shards, and admission rounds
+  /// scan the shards in index order. Deliberately not tied to any worker
+  /// count, so the admission order never changes with parallelism.
   int intake_shards = 8;
   /// Invoke on_checkpoint after every `checkpoint_interval` completions
   /// (0 = never). The callback must not mutate engine state; it exists so

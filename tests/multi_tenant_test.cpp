@@ -138,7 +138,7 @@ TEST(MultiTenant, AdmissionGateParityWithUngatedBaseline) {
     options.gated_allocation = gated;
     auto stats =
         run_batch(jobs, cloud, placer, *make_cloudqc_allocator(), options);
-    return std::pair<std::uint64_t, std::vector<TenantJobStats>>{
+    return std::pair<std::uint64_t, std::vector<IncomingJobStats>>{
         placer.calls(), std::move(stats)};
   };
   const auto [gated_calls, gated_stats] = run(true);
@@ -177,8 +177,8 @@ std::vector<Circuit> medium_batch() {
   return jobs;
 }
 
-void expect_same_stats(const std::vector<TenantJobStats>& a,
-                       const std::vector<TenantJobStats>& b) {
+void expect_same_stats(const std::vector<IncomingJobStats>& a,
+                       const std::vector<IncomingJobStats>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));

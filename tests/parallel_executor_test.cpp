@@ -43,7 +43,7 @@ void expect_identical(const IndependentJobResult& a,
   EXPECT_EQ(a.epr_rounds, b.epr_rounds);
 }
 
-void expect_identical(const TenantJobStats& a, const TenantJobStats& b) {
+void expect_identical(const IncomingJobStats& a, const IncomingJobStats& b) {
   EXPECT_EQ(a.name, b.name);
   EXPECT_EQ(a.placed_time, b.placed_time);
   EXPECT_EQ(a.completion_time, b.completion_time);
