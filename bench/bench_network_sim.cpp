@@ -43,6 +43,7 @@
 #include "bench_util.hpp"
 #include "circuit/generators.hpp"
 #include "core/incoming.hpp"
+#include "core/streaming.hpp"
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
 #include "schedule/routing.hpp"
@@ -313,9 +314,8 @@ int main() {
   // agree exactly while the gated one issues fewer placement calls.
   const int trace_jobs = bench::runs_per_point(200, 200);
   const int sa_iters = bench::runs_per_point(800, 8000);
-  Rng trace_rng(29);
-  const auto trace = poisson_trace({"ising_n34", "qugan_n39", "qft_n29"},
-                                   trace_jobs, 3.0, trace_rng);
+  const auto trace = drain(*make_poisson_source(
+      {"ising_n34", "qugan_n39", "qft_n29"}, trace_jobs, 3.0, 29));
   const auto trace_alloc = make_cloudqc_allocator();
 
   auto run_trace = [&](bool gated) {

@@ -20,7 +20,8 @@ struct QpuCapacity {
 };
 
 /// One quantum processing unit: fixed capacities plus the controller's
-/// live view of qubits in use.
+/// live view of computing qubits in use. Communication qubits in use are
+/// tracked by the NetworkSimulator, which owns the EPR-pair lifecycle.
 class Qpu {
  public:
   Qpu() = default;
@@ -37,12 +38,9 @@ class Qpu {
 
   /// Computing qubits currently reserved by placed sub-circuits.
   int computing_in_use() const { return computing_in_use_; }
-  /// Communication qubits currently reserved by in-flight remote ops.
-  int comm_in_use() const { return comm_in_use_; }
 
   /// Free computing qubits (the controller's Rem(V_i)).
   int free_computing() const { return computing_capacity_ - computing_in_use_; }
-  int free_comm() const { return comm_capacity_ - comm_in_use_; }
 
   /// Reserve `n` computing qubits for a placed sub-circuit.
   void reserve_computing(int n) {
@@ -55,22 +53,10 @@ class Qpu {
     computing_in_use_ -= n;
   }
 
-  /// Reserve `n` communication qubits for an in-flight remote operation.
-  void reserve_comm(int n) {
-    CLOUDQC_CHECK_MSG(n >= 0 && n <= free_comm(),
-                      "communication-qubit over-allocation");
-    comm_in_use_ += n;
-  }
-  void release_comm(int n) {
-    CLOUDQC_CHECK(n >= 0 && n <= comm_in_use_);
-    comm_in_use_ -= n;
-  }
-
  private:
   int computing_capacity_ = 0;
   int comm_capacity_ = 0;
   int computing_in_use_ = 0;
-  int comm_in_use_ = 0;
 };
 
 }  // namespace cloudqc

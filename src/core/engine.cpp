@@ -319,9 +319,10 @@ class Engine {
     if (config_.on_complete) {
       config_.on_complete(
           flight.job.id,
-          IncomingJobStats{flight.job.circuit->name(), flight.job.arrival,
-                           flight.placed_time, completion.time,
-                           flight.remote_ops, flight.qpus_used,
+          IncomingJobStats{flight.job.circuit->name(), /*placed=*/true,
+                           flight.job.arrival, flight.placed_time,
+                           completion.time, flight.remote_ops,
+                           /*comm_cost=*/0.0, flight.qpus_used,
                            completion.est_fidelity, flight.job.restarts});
     }
     in_flight_.erase(entry);

@@ -1,9 +1,7 @@
 #include "core/incoming.hpp"
 
-#include <cmath>
 #include <limits>
 
-#include "circuit/workloads.hpp"
 #include "common/check.hpp"
 #include "core/engine.hpp"
 
@@ -42,41 +40,6 @@ std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
   if (options.metrics != nullptr) options.metrics->merge(metrics);
   throw_on_deadlock(metrics);
   return stats;
-}
-
-std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
-                                           QuantumCloud& cloud,
-                                           const Placer& placer,
-                                           const CommAllocator& allocator,
-                                           std::uint64_t seed) {
-  IncomingOptions options;
-  options.seed = seed;
-  return run_incoming(jobs, cloud, placer, allocator, options);
-}
-
-std::vector<ArrivingJob> poisson_trace(const std::vector<std::string>& names,
-                                       int num_jobs, double mean_gap,
-                                       Rng& rng) {
-  return burst_trace(names, num_jobs, 1, mean_gap, rng);
-}
-
-std::vector<ArrivingJob> burst_trace(const std::vector<std::string>& names,
-                                     int num_jobs, int burst_size,
-                                     double mean_gap, Rng& rng) {
-  CLOUDQC_CHECK(!names.empty());
-  CLOUDQC_CHECK(num_jobs >= 0);
-  CLOUDQC_CHECK(burst_size >= 1);
-  CLOUDQC_CHECK(mean_gap > 0.0);
-  std::vector<ArrivingJob> trace;
-  trace.reserve(static_cast<std::size_t>(num_jobs));
-  SimTime t = 0.0;
-  for (int i = 0; i < num_jobs; ++i) {
-    if (i % burst_size == 0) {
-      t += -mean_gap * std::log1p(-rng.uniform());
-    }
-    trace.push_back({make_workload(rng.pick(names)), t});
-  }
-  return trace;
 }
 
 }  // namespace cloudqc

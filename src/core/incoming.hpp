@@ -14,7 +14,6 @@
 
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
-#include "common/rng.hpp"
 #include "metrics/streaming_metrics.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
@@ -43,15 +42,24 @@ struct ArrivingJob {
 };
 
 /// Per-job outcome of one run_batch or run_incoming call, indexed like the
-/// caller's input. Batch jobs arrive at t = 0.
+/// caller's input (batch jobs arrive at t = 0). It is also the row type of
+/// the scenario layer's ScenarioResult::jobs table.
 struct IncomingJobStats {
   std::string name;
+  /// False when no feasible mapping was found. run_batch and run_incoming
+  /// place every job they return (a job they cannot place throws); the
+  /// scenario layer's batch and network-sim engines skip unplaceable jobs.
+  bool placed = true;
   SimTime arrival = 0.0;
   SimTime placed_time = 0.0;
   SimTime completion_time = 0.0;
   /// JCT measured from arrival (queueing + execution).
   double jct() const { return completion_time - arrival; }
   std::size_t remote_ops = 0;
+  /// Placement communication cost (paper Obj. 1). The admission engine
+  /// leaves it 0; the scenario layer's batch and network-sim engines fill
+  /// it in.
+  double comm_cost = 0.0;
   int qpus_used = 0;
   /// First-order output-fidelity estimate (see FidelityModel).
   double est_fidelity = 1.0;
@@ -120,27 +128,5 @@ std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
                                            const Placer& placer,
                                            const CommAllocator& allocator,
                                            const IncomingOptions& options);
-
-/// Convenience overload with default options and the given seed.
-std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
-                                           QuantumCloud& cloud,
-                                           const Placer& placer,
-                                           const CommAllocator& allocator,
-                                           std::uint64_t seed = 1);
-
-/// Build a Poisson arrival trace: exponential inter-arrival gaps with the
-/// given mean, circuits drawn uniformly from `names`.
-std::vector<ArrivingJob> poisson_trace(const std::vector<std::string>& names,
-                                       int num_jobs, double mean_gap,
-                                       Rng& rng);
-
-/// Build a bursty arrival trace: `num_jobs` jobs in groups of `burst_size`
-/// simultaneous arrivals, groups separated by exponential gaps with the
-/// given mean (the last group may be partial). Models batch submissions /
-/// flash crowds — a heavier instantaneous load than poisson_trace at the
-/// same mean rate per group. Circuits are drawn uniformly from `names`.
-std::vector<ArrivingJob> burst_trace(const std::vector<std::string>& names,
-                                     int num_jobs, int burst_size,
-                                     double mean_gap, Rng& rng);
 
 }  // namespace cloudqc

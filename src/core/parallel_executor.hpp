@@ -1,7 +1,8 @@
 // Parallel batch-execution engine (the throughput layer over the serial
 // pipeline): fans independent work — whole jobs, stochastic repetitions of
-// a batch, racing placement strategies — across a worker-thread pool and
-// merges results in deterministic submission order.
+// a batch — across a worker-thread pool and merges results in
+// deterministic submission order. Racing placement strategies is
+// make_racing_placer's job (placement/placement.hpp).
 //
 // Determinism contract: every task seeds a private Rng with
 // stream_seed(seed, task index) and reads only const shared state (each
@@ -17,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "cloud/cloud.hpp"
 #include "common/thread_pool.hpp"
 #include "core/incoming.hpp"
-#include "core/multi_tenant.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
 
@@ -60,7 +60,7 @@ class ParallelExecutor {
   int num_threads() const { return num_threads_; }
 
   /// The underlying pool; null in serial (1-thread) mode. Safe to share
-  /// with a racing placer used inside run_independent/run_batch_sweep:
+  /// with a racing placer used inside run_independent/run_indexed:
   /// when the race fires from within an executor task, its parallel_for
   /// runs inline on that worker (see ThreadPool::parallel_for), so the
   /// jobs keep the pool saturated and no deadlock is possible.
@@ -78,52 +78,16 @@ class ParallelExecutor {
       const Placer& placer, const CommAllocator& allocator,
       std::uint64_t seed = 1);
 
-  /// Repeated stochastic multi-tenant runs (the Sec. VI-D experiment
-  /// harness): run r = 0 … num_runs-1 executes run_batch on a private
-  /// cloud copy with options.seed = stream_seed(base.seed, r). Returns the
-  /// per-run stats in run order. A placement cache in `base` is ignored:
-  /// sharing one across concurrently executing runs would make each run's
-  /// hit pattern depend on worker scheduling, breaking the bit-identical
-  /// determinism contract.
-  std::vector<std::vector<IncomingJobStats>> run_batch_sweep(
-      const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
-      const Placer& placer, const CommAllocator& allocator,
-      const MultiTenantOptions& base, int num_runs);
-
-  /// Repeated stochastic incoming-mode runs: like run_batch_sweep for
-  /// run_incoming.
-  std::vector<std::vector<IncomingJobStats>> run_incoming_sweep(
-      const std::vector<ArrivingJob>& jobs, const QuantumCloud& cloud,
-      const Placer& placer, const CommAllocator& allocator,
-      std::uint64_t base_seed, int num_runs);
-
   /// Generic deterministic fan-out: run fn(0) … fn(n-1) across the pool
   /// (inline in serial mode). `fn` must write only to its own output
   /// slot and read only const shared state — then the merged outputs are
-  /// bit-identical at any worker count. This is the scenario sweep
-  /// runner's primitive; the typed entry points above remain the
-  /// engine-specific fast paths.
+  /// bit-identical at any worker count. Repeated stochastic runs of
+  /// run_batch/run_incoming go through it, each on a private cloud copy
+  /// with its own seed (and no shared placement cache, whose hit pattern
+  /// would depend on worker scheduling); so does the scenario sweep runner.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Race `placers` on one request: strategy k draws from stream
-  /// stream_seed(seed, k); the best candidate by better_placement() wins,
-  /// with lower strategy index breaking exact ties. nullopt when no
-  /// strategy finds a feasible mapping. An optional placement cache
-  /// short-circuits the whole race on an exact hit and warm-starts every
-  /// strategy on a near-hit; race_place itself is a serial request from
-  /// the caller's view, so consulting the cache here keeps the
-  /// per-request determinism contract intact.
-  std::optional<Placement> race_place(const Circuit& circuit,
-                                      const QuantumCloud& cloud,
-                                      const std::vector<const Placer*>& placers,
-                                      std::uint64_t seed = 1,
-                                      PlacementCache* cache = nullptr);
-
  private:
-  /// Run fn(0) … fn(n-1), on the pool when present, inline otherwise.
-  void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& fn);
-
   int num_threads_;
   std::unique_ptr<ThreadPool> pool_;  // null in serial mode
 };

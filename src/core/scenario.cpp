@@ -21,6 +21,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/engine.hpp"
 #include "core/incoming.hpp"
 #include "core/multi_tenant.hpp"
 #include "core/parallel_executor.hpp"
@@ -343,23 +344,46 @@ bool try_expand_range(const std::string& value, std::vector<std::string>& out,
   return true;
 }
 
-void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
-                     const std::string& value, int line) {
-  for (const SweepAxis& axis : sweep) {
-    if (axis.key == key) fail(line, "duplicate [sweep] axis '" + key + "'");
-  }
+/// Assign one sweep value onto a spec copy. Axis keys are qualified
+/// "section.key" names resolved through the same appliers the parser uses,
+/// so exactly the INI-settable scalar keys are sweepable. The parser
+/// test-applies every value with the axis's line; expand_sweep applies
+/// them all (line 0) before any point runs.
+void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
+                            const std::string& value, int line = 0) {
   const std::size_t dot = key.find('.');
   if (dot == std::string::npos) {
     fail(line, "sweep axis must be 'section.key', got '" + key + "'");
   }
-  const std::string section = key.substr(0, dot);
-  if (section != "cloud" && section != "workload" && section != "engine" &&
-      section != "churn") {
-    fail(line, "sweep axis section must be cloud, workload, engine or churn");
-  }
-  if (key == "workload.circuits" || key == "workload.qasm_files") {
+  if (key == "workload.circuits" || key == "workload.qasm_files" ||
+      key == "churn.window") {
     // These keys append; sweeping them would not assign one value per point.
     fail(line, "cannot sweep list-valued key '" + key + "'");
+  }
+  const std::string section = key.substr(0, dot);
+  const std::string field = key.substr(dot + 1);
+  try {
+    if (section == "cloud") {
+      apply_cloud_key(spec.cloud, field, value, line);
+    } else if (section == "workload") {
+      apply_workload_key(spec.workload, field, value, line);
+    } else if (section == "engine") {
+      apply_engine_key(spec.engine, field, value, line);
+    } else if (section == "churn") {
+      apply_churn_key(spec.churn, field, value, line);
+    } else {
+      fail(line, "sweep axis section must be cloud, workload, engine or churn");
+    }
+  } catch (const ScenarioError& e) {
+    throw ScenarioError("sweep axis '" + key + "' = '" + value +
+                        "': " + e.what());
+  }
+}
+
+void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
+                     const std::string& value, int line) {
+  for (const SweepAxis& axis : sweep) {
+    if (axis.key == key) fail(line, "duplicate [sweep] axis '" + key + "'");
   }
   SweepAxis axis;
   axis.key = key;
@@ -373,38 +397,12 @@ void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
   if (axis.values.empty()) {
     fail(line, "sweep axis '" + key + "' has no values");
   }
+  // Test-apply every value here, so a bad one names the axis's own line.
+  ScenarioSpec probe;
+  for (const std::string& v : axis.values) {
+    apply_sweep_assignment(probe, key, v, line);
+  }
   sweep.push_back(std::move(axis));
-}
-
-/// Assign one sweep value onto a spec copy. Axis keys are qualified
-/// "section.key" names resolved through the same appliers the parser uses,
-/// so exactly the INI-settable scalar keys are sweepable.
-void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
-                            const std::string& value) {
-  const std::size_t dot = key.find('.');
-  if (dot == std::string::npos) {
-    throw ScenarioError("sweep axis must be 'section.key', got '" + key +
-                        "'");
-  }
-  const std::string section = key.substr(0, dot);
-  const std::string field = key.substr(dot + 1);
-  try {
-    if (section == "cloud") {
-      apply_cloud_key(spec.cloud, field, value, 0);
-    } else if (section == "workload") {
-      apply_workload_key(spec.workload, field, value, 0);
-    } else if (section == "engine") {
-      apply_engine_key(spec.engine, field, value, 0);
-    } else if (section == "churn") {
-      apply_churn_key(spec.churn, field, value, 0);
-    } else {
-      throw ScenarioError(
-          "sweep axis section must be cloud, workload, engine or churn");
-    }
-  } catch (const ScenarioError& e) {
-    throw ScenarioError("sweep axis '" + key + "' = '" + value +
-                        "': " + e.what());
-  }
 }
 
 /// Spec-level consistency checks shared by parse_scenario (fail early with
@@ -546,13 +544,6 @@ void validate(const ScenarioSpec& spec) {
         throw ScenarioError("scenario '" + spec.name +
                             "': sweep grid exceeds 1024 points");
       }
-      // Test-apply every value now so a bad axis fails at parse time, not
-      // halfway through a sweep run.
-      for (const std::string& value : axis.values) {
-        ScenarioSpec probe = spec;
-        probe.sweep.clear();
-        apply_sweep_assignment(probe, axis.key, value);
-      }
     }
   }
 }
@@ -661,53 +652,33 @@ const std::vector<std::string>& trace_mix(const ScenarioWorkload& w) {
   return w.circuits.empty() ? mixed_workload_names() : w.circuits;
 }
 
-/// Materialise the workload as an arrival trace. Non-trace sources arrive
-/// all at t = 0 in list order (so every engine accepts every source).
-std::vector<ArrivingJob> build_trace(const ScenarioWorkload& w) {
+/// The workload as a job stream. List sources arrive all at t = 0 in list
+/// order (so every engine accepts every source), each circuit built when
+/// it is pulled.
+std::unique_ptr<JobSource> build_source(const ScenarioWorkload& w) {
   switch (w.source) {
-    case WorkloadSource::kGenerator: {
-      std::vector<ArrivingJob> jobs;
-      jobs.reserve(w.circuits.size());
-      for (const auto& name : w.circuits) {
-        jobs.push_back({make_workload(name), 0.0});
-      }
-      return jobs;
-    }
-    case WorkloadSource::kQasm: {
-      std::vector<ArrivingJob> jobs;
-      jobs.reserve(w.qasm_files.size());
-      for (const auto& path : w.qasm_files) {
-        jobs.push_back({parse_qasm_file(path), 0.0});
-      }
-      return jobs;
-    }
-    case WorkloadSource::kTrace: {
-      Rng rng(w.trace_seed);
-      if (w.trace == TraceShape::kPoisson) {
-        return poisson_trace(trace_mix(w), w.trace_jobs, w.trace_mean_gap,
-                             rng);
-      }
-      return burst_trace(trace_mix(w), w.trace_jobs, w.trace_burst_size,
-                         w.trace_mean_gap, rng);
-    }
+    case WorkloadSource::kGenerator:
+      return std::make_unique<IndexedSource>(
+          w.circuits.size(), [names = w.circuits](std::size_t i) {
+            return ArrivingJob{make_workload(names[i]), 0.0};
+          });
+    case WorkloadSource::kQasm:
+      return std::make_unique<IndexedSource>(
+          w.qasm_files.size(), [paths = w.qasm_files](std::size_t i) {
+            return ArrivingJob{parse_qasm_file(paths[i]), 0.0};
+          });
+    case WorkloadSource::kTrace:
+      return make_burst_source(
+          trace_mix(w), w.trace_jobs,
+          w.trace == TraceShape::kPoisson ? 1 : w.trace_burst_size,
+          w.trace_mean_gap, w.trace_seed);
   }
   throw ScenarioError("unknown workload source");
 }
 
-/// Streaming twin of build_trace(): a kTrace workload becomes a generator
-/// source with the *same* RNG draw sequence as the materialised trace —
-/// without ever holding more than one job — and list sources stream the
-/// t = 0 vector build_trace() would produce.
-std::unique_ptr<JobSource> build_source(const ScenarioWorkload& w) {
-  if (w.source == WorkloadSource::kTrace) {
-    if (w.trace == TraceShape::kPoisson) {
-      return make_poisson_source(trace_mix(w), w.trace_jobs, w.trace_mean_gap,
-                                 w.trace_seed);
-    }
-    return make_burst_source(trace_mix(w), w.trace_jobs, w.trace_burst_size,
-                             w.trace_mean_gap, w.trace_seed);
-  }
-  return make_vector_source(build_trace(w));
+/// The workload materialised as an arrival trace.
+std::vector<ArrivingJob> build_trace(const ScenarioWorkload& w) {
+  return drain(*build_source(w));
 }
 
 std::vector<Circuit> strip_arrivals(std::vector<ArrivingJob> trace) {
@@ -771,13 +742,13 @@ void finalize_tenant_metrics(const std::vector<TenantSpec>& tenants,
     result.tenants[t].name = tenants[t].name;
     result.tenants[t].slo_target = tenants[t].slo_jct;
   }
-  for (const ScenarioJobResult& job : result.jobs) {
-    if (job.tenant < 0) continue;
-    const auto t = static_cast<std::size_t>(job.tenant);
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    const IncomingJobStats& job = result.jobs[i];
+    const auto t = static_cast<std::size_t>(result.tenant_of[i]);
     ++result.tenants[t].jobs;
     if (!job.placed) continue;
     ++result.tenants[t].completed;
-    const double jct = job.completion_time - job.arrival;
+    const double jct = job.jct();
     sketches[t].add(jct);
     jct_sums[t] += jct;
     if (jct <= tenants[t].slo_jct) ++within_slo[t];
@@ -806,7 +777,7 @@ void finalize_metrics(ScenarioResult& result) {
     if (!job.placed) continue;
     ++placed;
     result.makespan = std::max(result.makespan, job.completion_time);
-    jct_sum += job.completion_time - job.arrival;
+    jct_sum += job.jct();
     fid_sum += job.est_fidelity;
   }
   if (placed > 0) {
@@ -831,7 +802,7 @@ void run_network_sim(const ScenarioSpec& spec,
   sim.set_change_gated(eng.gated_allocation);
   std::map<int, std::size_t> sim_to_job;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ScenarioJobResult& job = result.jobs[i];
+    IncomingJobStats& job = result.jobs[i];
     job.name = jobs[i].name();
     // Serial admission loop: consulting the cache here is deterministic
     // (cache == nullptr is exactly the pre-cache placer.place path).
@@ -849,7 +820,7 @@ void run_network_sim(const ScenarioSpec& spec,
   for (const JobCompletion& completion : sim.run_to_completion()) {
     const auto entry = sim_to_job.find(completion.job);
     CLOUDQC_CHECK(entry != sim_to_job.end());
-    ScenarioJobResult& job = result.jobs[entry->second];
+    IncomingJobStats& job = result.jobs[entry->second];
     job.completion_time = completion.time;
     job.est_fidelity = completion.est_fidelity;
   }
@@ -1107,7 +1078,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
           jobs, cloud, counting, *allocator, spec.engine.seed);
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
-        ScenarioJobResult& job = result.jobs[i];
+        IncomingJobStats& job = result.jobs[i];
         job.name = stats[i].name;
         job.placed = stats[i].placed;
         job.completion_time = stats[i].completion_time;
@@ -1121,42 +1092,27 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     case EngineMode::kMultiTenant:
     case EngineMode::kIncoming: {
       std::vector<ArrivingJob> trace = build_trace(spec.workload);
-      std::vector<int> tenant_of;
       std::vector<JobClass> classes;
       if (!spec.tenants.empty()) {
-        tenant_of = assign_tenants(spec.tenants, trace.size(),
-                                   spec.workload.trace_seed);
-        classes = classes_for(spec.tenants, tenant_of);
+        result.tenant_of = assign_tenants(spec.tenants, trace.size(),
+                                          spec.workload.trace_seed);
+        classes = classes_for(spec.tenants, result.tenant_of);
       }
       const ChurnPlan* churn = churn_on ? &churn_plan : nullptr;
-      std::vector<IncomingJobStats> stats;
       if (spec.engine.mode == EngineMode::kMultiTenant) {
         MultiTenantOptions options;
         static_cast<EngineOptions&>(options) = shared;
         options.fifo = spec.engine.fifo;
         options.classes = std::move(classes);
         options.churn = churn;
-        stats = run_batch(strip_arrivals(std::move(trace)), cloud, counting,
-                          *allocator, options);
+        result.jobs = run_batch(strip_arrivals(std::move(trace)), cloud,
+                                counting, *allocator, options);
       } else {
         IncomingOptions options;
         static_cast<EngineOptions&>(options) = shared;
         options.classes = std::move(classes);
         options.churn = churn;
-        stats = run_incoming(trace, cloud, counting, *allocator, options);
-      }
-      result.jobs.resize(stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        ScenarioJobResult& job = result.jobs[i];
-        job.name = stats[i].name;
-        job.arrival = stats[i].arrival;
-        job.placed_time = stats[i].placed_time;
-        job.completion_time = stats[i].completion_time;
-        job.remote_ops = stats[i].remote_ops;
-        job.qpus_used = stats[i].qpus_used;
-        job.est_fidelity = stats[i].est_fidelity;
-        job.restarts = stats[i].restarts;
-        if (!tenant_of.empty()) job.tenant = tenant_of[i];
+        result.jobs = run_incoming(trace, cloud, counting, *allocator, options);
       }
       break;
     }
@@ -1339,7 +1295,7 @@ std::string write_golden_json(const ScenarioResult& result,
   }
   os << "  \"jobs\": [";
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const ScenarioJobResult& job = result.jobs[i];
+    const IncomingJobStats& job = result.jobs[i];
     os << (i > 0 ? "," : "") << "\n    {\"name\": \"" << job.name << "\""
        << ", \"placed\": " << (job.placed ? "true" : "false")
        << ", \"arrival\": " << num(job.arrival)
@@ -1350,7 +1306,7 @@ std::string write_golden_json(const ScenarioResult& result,
        << ", \"qpus_used\": " << job.qpus_used
        << ", \"est_fidelity\": " << num(job.est_fidelity);
     if (!result.tenants.empty()) {
-      os << ", \"tenant\": " << job.tenant
+      os << ", \"tenant\": " << result.tenant_of[i]
          << ", \"restarts\": " << job.restarts;
     }
     os << "}";

@@ -183,30 +183,6 @@ ScenarioSpec load_scenario_file(const std::string& path);
 /// to_ini(parse_scenario(to_ini(s))) == to_ini(s) for any valid spec.
 std::string to_ini(const ScenarioSpec& spec);
 
-/// Per-job outcome, engine-independent. Times are simulation units;
-/// arrival is 0 except in incoming mode.
-struct ScenarioJobResult {
-  std::string name;
-  /// False when no feasible mapping was found (batch engine: job skipped;
-  /// network-sim engine: job not admitted). Such jobs are excluded from
-  /// the aggregate metrics below.
-  bool placed = true;
-  double arrival = 0.0;
-  double placed_time = 0.0;
-  double completion_time = 0.0;
-  std::size_t remote_ops = 0;
-  /// Placement communication cost (paper Obj. 1). Populated by the batch
-  /// and network-sim engines; the multi-tenant/incoming engines' stats do
-  /// not carry it and leave 0.
-  double comm_cost = 0.0;
-  int qpus_used = 0;
-  double est_fidelity = 1.0;
-  /// Index into ScenarioResult::tenants; -1 on tenantless runs.
-  int tenant = -1;
-  /// Times the job was displaced by churn or preempted and re-run.
-  int restarts = 0;
-};
-
 /// Per-tenant aggregates of one scenario run (multi-tenant/incoming
 /// modes with [tenant.*] sections). Quantiles come from a deterministic
 /// QuantileSketch over the tenant's JCTs (metrics/quantile_sketch.hpp).
@@ -228,10 +204,14 @@ struct ScenarioTenantResult {
 struct ScenarioResult {
   std::string scenario;
   std::string engine;  ///< canonical engine-mode name
-  /// Per-job outcomes. The streaming engine frees per-job state as jobs
-  /// complete and leaves this EMPTY by design — its run is summarised by
-  /// the stream_* / quantile aggregates below instead.
-  std::vector<ScenarioJobResult> jobs;
+  /// Per-job outcomes in workload order (arrival is 0 except in incoming
+  /// mode). Unplaced jobs (placed == false) are excluded from the
+  /// aggregate metrics below. The streaming engine frees per-job state as
+  /// jobs complete and leaves this EMPTY by design — its run is summarised
+  /// by the stream_* / quantile aggregates below instead.
+  std::vector<IncomingJobStats> jobs;
+  /// Index into `tenants` per row of `jobs`; empty on tenantless runs.
+  std::vector<int> tenant_of;
   /// Latest completion time over placed jobs (0 when none placed).
   double makespan = 0.0;
   /// Mean of (completion - arrival) over placed jobs.

@@ -12,10 +12,9 @@ namespace cloudqc {
 
 namespace {
 
-/// Generator-backed stream: drives the *same* RNG draw sequence as
-/// burst_trace (gap draw at the start of every burst, then circuit pick,
-/// per job; Poisson is bursts of one), with a per-name template cache so
-/// each arrival costs one Circuit copy instead of a generator run.
+/// Generator-backed stream (see make_burst_source for the draw order;
+/// Poisson is bursts of one), with a per-name template cache so each
+/// arrival costs one Circuit copy instead of a generator run.
 class BurstSource final : public JobSource {
  public:
   BurstSource(std::vector<std::string> names, int num_jobs, int burst_size,
@@ -77,6 +76,14 @@ std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
                                              std::uint64_t seed) {
   return std::make_unique<BurstSource>(std::move(names), num_jobs, burst_size,
                                        mean_gap, seed);
+}
+
+std::vector<ArrivingJob> drain(JobSource& source) {
+  std::vector<ArrivingJob> jobs;
+  while (std::optional<ArrivingJob> job = source.next()) {
+    jobs.push_back(std::move(*job));
+  }
+  return jobs;
 }
 
 StreamingMetrics run_streaming(JobSource& source, QuantumCloud& cloud,

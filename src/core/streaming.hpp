@@ -61,19 +61,28 @@ class JobSource {
 /// Stream over a pre-built trace (tests, QASM lists, parity harnesses).
 std::unique_ptr<JobSource> make_vector_source(std::vector<ArrivingJob> jobs);
 
-/// Streaming twin of poisson_trace(): identical RNG draws per job (gap,
-/// then circuit pick), so the emitted stream equals the materialised trace
-/// element-for-element — without ever holding more than one job.
+/// Poisson arrivals: exponential inter-arrival gaps with the given mean,
+/// circuits drawn uniformly from `names`. Same stream as
+/// make_burst_source with bursts of one.
 std::unique_ptr<JobSource> make_poisson_source(std::vector<std::string> names,
                                                int num_jobs, double mean_gap,
                                                std::uint64_t seed);
 
-/// Streaming twin of burst_trace(): groups of `burst_size` simultaneous
-/// arrivals separated by exponential gaps.
+/// Bursty arrivals: `num_jobs` jobs in groups of `burst_size` simultaneous
+/// arrivals, groups separated by exponential gaps with the given mean (the
+/// last group may be partial). Models batch submissions / flash crowds — a
+/// heavier instantaneous load than Poisson at the same mean rate per
+/// group. Circuits are drawn uniformly from `names`. This is the library's
+/// only arrival generator: per job it draws the gap (at the start of each
+/// burst), then the circuit pick, from Rng(seed).
 std::unique_ptr<JobSource> make_burst_source(std::vector<std::string> names,
                                              int num_jobs, int burst_size,
                                              double mean_gap,
                                              std::uint64_t seed);
+
+/// Pull every remaining job out of `source`: the materialised trace of a
+/// stream (e.g. a generated trace to hand to run_incoming).
+std::vector<ArrivingJob> drain(JobSource& source);
 
 /// What to do with new arrivals while the pending set is at max_pending.
 enum class StreamingBackpressure {

@@ -40,10 +40,10 @@ struct Placement {
   int num_qpus_used() const;
 };
 
-/// Strict-weak "better candidate" order shared by the racing entry points
-/// (RacingPlacer and ParallelExecutor::race_place): higher score first,
-/// then lower communication cost, then fewer remote ops. Candidate order
-/// breaks the final tie, so race winners are unique and deterministic.
+/// Strict-weak "better candidate" order of the racing placer
+/// (make_racing_placer): higher score first, then lower communication
+/// cost, then fewer remote ops. Candidate order breaks the final tie, so
+/// race winners are unique and deterministic.
 bool better_placement(const Placement& a, const Placement& b);
 
 struct PlacerOptions {

@@ -22,18 +22,11 @@ TEST(Qpu, ReserveRelease) {
   EXPECT_EQ(q.computing_in_use(), 4);
   q.release_computing(4);
   EXPECT_EQ(q.free_computing(), 10);
-
-  q.reserve_comm(5);
-  EXPECT_EQ(q.free_comm(), 0);
-  q.release_comm(2);
-  EXPECT_EQ(q.free_comm(), 2);
 }
 
 TEST(Qpu, OverAllocationThrows) {
   Qpu q(2, 1);
   EXPECT_THROW(q.reserve_computing(3), std::logic_error);
-  q.reserve_comm(1);
-  EXPECT_THROW(q.reserve_comm(1), std::logic_error);
   EXPECT_THROW(q.release_computing(1), std::logic_error);  // nothing held
 }
 

@@ -6,6 +6,7 @@
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
 #include "core/incoming.hpp"
+#include "core/streaming.hpp"
 #include "graph/topology.hpp"
 #include "test_doubles.hpp"
 
@@ -26,7 +27,7 @@ TEST(Incoming, SingleArrivalMeasuresJctFromArrival) {
   const auto alloc = make_cloudqc_allocator();
   std::vector<ArrivingJob> trace;
   trace.push_back({gen::ghz(30), 100.0});
-  const auto stats = run_incoming(trace, cloud, *placer, *alloc);
+  const auto stats = run_incoming(trace, cloud, *placer, *alloc, {});
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_DOUBLE_EQ(stats[0].arrival, 100.0);
   EXPECT_DOUBLE_EQ(stats[0].placed_time, 100.0);  // cloud was empty
@@ -42,7 +43,7 @@ TEST(Incoming, WidelySpacedJobsDontQueue) {
   std::vector<ArrivingJob> trace;
   trace.push_back({gen::ghz(30), 0.0});
   trace.push_back({gen::ghz(30), 1e7});  // long after the first finishes
-  const auto stats = run_incoming(trace, cloud, *placer, *alloc);
+  const auto stats = run_incoming(trace, cloud, *placer, *alloc, {});
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_DOUBLE_EQ(stats[1].placed_time, 1e7);  // no queueing delay
 }
@@ -57,7 +58,7 @@ TEST(Incoming, SaturatedCloudQueuesArrivals) {
     trace.push_back({make_workload("qugan_n111"),
                      static_cast<SimTime>(i)});
   }
-  const auto stats = run_incoming(trace, cloud, *placer, *alloc);
+  const auto stats = run_incoming(trace, cloud, *placer, *alloc, {});
   int queued = 0;
   for (const auto& s : stats) {
     EXPECT_GE(s.placed_time, s.arrival);
@@ -72,10 +73,9 @@ TEST(Incoming, ResourcesRestoredAfterTrace) {
   const int before = cloud.total_free_computing();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  Rng rng(5);
   const auto trace =
-      poisson_trace({"ising_n34", "ghz_n127"}, 6, 500.0, rng);
-  run_incoming(trace, cloud, *placer, *alloc);
+      drain(*make_poisson_source({"ising_n34", "ghz_n127"}, 6, 500.0, 5));
+  run_incoming(trace, cloud, *placer, *alloc, {});
   EXPECT_EQ(cloud.total_free_computing(), before);
 }
 
@@ -86,7 +86,7 @@ TEST(Incoming, UnsortedTraceRejected) {
   std::vector<ArrivingJob> trace;
   trace.push_back({gen::ghz(10), 10.0});
   trace.push_back({gen::ghz(10), 5.0});
-  EXPECT_THROW(run_incoming(trace, cloud, *placer, *alloc),
+  EXPECT_THROW(run_incoming(trace, cloud, *placer, *alloc, {}),
                std::logic_error);
 }
 
@@ -96,13 +96,12 @@ TEST(Incoming, OversizedJobRejected) {
   const auto alloc = make_cloudqc_allocator();
   std::vector<ArrivingJob> trace;
   trace.push_back({gen::ghz(500), 0.0});
-  EXPECT_THROW(run_incoming(trace, cloud, *placer, *alloc),
+  EXPECT_THROW(run_incoming(trace, cloud, *placer, *alloc, {}),
                std::logic_error);
 }
 
 TEST(PoissonTrace, SortedWithRequestedLength) {
-  Rng rng(9);
-  const auto trace = poisson_trace({"ising_n34"}, 20, 100.0, rng);
+  const auto trace = drain(*make_poisson_source({"ising_n34"}, 20, 100.0, 9));
   ASSERT_EQ(trace.size(), 20u);
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GE(trace[i].arrival, trace[i - 1].arrival);
@@ -111,8 +110,7 @@ TEST(PoissonTrace, SortedWithRequestedLength) {
 }
 
 TEST(PoissonTrace, MeanGapRoughlyHonoured) {
-  Rng rng(13);
-  const auto trace = poisson_trace({"ising_n34"}, 400, 50.0, rng);
+  const auto trace = drain(*make_poisson_source({"ising_n34"}, 400, 50.0, 13));
   const double mean_gap = trace.back().arrival / 400.0;
   EXPECT_NEAR(mean_gap, 50.0, 10.0);
 }
@@ -166,8 +164,8 @@ TEST(Incoming, MetricsSinkMatchesPerJobStats) {
   QuantumCloud cloud = paper_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  Rng rng(5);
-  const auto trace = poisson_trace({"ising_n34", "ghz_n127"}, 8, 300.0, rng);
+  const auto trace =
+      drain(*make_poisson_source({"ising_n34", "ghz_n127"}, 8, 300.0, 5));
   StreamingMetrics metrics;
   IncomingOptions options;
   options.seed = 13;
@@ -310,10 +308,11 @@ TEST(Incoming, HigherLoadIncreasesMeanJct) {
   const auto alloc = make_cloudqc_allocator();
   auto mean_jct = [&](double gap) {
     QuantumCloud cloud = paper_cloud(11);
-    Rng rng(3);
-    const auto trace = poisson_trace(
-        {"qugan_n71", "knn_n67", "ising_n66"}, 10, gap, rng);
-    const auto stats = run_incoming(trace, cloud, *placer, *alloc, 17);
+    const auto trace = drain(*make_poisson_source(
+        {"qugan_n71", "knn_n67", "ising_n66"}, 10, gap, 3));
+    IncomingOptions options;
+    options.seed = 17;
+    const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
     double total = 0.0;
     for (const auto& s : stats) total += s.jct();
     return total / static_cast<double>(stats.size());

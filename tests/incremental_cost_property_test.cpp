@@ -241,21 +241,24 @@ TEST(IncrementalCostProperty, RacedPlacementsIdenticalAt1And2And8Workers) {
   }
 }
 
-TEST(IncrementalCostProperty, RacePlaceExecutorDeterministicAcrossWorkers) {
+TEST(IncrementalCostProperty, RacingPlacerDeterministicAcrossWorkers) {
   const QuantumCloud cloud = [] {
     CloudConfig cfg;
     Rng r(6);
     return QuantumCloud(cfg, r);
   }();
   const Circuit c = make_workload("cat_n65");
-  const auto sa = make_annealing_placer(2000);
-  const auto ga = make_genetic_placer(12, 10);
-  const auto cq = make_cloudqc_placer();
-  const std::vector<const Placer*> placers{sa.get(), ga.get(), cq.get()};
   std::optional<Placement> reference;
   for (const int workers : {1, 2, 8}) {
-    ParallelExecutor executor(workers);
-    const auto p = executor.race_place(c, cloud, placers, /*seed=*/4242);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+    std::vector<std::unique_ptr<Placer>> field;
+    field.push_back(make_annealing_placer(2000));
+    field.push_back(make_genetic_placer(12, 10));
+    field.push_back(make_cloudqc_placer());
+    const auto racer = make_racing_placer(std::move(field), pool.get());
+    Rng rng(4242);
+    const auto p = racer->place(c, cloud, rng);
     ASSERT_TRUE(p.has_value()) << workers << " workers";
     if (!reference.has_value()) {
       reference = p;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/cloudqc.hpp"
+#include "core/streaming.hpp"
 
 namespace cloudqc {
 namespace {
@@ -45,11 +46,13 @@ void expect_identical(const IndependentJobResult& a,
 
 void expect_identical(const IncomingJobStats& a, const IncomingJobStats& b) {
   EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.arrival, b.arrival);
   EXPECT_EQ(a.placed_time, b.placed_time);
   EXPECT_EQ(a.completion_time, b.completion_time);
   EXPECT_EQ(a.remote_ops, b.remote_ops);
   EXPECT_EQ(a.qpus_used, b.qpus_used);
   EXPECT_EQ(a.est_fidelity, b.est_fidelity);
+  EXPECT_EQ(a.restarts, b.restarts);
 }
 
 TEST(ParallelExecutor, IndependentJobsMatchSerialAtAllWorkerCounts) {
@@ -108,114 +111,111 @@ TEST(ParallelExecutor, IndependentJobsDifferAcrossSeeds) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(ParallelExecutor, BatchSweepMatchesSerialAtAllWorkerCounts) {
-  const auto jobs = test_jobs();
-  const auto cloud = test_cloud();
-  const auto placer = make_cloudqc_placer();
-  const auto alloc = make_cloudqc_allocator();
-  MultiTenantOptions options;
-  options.seed = 21;
+// Repeated stochastic runs fan out through run_indexed: every run shares
+// one placer and one allocator, executes on a private cloud copy and
+// writes only its own slot, so the runs are bit-identical at any worker
+// count.
+std::vector<std::vector<IncomingJobStats>> batch_runs(
+    ParallelExecutor& ex, const std::vector<Circuit>& jobs,
+    const QuantumCloud& cloud, const Placer& placer,
+    const CommAllocator& alloc, std::uint64_t base_seed, int num_runs) {
+  std::vector<std::vector<IncomingJobStats>> runs(
+      static_cast<std::size_t>(num_runs));
+  ex.run_indexed(runs.size(), [&](std::size_t r) {
+    MultiTenantOptions options;
+    options.seed = stream_seed(base_seed, r);
+    QuantumCloud view = cloud;
+    runs[r] = run_batch(jobs, view, placer, alloc, options);
+  });
+  return runs;
+}
 
-  ParallelExecutor serial(1);
-  const auto reference =
-      serial.run_batch_sweep(jobs, cloud, *placer, *alloc, options, 6);
-  ASSERT_EQ(reference.size(), 6u);
+std::vector<std::vector<IncomingJobStats>> incoming_runs(
+    ParallelExecutor& ex, const std::vector<ArrivingJob>& trace,
+    const QuantumCloud& cloud, const Placer& placer,
+    const CommAllocator& alloc, std::uint64_t base_seed, int num_runs) {
+  std::vector<std::vector<IncomingJobStats>> runs(
+      static_cast<std::size_t>(num_runs));
+  ex.run_indexed(runs.size(), [&](std::size_t r) {
+    IncomingOptions options;
+    options.seed = stream_seed(base_seed, r);
+    QuantumCloud view = cloud;
+    runs[r] = run_incoming(trace, view, placer, alloc, options);
+  });
+  return runs;
+}
 
-  for (int workers : {2, 8}) {
-    ParallelExecutor parallel(workers);
-    const auto got =
-        parallel.run_batch_sweep(jobs, cloud, *placer, *alloc, options, 6);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t r = 0; r < got.size(); ++r) {
-      ASSERT_EQ(got[r].size(), reference[r].size());
-      for (std::size_t i = 0; i < got[r].size(); ++i) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) + " run=" +
-                     std::to_string(r) + " job=" + std::to_string(i));
-        expect_identical(got[r][i], reference[r][i]);
-      }
+void expect_identical_runs(
+    const std::vector<std::vector<IncomingJobStats>>& got,
+    const std::vector<std::vector<IncomingJobStats>>& reference,
+    int workers) {
+  ASSERT_EQ(got.size(), reference.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), reference[r].size());
+    for (std::size_t i = 0; i < got[r].size(); ++i) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) + " run=" +
+                   std::to_string(r) + " job=" + std::to_string(i));
+      expect_identical(got[r][i], reference[r][i]);
     }
   }
 }
 
-TEST(ParallelExecutor, BatchSweepLeavesCallerCloudUntouched) {
+TEST(ParallelExecutor, ConcurrentBatchRunsMatchSerialAtAllWorkerCounts) {
   const auto jobs = test_jobs();
   const auto cloud = test_cloud();
   const int free_before = cloud.total_free_computing();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  ParallelExecutor ex(4);
-  ex.run_batch_sweep(jobs, cloud, *placer, *alloc, {}, 4);
+
+  ParallelExecutor serial(1);
+  const auto reference =
+      batch_runs(serial, jobs, cloud, *placer, *alloc, 21, 6);
+  ASSERT_EQ(reference.size(), 6u);
+  for (int workers : {2, 8}) {
+    ParallelExecutor parallel(workers);
+    expect_identical_runs(
+        batch_runs(parallel, jobs, cloud, *placer, *alloc, 21, 6), reference,
+        workers);
+  }
   EXPECT_EQ(cloud.total_free_computing(), free_before);
 }
 
-TEST(ParallelExecutor, IncomingSweepMatchesSerialAtAllWorkerCounts) {
-  Rng trace_rng(3);
-  const auto trace =
-      poisson_trace({"ising_n34", "bv_n70", "cat_n65"}, 12, 250.0, trace_rng);
+TEST(ParallelExecutor, ConcurrentIncomingRunsMatchSerialAtAllWorkerCounts) {
+  const auto trace = drain(
+      *make_poisson_source({"ising_n34", "bv_n70", "cat_n65"}, 12, 250.0, 3));
   const auto cloud = test_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
 
   ParallelExecutor serial(1);
   const auto reference =
-      serial.run_incoming_sweep(trace, cloud, *placer, *alloc, 9, 4);
-
+      incoming_runs(serial, trace, cloud, *placer, *alloc, 9, 4);
+  ASSERT_EQ(reference.size(), 4u);
   for (int workers : {2, 8}) {
     ParallelExecutor parallel(workers);
-    const auto got =
-        parallel.run_incoming_sweep(trace, cloud, *placer, *alloc, 9, 4);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t r = 0; r < got.size(); ++r) {
-      ASSERT_EQ(got[r].size(), reference[r].size());
-      for (std::size_t i = 0; i < got[r].size(); ++i) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) + " run=" +
-                     std::to_string(r) + " job=" + std::to_string(i));
-        EXPECT_EQ(got[r][i].completion_time, reference[r][i].completion_time);
-        EXPECT_EQ(got[r][i].placed_time, reference[r][i].placed_time);
-        EXPECT_EQ(got[r][i].est_fidelity, reference[r][i].est_fidelity);
-        EXPECT_EQ(got[r][i].remote_ops, reference[r][i].remote_ops);
-      }
-    }
+    expect_identical_runs(
+        incoming_runs(parallel, trace, cloud, *placer, *alloc, 9, 4), reference,
+        workers);
   }
 }
 
-TEST(ParallelExecutor, RacePlaceIsDeterministicAcrossWorkerCounts) {
-  const auto cloud = test_cloud();
-  const Circuit circuit = make_workload("knn_n67");
-  const auto cq = make_cloudqc_placer();
-  const auto bfs = make_cloudqc_bfs_placer();
-  const auto sa = make_annealing_placer(2000);
-  const auto rnd = make_random_placer();
-  const std::vector<const Placer*> field{cq.get(), bfs.get(), sa.get(),
-                                         rnd.get()};
-
-  ParallelExecutor serial(1);
-  const auto reference = serial.race_place(circuit, cloud, field, 13);
-  ASSERT_TRUE(reference.has_value());
-
-  for (int workers : {2, 8}) {
-    ParallelExecutor parallel(workers);
-    const auto got = parallel.race_place(circuit, cloud, field, 13);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->qubit_to_qpu, reference->qubit_to_qpu);
-    EXPECT_EQ(got->score, reference->score);
-    EXPECT_EQ(got->comm_cost, reference->comm_cost);
-    EXPECT_EQ(got->remote_ops, reference->remote_ops);
-  }
-}
-
-TEST(ParallelExecutor, RaceNeverLosesToItsBestStrategy) {
+TEST(RacingPlacer, RaceNeverLosesToItsBestStrategy) {
   const auto cloud = test_cloud();
   const Circuit circuit = make_workload("ising_n34");
-  const auto cq = make_cloudqc_placer();
-  const auto rnd = make_random_placer();
-  ParallelExecutor ex(4);
-  const auto raced =
-      ex.race_place(circuit, cloud, {cq.get(), rnd.get()}, /*seed=*/1);
+  std::vector<std::unique_ptr<Placer>> field;
+  field.push_back(make_cloudqc_placer());
+  field.push_back(make_random_placer());
+  ThreadPool pool(4);
+  const auto racer = make_racing_placer(std::move(field), &pool);
+  Rng race_rng(1);
+  const auto raced = racer->place(circuit, cloud, race_rng);
   ASSERT_TRUE(raced.has_value());
-  // Strategy 0's candidate under the race's stream seeding.
-  Rng rng(stream_seed(1, 0));
-  const auto solo = cq->place(circuit, cloud, rng);
+  // Strategy 0's candidate under the race's stream seeding: the racer
+  // takes one draw from the caller's RNG and seeds strategy k with
+  // stream_seed(draw, k).
+  Rng probe(1);
+  Rng rng(stream_seed(probe(), 0));
+  const auto solo = make_cloudqc_placer()->place(circuit, cloud, rng);
   ASSERT_TRUE(solo.has_value());
   EXPECT_GE(raced->score, solo->score);
 }

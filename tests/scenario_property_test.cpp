@@ -77,10 +77,7 @@ void expect_same_core(const ScenarioResult& a, const ScenarioResult& b) {
 /// Full equality: core trajectory plus tenant labels and aggregates.
 void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
   expect_same_core(a, b);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].tenant, b.jobs[i].tenant);
-  }
+  EXPECT_EQ(a.tenant_of, b.tenant_of);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (std::size_t t = 0; t < a.tenants.size(); ++t) {
     SCOPED_TRACE("tenant " + a.tenants[t].name);

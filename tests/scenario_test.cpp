@@ -7,6 +7,8 @@
 // points at the repo's scenarios/ directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -207,8 +209,7 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
 }
 
 TEST(ScenarioTest, BurstTraceShape) {
-  Rng rng(5);
-  const auto trace = burst_trace({"ising_n34"}, 10, 4, 100.0, rng);
+  const auto trace = drain(*make_burst_source({"ising_n34"}, 10, 4, 100.0, 5));
   ASSERT_EQ(trace.size(), 10u);
   // Groups of 4 share one arrival instant; groups strictly later.
   EXPECT_EQ(trace[0].arrival, trace[3].arrival);
@@ -532,6 +533,51 @@ TEST(ScenarioParserTest, RejectsInvalidChurnTenantSweep) {
                ScenarioError);
   EXPECT_THROW(parse_scenario(base + "[sweep]\nengine.seed = 1..2000\n"),
                ScenarioError);
+  // [churn] window is a repeated-key list too: a swept value would append
+  // to the base windows instead of replacing them.
+  EXPECT_THROW(parse_scenario(base +
+                              "[engine]\nmode = incoming\n"
+                              "[churn]\nwindow = 0:10:20\n"
+                              "[sweep]\nchurn.window = 1:10:20, 2:10:20\n"),
+               ScenarioError);
+}
+
+TEST(ScenarioParserTest, BadSweepValueNamesTheAxisLine) {
+  try {
+    parse_scenario(
+        "[workload]\n"
+        "source = generator\n"
+        "circuits = qft_n29\n"
+        "[sweep]\n"
+        "engine.seed = a, b\n");
+    FAIL() << "bad sweep value accepted";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 5"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("engine.seed"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every committed spec, the weekly soak spec included, must parse and
+// round-trip through to_ini, so a scenario-layer change that breaks one
+// fails here rather than in the job that runs it.
+TEST(ScenarioParserTest, CommittedSpecsParseAndRoundTrip) {
+  std::vector<std::string> paths{scenario_path("soak/streaming_million.ini")};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CLOUDQC_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".ini") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  EXPECT_GE(paths.size(), 15u);
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    const ScenarioSpec spec = load_scenario_file(path);
+    const std::string ini = to_ini(spec);
+    EXPECT_EQ(to_ini(parse_scenario(ini, spec.name)), ini);
+  }
 }
 
 // Per-tenant aggregates recomputed from the per-job table by an
@@ -566,8 +612,10 @@ TEST(ScenarioTest, TenantAggregatesMatchBruteForceOracle) {
     QuantileSketch sketch;
     std::size_t jobs = 0, completed = 0, within = 0;
     double total = 0.0;
-    for (const auto& job : result.jobs) {
-      if (job.tenant != static_cast<int>(t)) continue;
+    ASSERT_EQ(result.tenant_of.size(), result.jobs.size());
+    for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+      const auto& job = result.jobs[i];
+      if (result.tenant_of[i] != static_cast<int>(t)) continue;
       ++jobs;
       if (!job.placed) continue;
       ++completed;
@@ -630,9 +678,10 @@ TEST(ScenarioTest, SingleTenantSpecMatchesTenantlessRun) {
     EXPECT_EQ(with_tenant.jobs[i].est_fidelity,
               tenantless.jobs[i].est_fidelity);
     EXPECT_EQ(with_tenant.jobs[i].remote_ops, tenantless.jobs[i].remote_ops);
-    EXPECT_EQ(with_tenant.jobs[i].tenant, 0);
-    EXPECT_EQ(tenantless.jobs[i].tenant, -1);
   }
+  EXPECT_EQ(with_tenant.tenant_of,
+            std::vector<int>(with_tenant.jobs.size(), 0));
+  EXPECT_TRUE(tenantless.tenant_of.empty());
   EXPECT_EQ(with_tenant.makespan, tenantless.makespan);
   EXPECT_EQ(with_tenant.mean_jct, tenantless.mean_jct);
   EXPECT_EQ(with_tenant.mean_fidelity, tenantless.mean_fidelity);

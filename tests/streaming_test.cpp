@@ -39,9 +39,8 @@ std::vector<ArrivingJob> ghz_trace(int jobs, double gap, int width = 30) {
 TEST(Streaming, VectorSourceMatchesRunIncoming) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  Rng trace_rng(7);
-  const auto trace =
-      poisson_trace({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, trace_rng);
+  const auto trace = drain(
+      *make_poisson_source({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, 7));
 
   QuantumCloud incoming_cloud = paper_cloud();
   StreamingMetrics reference;
@@ -69,52 +68,6 @@ TEST(Streaming, VectorSourceMatchesRunIncoming) {
   reference.peak_pending = metrics.peak_pending;
   reference.peak_in_flight = metrics.peak_in_flight;
   EXPECT_TRUE(metrics == reference);
-}
-
-TEST(Streaming, PoissonSourceMatchesMaterialisedTrace) {
-  const auto placer = make_cloudqc_placer();
-  const auto alloc = make_cloudqc_allocator();
-  const std::vector<std::string> mix = {"ising_n34", "vqe_uccsd_n28"};
-
-  QuantumCloud cloud_a = paper_cloud();
-  const auto streamed = make_poisson_source(mix, 20, 150.0, /*seed=*/17);
-  StreamingOptions options;
-  options.seed = 5;
-  const StreamingMetrics from_source =
-      run_streaming(*streamed, cloud_a, *placer, *alloc, options);
-
-  QuantumCloud cloud_b = paper_cloud();
-  Rng trace_rng(17);
-  const auto materialised =
-      make_vector_source(poisson_trace(mix, 20, 150.0, trace_rng));
-  const StreamingMetrics from_vector =
-      run_streaming(*materialised, cloud_b, *placer, *alloc, options);
-
-  EXPECT_TRUE(from_source == from_vector);
-  EXPECT_EQ(from_source.completed, 20u);
-}
-
-TEST(Streaming, BurstSourceMatchesMaterialisedTrace) {
-  const auto placer = make_cloudqc_placer();
-  const auto alloc = make_cloudqc_allocator();
-  const std::vector<std::string> mix = {"ising_n34"};
-
-  QuantumCloud cloud_a = paper_cloud();
-  const auto streamed =
-      make_burst_source(mix, 18, /*burst_size=*/5, 400.0, /*seed=*/29);
-  StreamingOptions options;
-  options.seed = 5;
-  const StreamingMetrics from_source =
-      run_streaming(*streamed, cloud_a, *placer, *alloc, options);
-
-  QuantumCloud cloud_b = paper_cloud();
-  Rng trace_rng(29);
-  const auto materialised = make_vector_source(
-      burst_trace(mix, 18, /*burst_size=*/5, 400.0, trace_rng));
-  const StreamingMetrics from_vector =
-      run_streaming(*materialised, cloud_b, *placer, *alloc, options);
-
-  EXPECT_TRUE(from_source == from_vector);
 }
 
 TEST(Streaming, DeferBackpressureBoundsPendingAndCompletesEverything) {
