@@ -24,27 +24,35 @@ int densify(std::vector<int>& community) {
 }
 
 /// One Louvain level: local moving on `g`. Returns (community labels, gain).
-std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
-                                               double min_gain) {
+std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const double two_m = 2.0 * g.total_edge_weight();
   std::vector<int> comm(n);
   std::iota(comm.begin(), comm.end(), 0);
   if (two_m == 0.0) return {comm, 0.0};
 
-  // tot[c]: sum of weighted degrees in community c.
-  std::vector<double> tot(n);
-  std::vector<double> self_loop(n, 0.0);
+  // degree[u]: u's weighted degree; tot[c]: sum of weighted degrees in
+  // community c.
+  std::vector<double> degree(n);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    tot[static_cast<std::size_t>(u)] = g.weighted_degree(u);
-    for (const auto& e : g.neighbors(u)) {
-      if (e.to == u) self_loop[static_cast<std::size_t>(u)] = e.weight;
-    }
+    degree[static_cast<std::size_t>(u)] = g.weighted_degree(u);
   }
+  std::vector<double> tot = degree;
 
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
+
+  // Weight from the visited node to each neighbouring community, in
+  // first-seen order; one buffer reused across visits.
+  std::vector<std::pair<int, double>> neigh;
+  auto weight_to = [&neigh](int c) -> double& {
+    for (auto& [cc, w] : neigh) {
+      if (cc == c) return w;
+    }
+    neigh.emplace_back(c, 0.0);
+    return neigh.back().second;
+  };
 
   const double q_before = modularity(g, comm);
   bool improved = true;
@@ -54,17 +62,9 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
     for (const NodeId u : order) {
       const auto su = static_cast<std::size_t>(u);
       const int old_c = comm[su];
-      const double ku = g.weighted_degree(u);
+      const double ku = degree[su];
 
-      // Weight from u to each neighboring community.
-      std::vector<std::pair<int, double>> neigh;  // (community, weight)
-      auto weight_to = [&](int c) -> double& {
-        for (auto& [cc, w] : neigh) {
-          if (cc == c) return w;
-        }
-        neigh.emplace_back(c, 0.0);
-        return neigh.back().second;
-      };
+      neigh.clear();
       weight_to(old_c);  // ensure present
       for (const auto& e : g.neighbors(u)) {
         if (e.to == u) continue;
@@ -73,18 +73,17 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
 
       // Remove u from its community.
       tot[static_cast<std::size_t>(old_c)] -= ku;
-      double w_old = 0.0;
-      for (const auto& [c, w] : neigh) {
-        if (c == old_c) w_old = w;
-      }
+      const double w_old = neigh.front().second;
 
       // ΔQ of joining community c: k_{u,c}/m − k_u·tot_c/(2m²)  (constant
-      // terms cancel when comparing against staying put).
+      // terms cancel when comparing against staying put). Staying put is
+      // neigh's first entry and the starting best, so the scan skips it.
       int best_c = old_c;
       double best_delta =
           w_old / (two_m / 2.0) - ku * tot[static_cast<std::size_t>(old_c)] /
                                       (two_m * two_m / 2.0);
-      for (const auto& [c, w] : neigh) {
+      for (std::size_t i = 1; i < neigh.size(); ++i) {
+        const auto& [c, w] = neigh[i];
         const double delta =
             w / (two_m / 2.0) -
             ku * tot[static_cast<std::size_t>(c)] / (two_m * two_m / 2.0);
@@ -101,7 +100,6 @@ std::pair<std::vector<int>, double> local_move(const Graph& g, Rng& rng,
       }
     }
   }
-  (void)min_gain;  // convergence is decided by the caller from the gain
   const double q_after = modularity(g, comm);
   return {std::move(comm), q_after - q_before};
 }
@@ -115,11 +113,10 @@ Graph aggregate(const Graph& g, const std::vector<int>& comm, int k) {
     const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(u)]);
     agg.set_node_weight(cu, agg.node_weight(cu) + g.node_weight(u));
   }
-  for (const auto& e : g.edges()) {
-    const auto cu = static_cast<NodeId>(comm[static_cast<std::size_t>(e.u)]);
-    const auto cv = static_cast<NodeId>(comm[static_cast<std::size_t>(e.v)]);
-    agg.add_edge(cu, cv, e.weight);
-  }
+  g.for_each_edge([&](NodeId u, NodeId v, double w) {
+    agg.add_edge(static_cast<NodeId>(comm[static_cast<std::size_t>(u)]),
+                 static_cast<NodeId>(comm[static_cast<std::size_t>(v)]), w);
+  });
   return agg;
 }
 
@@ -133,13 +130,12 @@ double modularity(const Graph& g, const std::vector<int>& community) {
   for (int c : community) k = std::max(k, c + 1);
   std::vector<double> in(static_cast<std::size_t>(k), 0.0);
   std::vector<double> tot(static_cast<std::size_t>(k), 0.0);
-  for (const auto& e : g.edges()) {
-    const int cu = community[static_cast<std::size_t>(e.u)];
-    const int cv = community[static_cast<std::size_t>(e.v)];
-    if (cu == cv) {
-      in[static_cast<std::size_t>(cu)] += (e.u == e.v) ? e.weight : 2.0 * e.weight;
+  g.for_each_edge([&](NodeId u, NodeId v, double w) {
+    const int cu = community[static_cast<std::size_t>(u)];
+    if (cu == community[static_cast<std::size_t>(v)]) {
+      in[static_cast<std::size_t>(cu)] += (u == v) ? w : 2.0 * w;
     }
-  }
+  });
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     tot[static_cast<std::size_t>(community[static_cast<std::size_t>(u)])] +=
         g.weighted_degree(u);
@@ -161,21 +157,24 @@ CommunityResult detect_communities(const Graph& g, const LouvainOptions& opt) {
   if (n == 0) return out;
 
   Rng rng(opt.seed);
-  Graph level_graph = g;
+  // Level 0 is `g` itself; later levels are aggregates.
+  const Graph* level_graph = &g;
+  Graph aggregated;
   // node of original graph -> node of current level graph.
   std::vector<int> node_to_level(n);
   std::iota(node_to_level.begin(), node_to_level.end(), 0);
 
   for (int level = 0; level < opt.max_levels; ++level) {
-    auto [comm, gain] = local_move(level_graph, rng, opt.min_gain);
+    auto [comm, gain] = local_move(*level_graph, rng);
     const int k = densify(comm);
     // Project to original nodes.
     for (std::size_t u = 0; u < n; ++u) {
       node_to_level[u] = comm[static_cast<std::size_t>(node_to_level[u])];
     }
-    const bool shrunk = k < level_graph.num_nodes();
+    const bool shrunk = k < level_graph->num_nodes();
     if (!shrunk || gain < opt.min_gain) break;
-    level_graph = aggregate(level_graph, comm, k);
+    aggregated = aggregate(*level_graph, comm, k);
+    level_graph = &aggregated;
   }
 
   out.community = node_to_level;

@@ -107,24 +107,14 @@ std::vector<int> connected_components(const Graph& g) {
   return label;
 }
 
-NodeId graph_center(const Graph& g) {
-  if (g.num_nodes() == 0) return kInvalidNode;
-  std::vector<NodeId> all(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId i = 0; i < g.num_nodes(); ++i)
-    all[static_cast<std::size_t>(i)] = i;
-  return graph_center_of(g, all);
-}
+namespace {
 
-NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset) {
-  if (subset.empty()) return kInvalidNode;
-  if (subset.size() == 1) return subset.front();
-
-  std::vector<NodeId> map;
-  const Graph sub = induced_subgraph(g, subset, &map);
-
-  // Work per component of the induced subgraph; pick the center of the
-  // largest component so disconnected subsets still yield a useful anchor.
-  const auto comp = connected_components(sub);
+/// Eccentricity-minimising node of `g`'s largest connected component (the
+/// first largest by component label); ties go to the higher weighted
+/// degree, then the lower id. One BFS per node of that component, sharing
+/// one distance array and one queue.
+NodeId largest_component_center(const Graph& g) {
+  const auto comp = connected_components(g);
   int num_comp = 0;
   for (int c : comp) num_comp = std::max(num_comp, c + 1);
   std::vector<int> comp_size(static_cast<std::size_t>(num_comp), 0);
@@ -133,19 +123,33 @@ NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset) {
       std::max_element(comp_size.begin(), comp_size.end()) -
       comp_size.begin());
 
+  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), -1);
+  std::vector<NodeId> queue;
+  queue.reserve(
+      static_cast<std::size_t>(comp_size[static_cast<std::size_t>(big)]));
   NodeId best = kInvalidNode;
   int best_ecc = std::numeric_limits<int>::max();
   double best_deg = -1.0;
-  for (NodeId u = 0; u < sub.num_nodes(); ++u) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (comp[static_cast<std::size_t>(u)] != big) continue;
-    const auto dist = bfs_distances(sub, u);
-    int ecc = 0;
-    for (NodeId v = 0; v < sub.num_nodes(); ++v) {
-      if (comp[static_cast<std::size_t>(v)] == big) {
-        ecc = std::max(ecc, dist[static_cast<std::size_t>(v)]);
+    // BFS from u reaches exactly u's component; its eccentricity is the
+    // distance of the last node dequeued.
+    queue.clear();
+    queue.push_back(u);
+    dist[static_cast<std::size_t>(u)] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId x = queue[head];
+      for (const auto& e : g.neighbors(x)) {
+        if (dist[static_cast<std::size_t>(e.to)] < 0) {
+          dist[static_cast<std::size_t>(e.to)] =
+              dist[static_cast<std::size_t>(x)] + 1;
+          queue.push_back(e.to);
+        }
       }
     }
-    const double deg = sub.weighted_degree(u);
+    const int ecc = dist[static_cast<std::size_t>(queue.back())];
+    for (const NodeId x : queue) dist[static_cast<std::size_t>(x)] = -1;
+    const double deg = g.weighted_degree(u);
     if (ecc < best_ecc || (ecc == best_ecc && deg > best_deg)) {
       best_ecc = ecc;
       best_deg = deg;
@@ -153,7 +157,24 @@ NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset) {
     }
   }
   CLOUDQC_CHECK(best != kInvalidNode);
-  return map[static_cast<std::size_t>(best)];
+  return best;
+}
+
+}  // namespace
+
+NodeId graph_center(const Graph& g) {
+  if (g.num_nodes() == 0) return kInvalidNode;
+  if (g.num_nodes() == 1) return 0;
+  return largest_component_center(g);
+}
+
+NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset) {
+  if (subset.empty()) return kInvalidNode;
+  if (subset.size() == 1) return subset.front();
+  // Distances are measured inside the induced subgraph; new node i is
+  // subset[i].
+  const NodeId center = largest_component_center(induced_subgraph(g, subset));
+  return subset[static_cast<std::size_t>(center)];
 }
 
 Graph induced_subgraph(const Graph& g, const std::vector<NodeId>& subset,

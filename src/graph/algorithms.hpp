@@ -45,10 +45,14 @@ std::vector<int> connected_components(const Graph& g);
 /// Eccentricity-minimising node ("graph center"). For disconnected graphs
 /// the center of the largest component is returned. Ties broken by highest
 /// weighted degree, then lowest id. Returns kInvalidNode for empty graphs.
+/// Works on `g` directly and equals graph_center_of(g, all nodes in id
+/// order) whenever weighted degrees are exact sums (integer weights), as
+/// in partition-interaction graphs and QPU topologies.
 NodeId graph_center(const Graph& g);
 
 /// Restrict `center` search to `subset` (distances measured inside the
-/// induced subgraph). Returns kInvalidNode if subset is empty.
+/// induced subgraph; ties go to the earlier subset entry). Returns
+/// kInvalidNode if subset is empty.
 NodeId graph_center_of(const Graph& g, const std::vector<NodeId>& subset);
 
 /// Induced subgraph on `subset`; out_map[i] is the original id of new node i.

@@ -1,10 +1,15 @@
-// Flat compressed-sparse-row adjacency with ascending neighbour ids — the
-// traversal-friendly sibling of placement/incremental_cost.hpp's weighted
-// CsrAdjacency. Where that CSR preserves Graph insertion order (required
-// for bit-identical floating-point accumulation), this one *sorts* each
-// neighbour list, which is what deterministic lowest-index-first graph
-// traversals (the frontier router's BFS sweeps) want: "first neighbour
-// visited" and "lowest-id neighbour" coincide by construction.
+// Flat compressed-sparse-row adjacency snapshots of a Graph, in the
+// flat-adjacency idiom of hybrid BFS codes: every neighbour list lives in
+// two (or three) shared arrays, so sweeping many nodes stays cache-friendly.
+//
+// - CsrAdjacency keeps Graph insertion order and edge weights. Sums over a
+//   node's neighbours then run in the same order as over Graph::neighbors,
+//   which bit-identical floating-point accumulation requires (the
+//   placement delta-cost engine and partition refinement).
+// - SortedCsr drops weights and *sorts* each neighbour list, which is what
+//   deterministic lowest-index-first traversals (the frontier router's BFS
+//   sweeps) want: "first neighbour visited" and "lowest-id neighbour"
+//   coincide by construction.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +18,31 @@
 #include "graph/graph.hpp"
 
 namespace cloudqc {
+
+/// Immutable weighted CSR snapshot of a Graph's adjacency. Iteration order
+/// per node matches Graph::neighbors exactly. Safe to share across threads.
+class CsrAdjacency {
+ public:
+  explicit CsrAdjacency(const Graph& g);
+
+  NodeId num_nodes() const { return static_cast<NodeId>(offset_.size() - 1); }
+  std::size_t num_entries() const { return to_.size(); }
+
+  std::size_t begin(NodeId u) const {
+    return offset_[static_cast<std::size_t>(u)];
+  }
+  std::size_t end(NodeId u) const {
+    return offset_[static_cast<std::size_t>(u) + 1];
+  }
+  std::size_t degree(NodeId u) const { return end(u) - begin(u); }
+  NodeId to(std::size_t i) const { return to_[i]; }
+  double weight(std::size_t i) const { return weight_[i]; }
+
+ private:
+  std::vector<std::size_t> offset_;  // size num_nodes + 1
+  std::vector<NodeId> to_;
+  std::vector<double> weight_;
+};
 
 /// Immutable CSR snapshot of an unweighted view of a Graph: two flat
 /// arrays (offsets + neighbour ids), neighbour ids ascending per node,

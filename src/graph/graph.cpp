@@ -52,11 +52,6 @@ double Graph::edge_weight(NodeId u, NodeId v) const {
   return 0.0;
 }
 
-const std::vector<Edge>& Graph::neighbors(NodeId u) const {
-  CLOUDQC_CHECK(u >= 0 && u < num_nodes());
-  return adj_[static_cast<std::size_t>(u)];
-}
-
 double Graph::weighted_degree(NodeId u) const {
   CLOUDQC_CHECK(u >= 0 && u < num_nodes());
   double d = 0.0;
@@ -64,11 +59,6 @@ double Graph::weighted_degree(NodeId u) const {
     d += (e.to == u) ? 2.0 * e.weight : e.weight;
   }
   return d;
-}
-
-double Graph::node_weight(NodeId u) const {
-  CLOUDQC_CHECK(u >= 0 && u < num_nodes());
-  return node_weight_[static_cast<std::size_t>(u)];
 }
 
 void Graph::set_node_weight(NodeId u, double w) {
@@ -85,11 +75,8 @@ double Graph::total_node_weight() const {
 std::vector<Graph::FlatEdge> Graph::edges() const {
   std::vector<FlatEdge> out;
   out.reserve(num_edges_);
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (const auto& e : adj_[static_cast<std::size_t>(u)]) {
-      if (e.to >= u) out.push_back({u, e.to, e.weight});
-    }
-  }
+  for_each_edge(
+      [&out](NodeId u, NodeId v, double w) { out.push_back({u, v, w}); });
   return out;
 }
 

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace cloudqc {
 
 using NodeId = std::int32_t;
@@ -45,7 +47,10 @@ class Graph {
   /// Weight of edge (u, v), or 0 if absent.
   double edge_weight(NodeId u, NodeId v) const;
 
-  const std::vector<Edge>& neighbors(NodeId u) const;
+  const std::vector<Edge>& neighbors(NodeId u) const {
+    CLOUDQC_CHECK(u >= 0 && u < num_nodes());
+    return adj_[static_cast<std::size_t>(u)];
+  }
 
   /// Sum of incident edge weights (self-loops counted twice).
   double weighted_degree(NodeId u) const;
@@ -53,7 +58,10 @@ class Graph {
   /// Sum of all edge weights (each undirected edge once).
   double total_edge_weight() const { return total_weight_; }
 
-  double node_weight(NodeId u) const;
+  double node_weight(NodeId u) const {
+    CLOUDQC_CHECK(u >= 0 && u < num_nodes());
+    return node_weight_[static_cast<std::size_t>(u)];
+  }
   void set_node_weight(NodeId u, double w);
   double total_node_weight() const;
 
@@ -63,6 +71,18 @@ class Graph {
     double weight;
   };
   std::vector<FlatEdge> edges() const;
+
+  /// Calls fn(u, v, w) for every undirected edge once, in edges() order
+  /// (u ascending, then u's adjacency order), without building the list.
+  /// Sums folded in this order match sums over edges() bit for bit.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    for (NodeId u = 0; u < num_nodes(); ++u) {
+      for (const Edge& e : adj_[static_cast<std::size_t>(u)]) {
+        if (e.to >= u) fn(u, e.to, e.weight);
+      }
+    }
+  }
 
  private:
   std::vector<std::vector<Edge>> adj_;

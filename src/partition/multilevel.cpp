@@ -1,6 +1,6 @@
 #include <algorithm>
+#include <limits>
 #include <numeric>
-#include <queue>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -9,13 +9,6 @@
 
 namespace cloudqc {
 namespace {
-
-/// One level of the multilevel hierarchy.
-struct Level {
-  Graph graph;
-  /// fine node -> coarse node (into the *next* level's graph).
-  std::vector<NodeId> to_coarse;
-};
 
 /// Heavy-edge matching: visit nodes in random order; match each unmatched
 /// node with its unmatched neighbor of maximum edge weight. Returns
@@ -72,11 +65,11 @@ Graph contract(const Graph& g, const std::vector<NodeId>& to_coarse,
   for (NodeId cu = 0; cu < coarse_n; ++cu) {
     c.set_node_weight(cu, c.node_weight(cu) - 1.0);
   }
-  for (const auto& e : g.edges()) {
-    const NodeId cu = to_coarse[static_cast<std::size_t>(e.u)];
-    const NodeId cv = to_coarse[static_cast<std::size_t>(e.v)];
-    if (cu != cv) c.add_edge(cu, cv, e.weight);
-  }
+  g.for_each_edge([&](NodeId u, NodeId v, double w) {
+    const NodeId cu = to_coarse[static_cast<std::size_t>(u)];
+    const NodeId cv = to_coarse[static_cast<std::size_t>(v)];
+    if (cu != cv) c.add_edge(cu, cv, w);
+  });
   return c;
 }
 
@@ -93,18 +86,26 @@ std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
 
-  // Seeds: first k nodes of the shuffled order.
-  std::vector<std::vector<NodeId>> frontier(static_cast<std::size_t>(k));
+  // Seeds: first k nodes of the shuffled order. Region r's frontier is
+  // frontier[r * n, r * n + frontier_size[r]).
+  std::vector<NodeId> frontier(static_cast<std::size_t>(k) * n);
+  std::vector<std::size_t> frontier_size(static_cast<std::size_t>(k), 0);
   int seeded = 0;
   for (const NodeId u : order) {
     if (seeded == k) break;
     part[static_cast<std::size_t>(u)] = seeded;
     weight[static_cast<std::size_t>(seeded)] += g.node_weight(u);
-    frontier[static_cast<std::size_t>(seeded)].push_back(u);
+    frontier[static_cast<std::size_t>(seeded) * n] = u;
+    frontier_size[static_cast<std::size_t>(seeded)] = 1;
     ++seeded;
   }
 
-  // Round-robin by lightest region.
+  // Round-robin by lightest region; ratio[r] = weight[r] / target[r],
+  // refreshed whenever weight[r] changes.
+  std::vector<double> ratio(static_cast<std::size_t>(k));
+  for (std::size_t r = 0; r < ratio.size(); ++r) {
+    ratio[r] = weight[r] / target[r];
+  }
   bool progress = true;
   while (progress) {
     progress = false;
@@ -113,20 +114,19 @@ std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
     int best_r = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (int r = 0; r < k; ++r) {
-      if (frontier[static_cast<std::size_t>(r)].empty()) continue;
-      const double ratio =
-          weight[static_cast<std::size_t>(r)] / target[static_cast<std::size_t>(r)];
-      if (ratio < best_ratio) {
-        best_ratio = ratio;
+      if (frontier_size[static_cast<std::size_t>(r)] == 0) continue;
+      if (ratio[static_cast<std::size_t>(r)] < best_ratio) {
+        best_ratio = ratio[static_cast<std::size_t>(r)];
         best_r = r;
       }
     }
     if (best_r < 0) break;
-    auto& fr = frontier[static_cast<std::size_t>(best_r)];
+    NodeId* fr = frontier.data() + static_cast<std::size_t>(best_r) * n;
+    std::size_t& fr_size = frontier_size[static_cast<std::size_t>(best_r)];
     // Expand across the heaviest edge out of this region's frontier.
     NodeId pick = kInvalidNode;
     double pick_w = -1.0;
-    for (std::size_t i = 0; i < fr.size(); ++i) {
+    for (std::size_t i = 0; i < fr_size; ++i) {
       bool live = false;
       for (const auto& e : g.neighbors(fr[i])) {
         if (part[static_cast<std::size_t>(e.to)] == -1) {
@@ -139,19 +139,22 @@ std::vector<int> grow_initial_partition(const Graph& g, int k, Rng& rng,
       }
       if (!live) {
         // Exhausted frontier node; drop it.
-        std::swap(fr[i], fr.back());
-        fr.pop_back();
+        std::swap(fr[i], fr[fr_size - 1]);
+        --fr_size;
         --i;
       }
     }
     if (pick == kInvalidNode) {
-      fr.clear();
+      fr_size = 0;
       progress = true;  // other regions may still expand
       continue;
     }
     part[static_cast<std::size_t>(pick)] = best_r;
     weight[static_cast<std::size_t>(best_r)] += g.node_weight(pick);
-    fr.push_back(pick);
+    ratio[static_cast<std::size_t>(best_r)] =
+        weight[static_cast<std::size_t>(best_r)] /
+        target[static_cast<std::size_t>(best_r)];
+    fr[fr_size++] = pick;
     progress = true;
   }
 
@@ -181,12 +184,12 @@ std::vector<int> project(const std::vector<int>& coarse_part,
 double edge_cut(const Graph& g, const std::vector<int>& part) {
   CLOUDQC_CHECK(part.size() == static_cast<std::size_t>(g.num_nodes()));
   double cut = 0.0;
-  for (const auto& e : g.edges()) {
-    if (part[static_cast<std::size_t>(e.u)] !=
-        part[static_cast<std::size_t>(e.v)]) {
-      cut += e.weight;
+  g.for_each_edge([&](NodeId u, NodeId v, double w) {
+    if (part[static_cast<std::size_t>(u)] !=
+        part[static_cast<std::size_t>(v)]) {
+      cut += w;
     }
-  }
+  });
   return cut;
 }
 
@@ -227,37 +230,47 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   // single node of that level's granularity makes achievable (METIS-style
   // adaptive bound — coarse nodes are heavy, so the ceiling loosens there
   // and tightens as we uncoarsen).
-  auto ceiling_for = [&](const Graph& level) {
+  auto ceiling_for = [&](const Graph& lg) {
     double max_node = 0.0;
-    for (NodeId u = 0; u < level.num_nodes(); ++u) {
-      max_node = std::max(max_node, level.node_weight(u));
+    for (NodeId u = 0; u < lg.num_nodes(); ++u) {
+      max_node = std::max(max_node, lg.node_weight(u));
     }
     return std::max((1.0 + opt.imbalance) * total / k, total / k + max_node);
   };
 
   // --- 1. Coarsening ---------------------------------------------------
-  std::vector<Level> levels;
-  levels.push_back({g, {}});
+  // Level 0 is `g` itself; coarse[i] is level i + 1 and to_coarse[i] maps
+  // level i's nodes onto it.
+  std::vector<Graph> coarse;
+  std::vector<std::vector<NodeId>> to_coarse;
+  auto level = [&](std::size_t lvl) -> const Graph& {
+    return lvl == 0 ? g : coarse[lvl - 1];
+  };
   const NodeId coarse_goal =
       std::max<NodeId>(static_cast<NodeId>(4 * k), 24);
-  while (levels.back().graph.num_nodes() > coarse_goal) {
-    auto [to_coarse, cn] = heavy_edge_matching(levels.back().graph, rng);
+  while (level(coarse.size()).num_nodes() > coarse_goal) {
+    const Graph& fine = level(coarse.size());
+    auto [fine_to_coarse, cn] = heavy_edge_matching(fine, rng);
     // Matching stagnated (e.g. graph with no edges): stop coarsening.
-    if (cn >= levels.back().graph.num_nodes()) break;
-    Graph coarse = contract(levels.back().graph, to_coarse, cn);
-    levels.back().to_coarse = std::move(to_coarse);
-    levels.push_back({std::move(coarse), {}});
+    if (cn >= fine.num_nodes()) break;
+    Graph c = contract(fine, fine_to_coarse, cn);
+    to_coarse.push_back(std::move(fine_to_coarse));
+    coarse.push_back(std::move(c));
   }
 
   // --- 2. Initial partition at the coarsest level ----------------------
-  const Graph& coarsest = levels.back().graph;
+  // One connectivity model and one balance ceiling per level, shared by
+  // every refinement run on it.
+  const Graph& coarsest = level(coarse.size());
+  internal::PartitionConnectivity coarsest_model(coarsest, k);
+  const double coarsest_ceiling = ceiling_for(coarsest);
   std::vector<int> part;
   double best_cut = std::numeric_limits<double>::infinity();
   // A few random restarts; keep the best refined result.
   constexpr int kRestarts = 4;
   for (int t = 0; t < kRestarts; ++t) {
     auto cand = grow_initial_partition(coarsest, k, rng, target);
-    internal::refine_partition(coarsest, cand, k, ceiling_for(coarsest),
+    internal::refine_partition(coarsest_model, cand, coarsest_ceiling,
                                opt.refine_passes, rng);
     internal::repair_empty_parts(coarsest, cand, k);
     const double cut = edge_cut(coarsest, cand);
@@ -268,12 +281,13 @@ PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt) {
   }
 
   // --- 3. Uncoarsen + refine -------------------------------------------
-  for (std::size_t lvl = levels.size() - 1; lvl-- > 0;) {
-    part = project(part, levels[lvl].to_coarse);
-    internal::refine_partition(levels[lvl].graph, part, k,
-                               ceiling_for(levels[lvl].graph),
+  for (std::size_t lvl = coarse.size(); lvl-- > 0;) {
+    const Graph& fine = level(lvl);
+    part = project(part, to_coarse[lvl]);
+    internal::PartitionConnectivity model(fine, k);
+    internal::refine_partition(model, part, ceiling_for(fine),
                                opt.refine_passes, rng);
-    internal::repair_empty_parts(levels[lvl].graph, part, k);
+    internal::repair_empty_parts(fine, part, k);
   }
 
   out.part = std::move(part);

@@ -30,20 +30,19 @@ Graph partition_interaction_graph(const Graph& interaction,
   for (int p = 0; p < k; ++p) {
     pg.set_node_weight(p, sizes[static_cast<std::size_t>(p)]);
   }
-  for (const auto& e : interaction.edges()) {
-    const int pu = part[static_cast<std::size_t>(e.u)];
-    const int pv = part[static_cast<std::size_t>(e.v)];
-    if (pu != pv) pg.add_edge(pu, pv, e.weight);
-  }
+  interaction.for_each_edge([&](NodeId u, NodeId v, double w) {
+    const int pu = part[static_cast<std::size_t>(u)];
+    const int pv = part[static_cast<std::size_t>(v)];
+    if (pu != pv) pg.add_edge(pu, pv, w);
+  });
   return pg;
 }
 
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, int needed_qubits, std::uint64_t seed,
-    int min_qpus) {
+    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    std::uint64_t seed, int min_qpus) {
   if (cloud.total_free_computing() < needed_qubits) return std::nullopt;
 
-  const Graph weighted = cloud.resource_weighted_topology();
   LouvainOptions opt;
   opt.seed = seed;
   const CommunityResult communities = detect_communities(weighted, opt);
@@ -109,12 +108,10 @@ std::optional<std::vector<QpuId>> select_qpus_by_community(
 
 std::optional<std::vector<QpuId>> map_partitions(
     const Graph& part_graph, const QuantumCloud& cloud,
-    const std::vector<QpuId>& candidates) {
+    const std::vector<QpuId>& candidates, QpuId cloud_center) {
   const int k = part_graph.num_nodes();
   if (static_cast<int>(candidates.size()) < k) return std::nullopt;
 
-  // Candidate-set center within the cloud topology.
-  const QpuId cloud_center = graph_center_of(cloud.topology(), candidates);
   const NodeId part_center = graph_center(part_graph);
   if (k == 0) return std::vector<QpuId>{};
   CLOUDQC_CHECK(cloud_center != kInvalidNode && part_center != kInvalidNode);
@@ -122,12 +119,15 @@ std::optional<std::vector<QpuId>> map_partitions(
   std::vector<QpuId> mapping(static_cast<std::size_t>(k), kInvalidNode);
   std::vector<char> used(candidates.size(), 0);
 
-  auto free_cap = [&](std::size_t ci) {
-    return cloud.qpu(candidates[ci]).free_computing();
-  };
-  auto part_size = [&](NodeId p) {
-    return static_cast<int>(std::lround(part_graph.node_weight(p)));
-  };
+  std::vector<int> free_caps(candidates.size());
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+    free_caps[ci] = cloud.qpu(candidates[ci]).free_computing();
+  }
+  std::vector<int> part_sizes(static_cast<std::size_t>(k));
+  for (NodeId p = 0; p < k; ++p) {
+    part_sizes[static_cast<std::size_t>(p)] =
+        static_cast<int>(std::lround(part_graph.node_weight(p)));
+  }
 
   // Place the partition-graph center on the candidate center (or, if the
   // center QPU is too small, the nearest feasible candidate).
@@ -136,7 +136,10 @@ std::optional<std::vector<QpuId>> map_partitions(
     std::size_t best = candidates.size();
     int best_d = std::numeric_limits<int>::max();
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (used[ci] || free_cap(ci) < part_size(p)) continue;
+      if (used[ci] ||
+          free_caps[ci] < part_sizes[static_cast<std::size_t>(p)]) {
+        continue;
+      }
       const int d = cloud.distance(candidates[ci], target);
       if (d < best_d) {
         best_d = d;
@@ -174,7 +177,10 @@ std::optional<std::vector<QpuId>> map_partitions(
     std::size_t best = candidates.size();
     double best_cost = std::numeric_limits<double>::infinity();
     for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      if (used[ci] || free_cap(ci) < part_size(next)) continue;
+      if (used[ci] ||
+          free_caps[ci] < part_sizes[static_cast<std::size_t>(next)]) {
+        continue;
+      }
       double cost = 0.0;
       for (const auto& e : part_graph.neighbors(next)) {
         const QpuId peer = mapping[static_cast<std::size_t>(e.to)];
@@ -276,9 +282,25 @@ class CloudQcFamilyPlacer final : public Placer {
             ? k_cap
             : std::min(k_cap, k_min + opts_.max_extra_parts);
 
-    // One interaction graph for the whole imbalance/k sweep, shared with
-    // the polish pass's delta-cost engine via the context.
+    // Per-call work, done once for the whole imbalance/k sweep: the
+    // interaction graph (shared with the polish pass's delta-cost engine
+    // via the context), the gate DAG every candidate is scored on, the
+    // resource-weighted topology community detection runs on, and the
+    // candidate-set centers, memoised by exact candidate set because many
+    // grid points select the same QPUs.
     const Graph& interaction = *ctx.interaction;
+    const CircuitDag dag(circuit);
+    const Graph weighted = select_ == QpuSelect::kCommunity
+                               ? cloud.resource_weighted_topology()
+                               : Graph();
+    std::vector<std::pair<std::vector<QpuId>, QpuId>> centers;
+    auto center_of = [&](const std::vector<QpuId>& set) {
+      for (const auto& [seen, center] : centers) {
+        if (seen == set) return center;
+      }
+      centers.emplace_back(set, graph_center_of(cloud.topology(), set));
+      return centers.back().second;
+    };
     std::optional<Placement> best;
 
     for (const double alpha : opts_.imbalance_factors) {
@@ -300,12 +322,13 @@ class CloudQcFamilyPlacer final : public Placer {
             static_cast<int>(std::ceil((1.0 + alpha) * n)));
         const auto candidates =
             select_ == QpuSelect::kCommunity
-                ? detail::select_qpus_by_community(cloud, needed, rng(), k)
+                ? detail::select_qpus_by_community(cloud, weighted, needed,
+                                                   rng(), k)
                 : detail::select_qpus_by_bfs(cloud, needed, k);
         if (!candidates.has_value()) continue;
 
-        const auto mapping =
-            detail::map_partitions(part_graph, cloud, *candidates);
+        const auto mapping = detail::map_partitions(
+            part_graph, cloud, *candidates, center_of(*candidates));
         if (!mapping.has_value()) continue;
 
         std::vector<QpuId> qubit_to_qpu(static_cast<std::size_t>(n));
@@ -328,7 +351,7 @@ class CloudQcFamilyPlacer final : public Placer {
           if (over) continue;
         }
 
-        Placement cand = finalize_placement(circuit, cloud,
+        Placement cand = finalize_placement(circuit, dag, cloud,
                                             std::move(qubit_to_qpu),
                                             opts_.alpha, opts_.beta);
         if (!best.has_value() || cand.score > best->score) {
@@ -340,7 +363,7 @@ class CloudQcFamilyPlacer final : public Placer {
       std::vector<QpuId> polished = best->qubit_to_qpu;
       detail::polish_placement(circuit, cloud, polished, opts_.polish_passes,
                                rng, &ctx);
-      best = finalize_placement(circuit, cloud, std::move(polished),
+      best = finalize_placement(circuit, dag, cloud, std::move(polished),
                                 opts_.alpha, opts_.beta);
     }
     // Warm start (placement cache near-hit): polish the cached mapping as
@@ -352,8 +375,9 @@ class CloudQcFamilyPlacer final : public Placer {
       std::vector<QpuId> seeded = *ctx.warm_start;
       detail::polish_placement(circuit, cloud, seeded,
                                std::max(1, opts_.polish_passes), rng, &ctx);
-      Placement warm = finalize_placement(circuit, cloud, std::move(seeded),
-                                          opts_.alpha, opts_.beta);
+      Placement warm = finalize_placement(circuit, dag, cloud,
+                                          std::move(seeded), opts_.alpha,
+                                          opts_.beta);
       if (!best.has_value() || better_placement(warm, *best)) {
         best = std::move(warm);
       }

@@ -1,6 +1,8 @@
 #include "placement/cost.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -75,6 +77,10 @@ double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
                                const std::vector<QpuId>& qubit_to_qpu) {
   const LatencyModel& lat = cloud.config().latency;
   const EprModel epr(cloud.config().epr_success_prob);
+  // A remote gate's cost depends only on the hop distance; each distinct
+  // distance is priced once (NaN = not priced yet).
+  std::vector<double> remote_cost(static_cast<std::size_t>(cloud.num_qpus()),
+                                  std::numeric_limits<double>::quiet_NaN());
   std::vector<double> node_cost(circuit.num_gates());
   for (std::size_t i = 0; i < circuit.num_gates(); ++i) {
     const Gate& g = circuit.gates()[i];
@@ -91,8 +97,13 @@ double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
         node_cost[i] = lat.t_2q;
       } else {
         const int hops = cloud.distance(a, b);
-        node_cost[i] = epr.expected_rounds(hops, 1) * lat.t_epr +
-                       lat.remote_gate_overhead();
+        CLOUDQC_CHECK(hops >= 1);  // a connected topology; a != b
+        double& cost = remote_cost[static_cast<std::size_t>(hops)];
+        if (std::isnan(cost)) {
+          cost = epr.expected_rounds(hops, 1) * lat.t_epr +
+                 lat.remote_gate_overhead();
+        }
+        node_cost[i] = cost;
       }
     }
   }
@@ -124,12 +135,19 @@ bool placement_fits(const QuantumCloud& cloud,
 Placement finalize_placement(const Circuit& circuit, const QuantumCloud& cloud,
                              std::vector<QpuId> qubit_to_qpu, double alpha,
                              double beta) {
+  return finalize_placement(circuit, CircuitDag(circuit), cloud,
+                            std::move(qubit_to_qpu), alpha, beta);
+}
+
+Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
+                             const QuantumCloud& cloud,
+                             std::vector<QpuId> qubit_to_qpu, double alpha,
+                             double beta) {
   Placement p;
   p.qubit_to_qpu = std::move(qubit_to_qpu);
   p.qubits_per_qpu = qubits_per_qpu(cloud, p.qubit_to_qpu);
   p.comm_cost = placement_comm_cost(circuit, cloud, p.qubit_to_qpu);
   p.remote_ops = placement_remote_ops(circuit, p.qubit_to_qpu);
-  const CircuitDag dag(circuit);
   p.est_time = estimate_execution_time(circuit, dag, cloud, p.qubit_to_qpu);
   // S = α/T + β/C; a zero-cost (single-QPU) placement is the best possible
   // for the C-term, represented by treating 1/C as 1/(C+1) shifted — we use

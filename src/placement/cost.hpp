@@ -42,6 +42,13 @@ Placement finalize_placement(const Circuit& circuit, const QuantumCloud& cloud,
                              std::vector<QpuId> qubit_to_qpu, double alpha,
                              double beta);
 
+/// As above with the circuit's DAG built by the caller, so a placer that
+/// scores many candidates for one circuit builds it once.
+Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
+                             const QuantumCloud& cloud,
+                             std::vector<QpuId> qubit_to_qpu, double alpha,
+                             double beta);
+
 /// True if the mapping respects every QPU's free computing capacity.
 bool placement_fits(const QuantumCloud& cloud,
                     const std::vector<QpuId>& qubit_to_qpu);

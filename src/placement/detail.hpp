@@ -20,13 +20,14 @@ Graph partition_interaction_graph(const Graph& interaction,
                                   const std::vector<int>& part, int k);
 
 /// Community-detection QPU selection (CloudQC proper): detect communities
-/// on the resource-weighted topology, pick the best-fitting community for
+/// on `weighted` (the cloud's resource_weighted_topology(), built once per
+/// placement by the caller), pick the best-fitting community for
 /// `needed_qubits`, growing it with the nearest other communities when one
 /// community alone is too small or offers fewer than `min_qpus` hosts.
 /// Returns QPU ids, or nullopt when the whole cloud cannot fit the request.
 std::optional<std::vector<QpuId>> select_qpus_by_community(
-    const QuantumCloud& cloud, int needed_qubits, std::uint64_t seed,
-    int min_qpus = 1);
+    const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
+    std::uint64_t seed, int min_qpus = 1);
 
 /// BFS QPU selection (CloudQC-BFS baseline): breadth-first expansion from
 /// the QPU with the most free computing qubits until capacity suffices and
@@ -47,12 +48,14 @@ void polish_placement(const Circuit& circuit, const QuantumCloud& cloud,
                       Rng& rng, const PlacementContext* ctx = nullptr);
 
 /// Algorithm 2: map each partition to a distinct QPU from `candidates`.
-/// The partition-graph center goes to the candidate-set center; remaining
-/// partitions are placed in max-adjacency order, each onto the feasible
-/// QPU minimising the distance-weighted cost to already-mapped neighbours.
-/// Returns partition→QPU, or nullopt when capacities cannot be satisfied.
+/// The partition-graph center goes to the candidate-set center
+/// `cloud_center` (graph_center_of(cloud.topology(), candidates), which the
+/// caller memoises); remaining partitions are placed in max-adjacency
+/// order, each onto the feasible QPU minimising the distance-weighted cost
+/// to already-mapped neighbours. Returns partition→QPU, or nullopt when
+/// capacities cannot be satisfied.
 std::optional<std::vector<QpuId>> map_partitions(
     const Graph& part_graph, const QuantumCloud& cloud,
-    const std::vector<QpuId>& candidates);
+    const std::vector<QpuId>& candidates, QpuId cloud_center);
 
 }  // namespace cloudqc::detail

@@ -4,25 +4,6 @@
 
 namespace cloudqc {
 
-CsrAdjacency::CsrAdjacency(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  offset_.assign(n + 1, 0);
-  std::size_t total = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    offset_[static_cast<std::size_t>(u)] = total;
-    total += g.neighbors(u).size();
-  }
-  offset_[n] = total;
-  to_.reserve(total);
-  weight_.reserve(total);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const Edge& e : g.neighbors(u)) {
-      to_.push_back(e.to);
-      weight_.push_back(e.weight);
-    }
-  }
-}
-
 PlacementContext PlacementContext::for_circuit(const Circuit& circuit) {
   PlacementContext ctx;
   ctx.interaction = std::make_shared<Graph>(circuit.interaction_graph());
@@ -171,48 +152,6 @@ void IncrementalCostModel::apply_swap(int q1, int q2, double delta) {
   std::swap(mapping_[static_cast<std::size_t>(q1)],
             mapping_[static_cast<std::size_t>(q2)]);
   cost_ += delta;
-}
-
-PartitionConnectivity::PartitionConnectivity(const Graph& g, int k)
-    : csr_(g), k_(k) {
-  CLOUDQC_CHECK(k > 0);
-  node_weight_.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    node_weight_.push_back(g.node_weight(u));
-  }
-  conn_.assign(static_cast<std::size_t>(k), 0.0);
-}
-
-void PartitionConnectivity::reset(const std::vector<int>& part) {
-  CLOUDQC_CHECK(part.size() == static_cast<std::size_t>(csr_.num_nodes()));
-  part_ = part;
-  weight_.assign(static_cast<std::size_t>(k_), 0.0);
-  for (std::size_t u = 0; u < part_.size(); ++u) {
-    CLOUDQC_CHECK(part_[u] >= 0 && part_[u] < k_);
-    weight_[static_cast<std::size_t>(part_[u])] += node_weight_[u];
-  }
-}
-
-const std::vector<double>& PartitionConnectivity::connectivity(NodeId u) {
-  for (const int p : touched_) conn_[static_cast<std::size_t>(p)] = 0.0;
-  touched_.clear();
-  for (std::size_t i = csr_.begin(u); i < csr_.end(u); ++i) {
-    const NodeId v = csr_.to(i);
-    if (v == u) continue;
-    const int p = part_[static_cast<std::size_t>(v)];
-    conn_[static_cast<std::size_t>(p)] += csr_.weight(i);
-    touched_.push_back(p);
-  }
-  return conn_;
-}
-
-void PartitionConnectivity::move(NodeId u, int to) {
-  const int from = part_[static_cast<std::size_t>(u)];
-  weight_[static_cast<std::size_t>(from)] -=
-      node_weight_[static_cast<std::size_t>(u)];
-  weight_[static_cast<std::size_t>(to)] +=
-      node_weight_[static_cast<std::size_t>(u)];
-  part_[static_cast<std::size_t>(u)] = to;
 }
 
 }  // namespace cloudqc

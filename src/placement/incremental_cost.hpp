@@ -21,37 +21,10 @@
 
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace cloudqc {
-
-/// Immutable compressed-sparse-row snapshot of a weighted graph's
-/// adjacency. Iteration order per node matches Graph::neighbors exactly
-/// (required for bit-identical floating-point accumulation), but all
-/// neighbour lists share two flat arrays, so sweeping many nodes stays
-/// cache-friendly. Safe to share across threads.
-class CsrAdjacency {
- public:
-  explicit CsrAdjacency(const Graph& g);
-
-  NodeId num_nodes() const { return static_cast<NodeId>(offset_.size() - 1); }
-  std::size_t num_entries() const { return to_.size(); }
-
-  std::size_t begin(NodeId u) const {
-    return offset_[static_cast<std::size_t>(u)];
-  }
-  std::size_t end(NodeId u) const {
-    return offset_[static_cast<std::size_t>(u) + 1];
-  }
-  std::size_t degree(NodeId u) const { return end(u) - begin(u); }
-  NodeId to(std::size_t i) const { return to_[i]; }
-  double weight(std::size_t i) const { return weight_[i]; }
-
- private:
-  std::vector<std::size_t> offset_;  // size num_nodes + 1
-  std::vector<NodeId> to_;
-  std::vector<double> weight_;
-};
 
 /// Shared per-request precomputation for one circuit, built once and reused
 /// across racing strategies (and across the imbalance/k sweep inside the
@@ -147,42 +120,6 @@ class IncrementalCostModel {
   // into the compacted result, reused across calls to avoid reallocation.
   std::vector<int> qpu_slot_scratch_;
   std::vector<std::pair<QpuId, double>> qpu_weights_;
-};
-
-/// Cut-metric sibling of IncrementalCostModel used by FM-style k-way
-/// partition refinement: the hop distance degenerates to the 0/1 cut
-/// indicator, so a node's move gain needs only its connectivity to each
-/// part. Tracks part weights incrementally and recomputes per-node
-/// connectivity in O(degree(u)) with sparse clearing (no O(k) zeroing per
-/// visited node).
-class PartitionConnectivity {
- public:
-  PartitionConnectivity(const Graph& g, int k);
-
-  /// Load a part assignment and recompute part weights: O(V).
-  void reset(const std::vector<int>& part);
-
-  const std::vector<int>& part() const { return part_; }
-  double part_weight(int p) const {
-    return weight_[static_cast<std::size_t>(p)];
-  }
-
-  /// Connectivity of u to every part (self-loops excluded), recomputed in
-  /// O(degree(u)). The returned buffer is dense over the k parts and valid
-  /// until the next connectivity() call.
-  const std::vector<double>& connectivity(NodeId u);
-
-  /// Move u to part `to`, updating part weights in O(1).
-  void move(NodeId u, int to);
-
- private:
-  CsrAdjacency csr_;
-  std::vector<double> node_weight_;
-  int k_;
-  std::vector<int> part_;
-  std::vector<double> weight_;
-  std::vector<double> conn_;     // dense k-sized buffer
-  std::vector<int> touched_;     // parts written by the last scatter
 };
 
 }  // namespace cloudqc

@@ -52,7 +52,7 @@
 
 namespace cloudqc {
 
-class CsrAdjacency;  // placement/incremental_cost.hpp
+class CsrAdjacency;  // graph/csr.hpp
 
 /// Cache knobs, engine-facing (MultiTenantOptions / IncomingOptions carry a
 /// non-owning PlacementCache*; scenario specs carry these and the engine

@@ -186,6 +186,36 @@ TEST(GraphCenterOf, DisconnectedSubsetUsesLargestComponent) {
   EXPECT_EQ(c, 1);
 }
 
+std::vector<NodeId> all_nodes(const Graph& g) {
+  std::vector<NodeId> all(static_cast<std::size_t>(g.num_nodes()));
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    all[static_cast<std::size_t>(u)] = u;
+  }
+  return all;
+}
+
+TEST(GraphCenter, MatchesSubsetOfAllNodesOnDisconnectedGraph) {
+  // Components {0, 1}, {2, 3, 4, 5, 6} (a path) and the isolated node 7:
+  // the center is the middle of the largest component.
+  Graph g(8);
+  g.add_edge(0, 1);
+  for (NodeId u = 2; u < 6; ++u) g.add_edge(u, u + 1);
+  EXPECT_EQ(graph_center(g), 4);
+  EXPECT_EQ(graph_center(g), graph_center_of(g, all_nodes(g)));
+}
+
+TEST(GraphCenter, MatchesSubsetOfAllNodesWhenDegreeBreaksEccentricityTie) {
+  // Path 0-1-2-3: nodes 1 and 2 both have eccentricity 2. The heavier
+  // 2-3 edge gives node 2 the higher weighted degree, so it wins over the
+  // lower id.
+  Graph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(2, 3, 3.0);
+  EXPECT_EQ(graph_center(g), 2);
+  EXPECT_EQ(graph_center(g), graph_center_of(g, all_nodes(g)));
+}
+
 TEST(InducedSubgraph, KeepsWeightsAndEdges) {
   Graph g(4);
   g.set_node_weight(1, 5.0);

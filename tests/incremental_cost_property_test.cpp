@@ -10,6 +10,7 @@
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
 #include "core/parallel_executor.hpp"
+#include "partition/internal.hpp"
 #include "partition/partitioner.hpp"
 #include "placement/cost.hpp"
 #include "placement/detail.hpp"
@@ -163,7 +164,7 @@ TEST(IncrementalCostProperty, PartitionConnectivityMatchesBruteForce) {
   const int k = 4;
   const Circuit c = random_circuit(rng, n, 200, /*two_qubit_gates=*/true);
   const Graph g = c.interaction_graph();
-  PartitionConnectivity model(g, k);
+  internal::PartitionConnectivity model(g, k);
   std::vector<int> part(static_cast<std::size_t>(n));
   for (auto& p : part) p = static_cast<int>(rng.below(k));
   model.reset(part);

@@ -9,6 +9,7 @@
 
 #include "circuit/generators.hpp"
 #include "graph/topology.hpp"
+#include "partition/internal.hpp"
 #include "placement/cost.hpp"
 #include "placement/incremental_cost.hpp"
 
@@ -75,7 +76,7 @@ TEST(IncrementalCost, PartitionConnectivityScatterAndWeights) {
   const Circuit c = gen::qft(14);
   const Graph g = c.interaction_graph();
   constexpr int kParts = 3;
-  PartitionConnectivity model(g, kParts);
+  internal::PartitionConnectivity model(g, kParts);
   Rng rng(5);
   std::vector<int> part(14);
   for (auto& p : part) p = static_cast<int>(rng.below(kParts));

@@ -5,6 +5,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/topology.hpp"
 #include "placement/cost.hpp"
 #include "placement/detail.hpp"
@@ -116,7 +117,8 @@ TEST(PartitionInteractionGraph, AggregatesCuts) {
 
 TEST(SelectQpus, CommunityReturnsEnoughCapacity) {
   QuantumCloud cloud = paper_cloud(3);
-  const auto sel = detail::select_qpus_by_community(cloud, 70, 1);
+  const auto sel = detail::select_qpus_by_community(
+      cloud, cloud.resource_weighted_topology(), 70, 1);
   ASSERT_TRUE(sel.has_value());
   int cap = 0;
   for (const QpuId q : *sel) cap += cloud.qpu(q).free_computing();
@@ -135,7 +137,9 @@ TEST(SelectQpus, BfsReturnsConnectedPrefix) {
 
 TEST(SelectQpus, ImpossibleRequestReturnsNullopt) {
   QuantumCloud cloud = paper_cloud(5);
-  EXPECT_FALSE(detail::select_qpus_by_community(cloud, 100000, 1).has_value());
+  EXPECT_FALSE(detail::select_qpus_by_community(
+                   cloud, cloud.resource_weighted_topology(), 100000, 1)
+                   .has_value());
   EXPECT_FALSE(detail::select_qpus_by_bfs(cloud, 100000).has_value());
 }
 
@@ -144,7 +148,10 @@ TEST(MapPartitions, TooFewCandidatesFails) {
   Graph pg(3);
   pg.add_edge(0, 1, 5.0);
   pg.add_edge(1, 2, 5.0);
-  EXPECT_FALSE(detail::map_partitions(pg, cloud, {0, 1}).has_value());
+  const std::vector<QpuId> cands{0, 1};
+  EXPECT_FALSE(detail::map_partitions(pg, cloud, cands,
+                                      graph_center_of(cloud.topology(), cands))
+                   .has_value());
 }
 
 TEST(MapPartitions, HeavyNeighboursLandClose) {
@@ -157,8 +164,9 @@ TEST(MapPartitions, HeavyNeighboursLandClose) {
   for (NodeId p = 0; p < 3; ++p) pg.set_node_weight(p, 5.0);
   pg.add_edge(0, 1, 100.0);
   pg.add_edge(1, 2, 100.0);
-  const auto mapping =
-      detail::map_partitions(pg, cloud, {0, 1, 2, 3, 4, 5});
+  const std::vector<QpuId> cands{0, 1, 2, 3, 4, 5};
+  const auto mapping = detail::map_partitions(
+      pg, cloud, cands, graph_center_of(cloud.topology(), cands));
   ASSERT_TRUE(mapping.has_value());
   // Adjacent parts must sit on adjacent QPUs.
   EXPECT_EQ(cloud.distance((*mapping)[0], (*mapping)[1]), 1);

@@ -48,6 +48,26 @@ TEST(Refine, DrainsOverweightPart) {
   EXPECT_LE(weights[1], 3.0);
 }
 
+TEST(Refine, GainTieGoesToLowestPartIndex) {
+  // Node 0 sits alone in part 0 with one unit edge into part 2 and one into
+  // part 1, in that adjacency order: both moves gain 1. The heavy edges
+  // pin nodes 1-4 in place, so node 0's move is the only one, and the tie
+  // must go to part 1 whatever order the nodes are visited in.
+  Graph g(5);
+  g.add_edge(0, 2, 1.0);  // the higher-indexed part comes first
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 3, 10.0);
+  g.add_edge(2, 4, 10.0);
+  ASSERT_EQ(g.neighbors(0).front().to, 2);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::vector<int> part{0, 1, 2, 1, 2};
+    Rng rng(seed);
+    internal::refine_partition(g, part, 3, /*max_part_weight=*/10.0,
+                               /*passes=*/4, rng);
+    EXPECT_EQ(part, (std::vector<int>{1, 1, 2, 1, 2})) << "seed " << seed;
+  }
+}
+
 TEST(Refine, NoopOnSinglePart) {
   Graph g(3);
   g.add_edge(0, 1);
