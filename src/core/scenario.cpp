@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -11,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "circuit/qasm.hpp"
@@ -33,6 +35,7 @@
 #include "schedule/allocators.hpp"
 #include "schedule/frontier_router.hpp"
 #include "schedule/routing.hpp"
+#include "sim/epr.hpp"
 #include "sim/network_sim.hpp"
 
 namespace cloudqc {
@@ -40,16 +43,23 @@ namespace cloudqc {
 namespace {
 
 // ------------------------------------ enum names (common/enum_names.hpp)
+//
+// names(E) pairs each enum-valued key type with its table and the noun its
+// parse errors use.
 
 constexpr EnumName<WorkloadSource> kSourceNames[] = {
     {WorkloadSource::kGenerator, "generator"},
     {WorkloadSource::kQasm, "qasm"},
     {WorkloadSource::kTrace, "trace"},
 };
+auto names(WorkloadSource) {
+  return std::pair{&kSourceNames, "workload source"};
+}
 constexpr EnumName<TraceShape> kTraceNames[] = {
     {TraceShape::kPoisson, "poisson"},
     {TraceShape::kBurst, "burst"},
 };
+auto names(TraceShape) { return std::pair{&kTraceNames, "trace shape"}; }
 constexpr EnumName<EngineMode> kEngineNames[] = {
     {EngineMode::kBatch, "batch"},
     {EngineMode::kMultiTenant, "multi_tenant"},
@@ -57,21 +67,27 @@ constexpr EnumName<EngineMode> kEngineNames[] = {
     {EngineMode::kNetworkSim, "network_sim"},
     {EngineMode::kStreaming, "streaming"},
 };
+auto names(EngineMode) { return std::pair{&kEngineNames, "engine mode"}; }
 constexpr EnumName<StreamingBackpressure> kBackpressureNames[] = {
     {StreamingBackpressure::kDefer, "defer"},
     {StreamingBackpressure::kReject, "reject"},
 };
+auto names(StreamingBackpressure) {
+  return std::pair{&kBackpressureNames, "backpressure policy"};
+}
 constexpr EnumName<PlacerKind> kPlacerNames[] = {
     {PlacerKind::kCloudQC, "cloudqc"}, {PlacerKind::kBfs, "bfs"},
     {PlacerKind::kRandom, "random"},   {PlacerKind::kAnnealing, "annealing"},
     {PlacerKind::kGenetic, "genetic"}, {PlacerKind::kRace, "race"},
 };
+auto names(PlacerKind) { return std::pair{&kPlacerNames, "placer"}; }
 constexpr EnumName<AllocatorKind> kAllocatorNames[] = {
     {AllocatorKind::kCloudQC, "cloudqc"},
     {AllocatorKind::kGreedy, "greedy"},
     {AllocatorKind::kAverage, "average"},
     {AllocatorKind::kRandom, "random"},
 };
+auto names(AllocatorKind) { return std::pair{&kAllocatorNames, "allocator"}; }
 constexpr EnumName<RouterKind> kRouterNames[] = {
     {RouterKind::kNone, "none"},
     {RouterKind::kShortest, "shortest"},
@@ -79,12 +95,21 @@ constexpr EnumName<RouterKind> kRouterNames[] = {
     {RouterKind::kMasked, "masked"},
     {RouterKind::kFrontier, "frontier"},
 };
+auto names(RouterKind) { return std::pair{&kRouterNames, "router"}; }
 constexpr EnumName<ChurnPolicy> kChurnPolicyNames[] = {
     {ChurnPolicy::kRequeue, "requeue"},
     {ChurnPolicy::kMigrate, "migrate"},
 };
+auto names(ChurnPolicy) {
+  return std::pair{&kChurnPolicyNames, "churn policy"};
+}
 
-// -------------------------------------------------------------- parsing
+// ---------------------------------------------------------- value codecs
+//
+// Every key's value goes through the codec of its field's type: decode()
+// parses INI text and throws std::invalid_argument with a bare message
+// (the parser adds the line number), emit() writes the canonical
+// `name = value` lines that decode() reads back exactly.
 
 std::string trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
@@ -93,61 +118,85 @@ std::string trim(std::string_view s) {
   return std::string(s.substr(b, e - b));
 }
 
+std::string at_line(int line, const std::string& message) {
+  return "line " + std::to_string(line) + ": " + message;
+}
+
 [[noreturn]] void fail(int line, const std::string& message) {
-  throw ScenarioError("line " + std::to_string(line) + ": " + message);
+  throw ScenarioError(at_line(line, message));
 }
 
-int to_int(const std::string& value, int line) {
+[[noreturn]] void bad_value(const char* expected, const std::string& value) {
+  throw std::invalid_argument(std::string("expected ") + expected + ", got '" +
+                              value + "'");
+}
+
+void decode(const std::string& value, int& out) {
+  long long parsed = 0;
+  std::size_t pos = 0;
   try {
-    std::size_t pos = 0;
-    const long long parsed = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    // Reject rather than truncate: a wrapped value would silently run a
-    // different experiment than the spec says.
-    if (parsed < std::numeric_limits<int>::min() ||
-        parsed > std::numeric_limits<int>::max()) {
-      fail(line, "integer out of range: '" + value + "'");
-    }
-    return static_cast<int>(parsed);
-  } catch (const ScenarioError&) {
-    throw;
+    parsed = std::stoll(value, &pos);
   } catch (const std::exception&) {
-    fail(line, "expected an integer, got '" + value + "'");
+    bad_value("an integer", value);
+  }
+  if (pos != value.size()) bad_value("an integer", value);
+  // Reject rather than truncate: a wrapped value would silently run a
+  // different experiment than the spec says.
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("integer out of range: '" + value + "'");
+  }
+  out = static_cast<int>(parsed);
+}
+
+void decode(const std::string& value, std::uint64_t& out) {
+  std::size_t pos = 0;
+  try {
+    out = std::stoull(value, &pos);
+  } catch (const std::exception&) {
+    bad_value("a non-negative integer", value);
+  }
+  if (pos != value.size() || value.find('-') != std::string::npos) {
+    bad_value("a non-negative integer", value);
   }
 }
 
-std::uint64_t to_u64(const std::string& value, int line) {
+void decode(const std::string& value, double& out) {
+  std::size_t pos = 0;
   try {
-    std::size_t pos = 0;
-    const std::uint64_t parsed = std::stoull(value, &pos);
-    if (pos != value.size() || value.find('-') != std::string::npos) {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
+    out = std::stod(value, &pos);
   } catch (const std::exception&) {
-    fail(line, "expected a non-negative integer, got '" + value + "'");
+    bad_value("a number", value);
   }
+  if (pos != value.size()) bad_value("a number", value);
+  // nan and inf parse, but no key means them: they would trip an engine
+  // CHECK or silently run a different experiment.
+  if (!std::isfinite(out)) bad_value("a finite number", value);
 }
 
-double to_double(const std::string& value, int line) {
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    fail(line, "expected a number, got '" + value + "'");
-  }
-}
-
-bool to_bool(const std::string& value, int line) {
+void decode(const std::string& value, bool& out) {
   if (value == "true" || value == "1" || value == "yes" || value == "on") {
-    return true;
+    out = true;
+  } else if (value == "false" || value == "0" || value == "no" ||
+             value == "off") {
+    out = false;
+  } else {
+    bad_value("a boolean (true/false)", value);
   }
-  if (value == "false" || value == "0" || value == "no" || value == "off") {
-    return false;
-  }
-  fail(line, "expected a boolean (true/false), got '" + value + "'");
+}
+
+void decode(const std::string& value, TopologyFamily& out) {
+  out = parse_topology_family(value);
+}
+
+void decode(const std::string& value, CapacityProfile& out) {
+  out = parse_capacity_profile(value);
+}
+
+template <typename E>
+auto decode(const std::string& value, E& out) -> decltype(names(out), void()) {
+  const auto [table, what] = names(out);
+  out = parse_enum(*table, value, what);
 }
 
 /// Comma-separated list, entries trimmed, empties dropped.
@@ -162,393 +211,25 @@ std::vector<std::string> to_list(const std::string& value) {
   return out;
 }
 
-void append_list(std::vector<std::string>& dst, const std::string& value) {
-  for (auto& item : to_list(value)) dst.push_back(std::move(item));
+/// List keys repeat: every line appends its entries.
+void decode(const std::string& value, std::vector<std::string>& out) {
+  for (auto& item : to_list(value)) out.push_back(std::move(item));
 }
 
-void apply_cloud_key(CloudSpec& cloud, const std::string& key,
-                     const std::string& value, int line) {
-  try {
-    if (key == "topology") {
-      cloud.family = parse_topology_family(value);
-    } else if (key == "num_qpus") {
-      cloud.num_qpus = to_int(value, line);
-    } else if (key == "rows") {
-      cloud.rows = to_int(value, line);
-    } else if (key == "cols") {
-      cloud.cols = to_int(value, line);
-    } else if (key == "bridge_width") {
-      cloud.bridge_width = to_int(value, line);
-    } else if (key == "fanout") {
-      cloud.fanout = to_int(value, line);
-    } else if (key == "topology_seed") {
-      cloud.topology_seed = to_u64(value, line);
-    } else if (key == "capacity_profile") {
-      cloud.profile = parse_capacity_profile(value);
-    } else if (key == "computing_qubits_per_qpu") {
-      cloud.config.computing_qubits_per_qpu =
-          to_int(value, line);
-    } else if (key == "comm_qubits_per_qpu") {
-      cloud.config.comm_qubits_per_qpu = to_int(value, line);
-    } else if (key == "link_probability") {
-      cloud.config.link_probability = to_double(value, line);
-    } else if (key == "epr_success_prob") {
-      cloud.config.epr_success_prob = to_double(value, line);
-    } else if (key == "purification_level") {
-      cloud.config.purification_level = to_int(value, line);
-    } else {
-      fail(line, "unknown [cloud] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
+/// One maintenance window per line: qpu:start:end.
+void decode(const std::string& value, std::vector<MaintenanceWindow>& out) {
+  const std::size_t c1 = value.find(':');
+  const std::size_t c2 =
+      c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
+  if (c1 == std::string::npos || c2 == std::string::npos) {
+    bad_value("window = qpu:start:end", value);
   }
+  MaintenanceWindow w;
+  decode(trim(value.substr(0, c1)), w.qpu);
+  decode(trim(value.substr(c1 + 1, c2 - c1 - 1)), w.start);
+  decode(trim(value.substr(c2 + 1)), w.end);
+  out.push_back(w);
 }
-
-void apply_workload_key(ScenarioWorkload& workload, const std::string& key,
-                        const std::string& value, int line) {
-  try {
-    if (key == "source") {
-      workload.source = parse_enum(kSourceNames, value, "workload source");
-    } else if (key == "circuits") {
-      append_list(workload.circuits, value);
-    } else if (key == "qasm_files") {
-      append_list(workload.qasm_files, value);
-    } else if (key == "trace") {
-      workload.trace = parse_enum(kTraceNames, value, "trace shape");
-    } else if (key == "trace_jobs") {
-      workload.trace_jobs = to_int(value, line);
-    } else if (key == "trace_mean_gap") {
-      workload.trace_mean_gap = to_double(value, line);
-    } else if (key == "trace_burst_size") {
-      workload.trace_burst_size = to_int(value, line);
-    } else if (key == "trace_seed") {
-      workload.trace_seed = to_u64(value, line);
-    } else {
-      fail(line, "unknown [workload] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
-  }
-}
-
-void apply_engine_key(ScenarioEngine& engine, const std::string& key,
-                      const std::string& value, int line) {
-  try {
-    if (key == "mode") {
-      engine.mode = parse_enum(kEngineNames, value, "engine mode");
-    } else if (key == "placer") {
-      engine.placer = parse_enum(kPlacerNames, value, "placer");
-    } else if (key == "allocator") {
-      engine.allocator = parse_enum(kAllocatorNames, value, "allocator");
-    } else if (key == "router") {
-      engine.router = parse_enum(kRouterNames, value, "router");
-    } else if (key == "seed") {
-      engine.seed = to_u64(value, line);
-    } else if (key == "fifo") {
-      engine.fifo = to_bool(value, line);
-    } else if (key == "gated_admission") {
-      engine.gated_admission = to_bool(value, line);
-    } else if (key == "gated_allocation") {
-      engine.gated_allocation = to_bool(value, line);
-    } else if (key == "workers") {
-      engine.workers = to_int(value, line);
-    } else if (key == "cache") {
-      engine.cache = to_bool(value, line);
-    } else if (key == "cache_capacity") {
-      engine.cache_capacity = to_int(value, line);
-    } else if (key == "max_pending") {
-      engine.max_pending = to_int(value, line);
-    } else if (key == "backpressure") {
-      engine.backpressure =
-          parse_enum(kBackpressureNames, value, "backpressure policy");
-    } else if (key == "intake_shards") {
-      engine.intake_shards = to_int(value, line);
-    } else {
-      fail(line, "unknown [engine] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
-  }
-}
-
-void apply_churn_key(ChurnSpec& churn, const std::string& key,
-                     const std::string& value, int line) {
-  try {
-    if (key == "policy") {
-      churn.policy = parse_enum(kChurnPolicyNames, value, "churn policy");
-    } else if (key == "window") {
-      // One maintenance window per line: qpu:start:end.
-      const std::size_t c1 = value.find(':');
-      const std::size_t c2 =
-          c1 == std::string::npos ? std::string::npos : value.find(':', c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos) {
-        fail(line, "expected window = qpu:start:end, got '" + value + "'");
-      }
-      MaintenanceWindow w;
-      w.qpu = to_int(trim(value.substr(0, c1)), line);
-      w.start = to_double(trim(value.substr(c1 + 1, c2 - c1 - 1)), line);
-      w.end = to_double(trim(value.substr(c2 + 1)), line);
-      churn.windows.push_back(w);
-    } else if (key == "random_windows") {
-      churn.random_windows = to_int(value, line);
-    } else if (key == "horizon") {
-      churn.horizon = to_double(value, line);
-    } else if (key == "mean_duration") {
-      churn.mean_duration = to_double(value, line);
-    } else if (key == "seed") {
-      churn.seed = to_u64(value, line);
-    } else if (key == "drift_amplitude") {
-      churn.drift_amplitude = to_double(value, line);
-    } else if (key == "drift_period") {
-      churn.drift_period = to_double(value, line);
-    } else {
-      fail(line, "unknown [churn] key '" + key + "'");
-    }
-  } catch (const std::invalid_argument& e) {
-    fail(line, e.what());
-  }
-}
-
-void apply_tenant_key(TenantSpec& tenant, const std::string& key,
-                      const std::string& value, int line) {
-  if (key == "priority") {
-    tenant.priority = to_int(value, line);
-  } else if (key == "weight") {
-    tenant.weight = to_double(value, line);
-  } else if (key == "slo_jct") {
-    tenant.slo_jct = to_double(value, line);
-  } else if (key == "preempt") {
-    tenant.preempt = to_bool(value, line);
-  } else {
-    fail(line, "unknown [tenant." + tenant.name + "] key '" + key + "'");
-  }
-}
-
-/// "lo..hi" or "lo..hi..step" (integers, inclusive): appends the expanded
-/// values and returns true; returns false when `value` has no "..".
-bool try_expand_range(const std::string& value, std::vector<std::string>& out,
-                      int line) {
-  const std::size_t d1 = value.find("..");
-  if (d1 == std::string::npos) return false;
-  const std::size_t d2 = value.find("..", d1 + 2);
-  const std::string hi_s = d2 == std::string::npos
-                               ? trim(value.substr(d1 + 2))
-                               : trim(value.substr(d1 + 2, d2 - d1 - 2));
-  const int lo = to_int(trim(value.substr(0, d1)), line);
-  const int hi = to_int(hi_s, line);
-  const int step =
-      d2 == std::string::npos ? 1 : to_int(trim(value.substr(d2 + 2)), line);
-  if (step < 1) fail(line, "sweep range step must be >= 1");
-  if (hi < lo) fail(line, "sweep range needs lo <= hi, got '" + value + "'");
-  for (long long v = lo; v <= hi; v += step) out.push_back(std::to_string(v));
-  return true;
-}
-
-/// Assign one sweep value onto a spec copy. Axis keys are qualified
-/// "section.key" names resolved through the same appliers the parser uses,
-/// so exactly the INI-settable scalar keys are sweepable. The parser
-/// test-applies every value with the axis's line; expand_sweep applies
-/// them all (line 0) before any point runs.
-void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
-                            const std::string& value, int line = 0) {
-  const std::size_t dot = key.find('.');
-  if (dot == std::string::npos) {
-    fail(line, "sweep axis must be 'section.key', got '" + key + "'");
-  }
-  if (key == "workload.circuits" || key == "workload.qasm_files" ||
-      key == "churn.window") {
-    // These keys append; sweeping them would not assign one value per point.
-    fail(line, "cannot sweep list-valued key '" + key + "'");
-  }
-  const std::string section = key.substr(0, dot);
-  const std::string field = key.substr(dot + 1);
-  try {
-    if (section == "cloud") {
-      apply_cloud_key(spec.cloud, field, value, line);
-    } else if (section == "workload") {
-      apply_workload_key(spec.workload, field, value, line);
-    } else if (section == "engine") {
-      apply_engine_key(spec.engine, field, value, line);
-    } else if (section == "churn") {
-      apply_churn_key(spec.churn, field, value, line);
-    } else {
-      fail(line, "sweep axis section must be cloud, workload, engine or churn");
-    }
-  } catch (const ScenarioError& e) {
-    throw ScenarioError("sweep axis '" + key + "' = '" + value +
-                        "': " + e.what());
-  }
-}
-
-void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
-                     const std::string& value, int line) {
-  for (const SweepAxis& axis : sweep) {
-    if (axis.key == key) fail(line, "duplicate [sweep] axis '" + key + "'");
-  }
-  SweepAxis axis;
-  axis.key = key;
-  axis.values = to_list(value);
-  if (axis.values.size() == 1) {
-    std::vector<std::string> expanded;
-    if (try_expand_range(axis.values.front(), expanded, line)) {
-      axis.values = std::move(expanded);
-    }
-  }
-  if (axis.values.empty()) {
-    fail(line, "sweep axis '" + key + "' has no values");
-  }
-  // Test-apply every value here, so a bad one names the axis's own line.
-  ScenarioSpec probe;
-  for (const std::string& v : axis.values) {
-    apply_sweep_assignment(probe, key, v, line);
-  }
-  sweep.push_back(std::move(axis));
-}
-
-/// Spec-level consistency checks shared by parse_scenario (fail early with
-/// a good message) and run_scenario (programmatically built specs).
-void validate(const ScenarioSpec& spec) {
-  const ScenarioWorkload& w = spec.workload;
-  if (w.source == WorkloadSource::kGenerator && w.circuits.empty()) {
-    throw ScenarioError("scenario '" + spec.name +
-                        "': source = generator needs a non-empty circuits "
-                        "list");
-  }
-  if (w.source == WorkloadSource::kQasm && w.qasm_files.empty()) {
-    throw ScenarioError("scenario '" + spec.name +
-                        "': source = qasm needs a non-empty qasm_files list");
-  }
-  if (w.source == WorkloadSource::kTrace) {
-    if (w.trace_jobs < 0) {
-      throw ScenarioError("scenario '" + spec.name + "': trace_jobs < 0");
-    }
-    if (w.trace_mean_gap <= 0.0) {
-      throw ScenarioError("scenario '" + spec.name + "': trace_mean_gap <= 0");
-    }
-    if (w.trace == TraceShape::kBurst && w.trace_burst_size < 1) {
-      throw ScenarioError("scenario '" + spec.name +
-                          "': trace_burst_size < 1");
-    }
-  }
-  if (spec.engine.workers < 1) {
-    throw ScenarioError("scenario '" + spec.name + "': workers < 1");
-  }
-  if (spec.engine.router != RouterKind::kNone &&
-      spec.engine.mode != EngineMode::kNetworkSim) {
-    // Loud rather than silently ignored: only the network-sim engine
-    // threads a router into the simulator.
-    throw ScenarioError("scenario '" + spec.name +
-                        "': router requires mode = network_sim");
-  }
-  if (spec.engine.cache && spec.engine.mode == EngineMode::kBatch) {
-    // Loud rather than silently ignored: the batch engine runs jobs
-    // concurrently, and a cache shared across concurrent requests would
-    // make results depend on worker scheduling.
-    throw ScenarioError("scenario '" + spec.name +
-                        "': cache requires a serial engine (multi_tenant, "
-                        "incoming or network_sim)");
-  }
-  if (spec.engine.cache_capacity < 1) {
-    throw ScenarioError("scenario '" + spec.name + "': cache_capacity < 1");
-  }
-  if (spec.engine.max_pending < 1) {
-    throw ScenarioError("scenario '" + spec.name + "': max_pending < 1");
-  }
-  if (spec.engine.intake_shards < 1) {
-    throw ScenarioError("scenario '" + spec.name + "': intake_shards < 1");
-  }
-
-  // Dynamic-cloud and tenant features run through the serial queue engines
-  // only: they are the ones with a pending queue to displace jobs into.
-  const bool queue_engine = spec.engine.mode == EngineMode::kMultiTenant ||
-                            spec.engine.mode == EngineMode::kIncoming;
-  const ChurnSpec& churn = spec.churn;
-  if (churn.random_windows < 0) {
-    throw ScenarioError("scenario '" + spec.name + "': random_windows < 0");
-  }
-  if (churn.drift_amplitude < 0.0 || churn.drift_amplitude >= 1.0) {
-    throw ScenarioError("scenario '" + spec.name +
-                        "': drift_amplitude must be in [0, 1)");
-  }
-  if (churn.enabled()) {
-    if (!queue_engine) {
-      throw ScenarioError("scenario '" + spec.name +
-                          "': [churn] requires mode = multi_tenant or "
-                          "incoming");
-    }
-    if (churn.random_windows > 0 &&
-        (churn.horizon <= 0.0 || churn.mean_duration <= 0.0)) {
-      throw ScenarioError("scenario '" + spec.name +
-                          "': random windows need horizon > 0 and "
-                          "mean_duration > 0");
-    }
-    if (churn.drift_amplitude > 0.0 && churn.drift_period <= 0.0) {
-      throw ScenarioError("scenario '" + spec.name + "': drift_period <= 0");
-    }
-    for (const MaintenanceWindow& w : churn.windows) {
-      if (w.qpu < 0 || w.start < 0.0 || w.end <= w.start) {
-        throw ScenarioError("scenario '" + spec.name +
-                            "': maintenance window needs qpu >= 0, "
-                            "start >= 0 and end > start");
-      }
-    }
-  }
-  if (!spec.tenants.empty() && !queue_engine) {
-    throw ScenarioError("scenario '" + spec.name +
-                        "': [tenant.*] requires mode = multi_tenant or "
-                        "incoming");
-  }
-  for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
-    const TenantSpec& t = spec.tenants[i];
-    if (t.name.empty()) {
-      throw ScenarioError("scenario '" + spec.name + "': empty tenant name");
-    }
-    for (char ch : t.name) {
-      if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-          ch != '-') {
-        throw ScenarioError("scenario '" + spec.name + "': tenant name '" +
-                            t.name + "' must be [A-Za-z0-9_-]+");
-      }
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (spec.tenants[j].name == t.name) {
-        throw ScenarioError("scenario '" + spec.name +
-                            "': duplicate tenant '" + t.name + "'");
-      }
-    }
-    if (t.weight <= 0.0) {
-      throw ScenarioError("scenario '" + spec.name + "': tenant '" + t.name +
-                          "' needs weight > 0");
-    }
-    if (t.slo_jct < 0.0) {
-      throw ScenarioError("scenario '" + spec.name + "': tenant '" + t.name +
-                          "' needs slo_jct >= 0");
-    }
-  }
-  if (!spec.sweep.empty()) {
-    std::size_t grid = 1;
-    for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
-      const SweepAxis& axis = spec.sweep[i];
-      if (axis.values.empty()) {
-        throw ScenarioError("scenario '" + spec.name + "': sweep axis '" +
-                            axis.key + "' has no values");
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        if (spec.sweep[j].key == axis.key) {
-          throw ScenarioError("scenario '" + spec.name +
-                              "': duplicate sweep axis '" + axis.key + "'");
-        }
-      }
-      grid *= axis.values.size();
-      if (grid > 1024) {
-        throw ScenarioError("scenario '" + spec.name +
-                            "': sweep grid exceeds 1024 points");
-      }
-    }
-  }
-}
-
-// --------------------------------------------------------- serialisation
 
 /// Shortest %g rendering that parses back to exactly `value` (keeps
 /// to_ini() human-readable without losing round-trip precision).
@@ -568,6 +249,425 @@ std::string join(const std::vector<std::string>& items) {
     out += items[i];
   }
   return out;
+}
+
+std::string encode(int value) { return std::to_string(value); }
+std::string encode(std::uint64_t value) { return std::to_string(value); }
+std::string encode(double value) { return fmt_double(value); }
+std::string encode(bool value) { return value ? "true" : "false"; }
+std::string encode(TopologyFamily value) { return to_string(value); }
+std::string encode(CapacityProfile value) { return to_string(value); }
+template <typename E>
+auto encode(E value) -> decltype(names(value), std::string()) {
+  return enum_name(*names(value).first, value);
+}
+
+template <typename T>
+void emit(std::ostream& out, std::string_view name, const T& value) {
+  out << name << " = " << encode(value) << "\n";
+}
+
+void emit(std::ostream& out, std::string_view name,
+          const std::vector<std::string>& items) {
+  if (!items.empty()) out << name << " = " << join(items) << "\n";
+}
+
+void emit(std::ostream& out, std::string_view name,
+          const std::vector<MaintenanceWindow>& windows) {
+  for (const MaintenanceWindow& w : windows) {
+    out << name << " = " << w.qpu << ":" << fmt_double(w.start) << ":"
+        << fmt_double(w.end) << "\n";
+  }
+}
+
+// ------------------------------------------------------------- key table
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Bound::on_line, spelled out in the key table.
+constexpr bool kOnLine = true;
+
+/// A key's single-field bound: the interval open..close over [lo, hi]
+/// ('(' / ')' exclude the limit). Numeric values must also be finite.
+struct Bound {
+  double lo = -kInf;
+  double hi = kInf;
+  char open = '[';
+  char close = ']';
+  /// Also enforced as the line is read, with its line number. Other
+  /// bounds are enforced by validate() once the whole spec is read, so a
+  /// later line may still override an out-of-range value.
+  bool on_line = false;
+
+  bool holds(double v) const {
+    return std::isfinite(v) && (open == '(' ? v > lo : v >= lo) &&
+           (close == ')' ? v < hi : v <= hi);
+  }
+  /// "drift_amplitude must be in [0, 1)", "workers < 1".
+  std::string violation(std::string_view name) const {
+    const std::string key(name);
+    if (lo == -kInf) return key + " must be finite";
+    if (hi == kInf) {
+      return key + (open == '(' ? " <= " : " < ") + fmt_double(lo);
+    }
+    return key + " must be in " + open + fmt_double(lo) + ", " +
+           fmt_double(hi) + close;
+  }
+  /// One-sided bounds only: "weight > 0".
+  std::string requirement(std::string_view name) const {
+    return std::string(name) + (open == '(' ? " > " : " >= ") + fmt_double(lo);
+  }
+};
+
+template <typename T>
+constexpr bool kIsList = false;
+template <typename T>
+constexpr bool kIsList<std::vector<T>> = true;
+
+/// One INI key: its section, its name and the field of `Owner`
+/// (ScenarioSpec, or TenantSpec for [tenant.NAME]) it sets, plus its
+/// bound. Everything else follows from the field's type: the codec, and
+/// whether the key is a repeated list key (which cannot be swept). The
+/// default is the field's initialiser.
+template <typename Owner>
+struct Key {
+  template <typename Field>
+  Key(std::string_view s, std::string_view n, Field field, Bound b = {})
+      : section(s), name(n), bound(b) {
+    using T = std::decay_t<decltype(field(std::declval<Owner&>()))>;
+    constexpr bool numeric =
+        std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+    list = kIsList<T>;
+    decode = [field, n, b](Owner& owner, const std::string& value) {
+      if constexpr (numeric) {
+        T parsed{};
+        cloudqc::decode(value, parsed);
+        if (b.on_line && !b.holds(static_cast<double>(parsed))) {
+          throw std::invalid_argument(b.violation(n));
+        }
+        field(owner) = parsed;
+      } else {
+        cloudqc::decode(value, field(owner));
+      }
+    };
+    emit = [field, n](std::ostream& out, const Owner& owner) {
+      cloudqc::emit(out, n, field(owner));
+    };
+    if constexpr (numeric) {
+      number = [field](const Owner& owner) {
+        return static_cast<double>(field(owner));
+      };
+    }
+  }
+
+  std::string_view section;
+  std::string_view name;
+  Bound bound;
+  bool list = false;
+  std::function<void(Owner&, const std::string&)> decode;
+  std::function<void(std::ostream&, const Owner&)> emit;
+  /// The field as a number, for the bound; empty for non-numeric fields.
+  std::function<double(const Owner&)> number;
+};
+
+#define FIELD(member) ([](auto& s) -> auto& { return s.member; })
+
+/// Every key of the [cloud], [workload], [engine] and [churn] sections, in
+/// to_ini() order. Adding a key is one row here plus one row in
+/// docs/SCENARIOS.md (scenario_test checks that they agree).
+const std::vector<Key<ScenarioSpec>>& spec_keys() {
+  static const std::vector<Key<ScenarioSpec>> keys = {
+      {"cloud", "topology", FIELD(cloud.family)},
+      {"cloud", "num_qpus", FIELD(cloud.num_qpus)},
+      {"cloud", "rows", FIELD(cloud.rows)},
+      {"cloud", "cols", FIELD(cloud.cols)},
+      {"cloud", "bridge_width", FIELD(cloud.bridge_width)},
+      {"cloud", "fanout", FIELD(cloud.fanout)},
+      {"cloud", "topology_seed", FIELD(cloud.topology_seed)},
+      {"cloud", "capacity_profile", FIELD(cloud.profile)},
+      {"cloud", "computing_qubits_per_qpu",
+       FIELD(cloud.config.computing_qubits_per_qpu)},
+      {"cloud", "comm_qubits_per_qpu", FIELD(cloud.config.comm_qubits_per_qpu)},
+      {"cloud", "link_probability", FIELD(cloud.config.link_probability),
+       Bound{0, 1, '[', ']', kOnLine}},
+      {"cloud", "epr_success_prob", FIELD(cloud.config.epr_success_prob),
+       Bound{0, 1, '(', ']', kOnLine}},
+      {"cloud", "purification_level", FIELD(cloud.config.purification_level),
+       Bound{0, purification::kMaxLevel, '[', ')', kOnLine}},
+
+      {"workload", "source", FIELD(workload.source)},
+      {"workload", "circuits", FIELD(workload.circuits)},
+      {"workload", "qasm_files", FIELD(workload.qasm_files)},
+      {"workload", "trace", FIELD(workload.trace)},
+      {"workload", "trace_jobs", FIELD(workload.trace_jobs)},
+      {"workload", "trace_mean_gap", FIELD(workload.trace_mean_gap)},
+      {"workload", "trace_burst_size", FIELD(workload.trace_burst_size)},
+      {"workload", "trace_seed", FIELD(workload.trace_seed)},
+
+      {"engine", "mode", FIELD(engine.mode)},
+      {"engine", "placer", FIELD(engine.placer)},
+      {"engine", "allocator", FIELD(engine.allocator)},
+      {"engine", "router", FIELD(engine.router)},
+      {"engine", "seed", FIELD(engine.seed)},
+      {"engine", "fifo", FIELD(engine.fifo)},
+      {"engine", "gated_admission", FIELD(engine.gated_admission)},
+      {"engine", "gated_allocation", FIELD(engine.gated_allocation)},
+      {"engine", "workers", FIELD(engine.workers), Bound{1}},
+      {"engine", "cache", FIELD(engine.cache)},
+      {"engine", "cache_capacity", FIELD(engine.cache_capacity), Bound{1}},
+      {"engine", "max_pending", FIELD(engine.max_pending), Bound{1}},
+      {"engine", "backpressure", FIELD(engine.backpressure)},
+      {"engine", "intake_shards", FIELD(engine.intake_shards), Bound{1}},
+
+      {"churn", "policy", FIELD(churn.policy)},
+      {"churn", "window", FIELD(churn.windows)},
+      {"churn", "random_windows", FIELD(churn.random_windows), Bound{0}},
+      {"churn", "horizon", FIELD(churn.horizon)},
+      {"churn", "mean_duration", FIELD(churn.mean_duration)},
+      {"churn", "seed", FIELD(churn.seed)},
+      {"churn", "drift_amplitude", FIELD(churn.drift_amplitude),
+       Bound{0, 1, '[', ')'}},
+      {"churn", "drift_period", FIELD(churn.drift_period)},
+  };
+  return keys;
+}
+
+/// Every key of a [tenant.NAME] section, in to_ini() order.
+const std::vector<Key<TenantSpec>>& tenant_keys() {
+  static const std::vector<Key<TenantSpec>> keys = {
+      {"tenant", "priority", FIELD(priority)},
+      {"tenant", "weight", FIELD(weight), Bound{0, kInf, '('}},
+      {"tenant", "slo_jct", FIELD(slo_jct), Bound{0}},
+      {"tenant", "preempt", FIELD(preempt)},
+  };
+  return keys;
+}
+
+#undef FIELD
+
+template <typename Owner>
+const Key<Owner>* find_key(const std::vector<Key<Owner>>& keys,
+                           std::string_view section, std::string_view name) {
+  for (const Key<Owner>& key : keys) {
+    if (key.section == section && key.name == name) return &key;
+  }
+  return nullptr;
+}
+
+bool is_spec_section(std::string_view section) {
+  for (const auto& key : spec_keys()) {
+    if (key.section == section) return true;
+  }
+  return false;
+}
+
+/// Decode one `key = value` line of `section` into `spec`; a
+/// [tenant.NAME] key fills the tenant its header pushed last. Throws
+/// std::invalid_argument.
+void apply_key(ScenarioSpec& spec, const std::string& section,
+               const std::string& key, const std::string& value) {
+  if (section.rfind("tenant.", 0) == 0) {
+    if (const auto* row = find_key(tenant_keys(), "tenant", key)) {
+      return row->decode(spec.tenants.back(), value);
+    }
+  } else if (const auto* row = find_key(spec_keys(), section, key)) {
+    return row->decode(spec, value);
+  }
+  throw std::invalid_argument("unknown [" + section + "] key '" + key + "'");
+}
+
+/// [A-Za-z0-9_-]: the characters of tenant names and artifact file names.
+bool is_name_char(char ch) {
+  return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_' || ch == '-';
+}
+
+/// The tenant-name rule, shared by [tenant.NAME] headers and validate():
+/// why `name` cannot follow the first `count` tenants, or "" if it can.
+std::string tenant_name_error(const std::vector<TenantSpec>& tenants,
+                              std::size_t count, const std::string& name) {
+  if (name.empty()) return "empty tenant name";
+  if (!std::all_of(name.begin(), name.end(), is_name_char)) {
+    return "tenant name must be [A-Za-z0-9_-]+, got '" + name + "'";
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (tenants[i].name == name) return "duplicate tenant '" + name + "'";
+  }
+  return "";
+}
+
+// ----------------------------------------------------------------- sweep
+
+/// "lo..hi" or "lo..hi..step" (integers, inclusive): appends the expanded
+/// values and returns true; returns false when `value` has no "..".
+bool try_expand_range(const std::string& value, std::vector<std::string>& out) {
+  const std::size_t d1 = value.find("..");
+  if (d1 == std::string::npos) return false;
+  const std::size_t d2 = value.find("..", d1 + 2);
+  const std::string hi_s = d2 == std::string::npos
+                               ? trim(value.substr(d1 + 2))
+                               : trim(value.substr(d1 + 2, d2 - d1 - 2));
+  int lo = 0, hi = 0, step = 1;
+  decode(trim(value.substr(0, d1)), lo);
+  decode(hi_s, hi);
+  if (d2 != std::string::npos) decode(trim(value.substr(d2 + 2)), step);
+  if (step < 1) throw std::invalid_argument("sweep range step must be >= 1");
+  if (hi < lo) {
+    throw std::invalid_argument("sweep range needs lo <= hi, got '" + value +
+                                "'");
+  }
+  for (long long v = lo; v <= hi; v += step) out.push_back(std::to_string(v));
+  return true;
+}
+
+/// Assign one sweep value onto a spec copy. Axis keys are qualified
+/// "section.key" names of the key table's non-list rows. The parser
+/// test-applies every value with the axis's line; expand_sweep applies
+/// them all (line 0) before any point runs.
+void apply_sweep_assignment(ScenarioSpec& spec, const std::string& key,
+                            const std::string& value, int line = 0) {
+  const std::size_t dot = key.find('.');
+  if (dot == std::string::npos) {
+    fail(line, "sweep axis must be 'section.key', got '" + key + "'");
+  }
+  const std::string section = key.substr(0, dot);
+  const std::string name = key.substr(dot + 1);
+  const Key<ScenarioSpec>* row = find_key(spec_keys(), section, name);
+  if (row != nullptr && row->list) {
+    // These keys append; sweeping them would not assign one value per point.
+    fail(line, "cannot sweep list-valued key '" + key + "'");
+  }
+  try {
+    if (!is_spec_section(section)) {
+      throw std::invalid_argument(
+          "sweep axis section must be cloud, workload, engine or churn");
+    }
+    apply_key(spec, section, name, value);
+  } catch (const std::invalid_argument& e) {
+    throw ScenarioError("sweep axis '" + key + "' = '" + value +
+                        "': " + at_line(line, e.what()));
+  }
+}
+
+void apply_sweep_key(std::vector<SweepAxis>& sweep, const std::string& key,
+                     const std::string& value, int line) {
+  for (const SweepAxis& axis : sweep) {
+    if (axis.key == key) {
+      throw std::invalid_argument("duplicate [sweep] axis '" + key + "'");
+    }
+  }
+  SweepAxis axis;
+  axis.key = key;
+  axis.values = to_list(value);
+  if (axis.values.size() == 1) {
+    std::vector<std::string> expanded;
+    if (try_expand_range(axis.values.front(), expanded)) {
+      axis.values = std::move(expanded);
+    }
+  }
+  if (axis.values.empty()) {
+    throw std::invalid_argument("sweep axis '" + key + "' has no values");
+  }
+  // Test-apply every value here, so a bad one names the axis's own line.
+  ScenarioSpec probe;
+  for (const std::string& v : axis.values) {
+    apply_sweep_assignment(probe, key, v, line);
+  }
+  sweep.push_back(std::move(axis));
+}
+
+// ------------------------------------------------------------ validation
+
+/// Spec-level consistency checks shared by parse_scenario (fail early with
+/// a good message) and run_scenario (programmatically built specs): every
+/// key's bound from the table, then the cross-field rules.
+void validate(const ScenarioSpec& spec) {
+  const auto reject = [&spec](const std::string& why) {
+    throw ScenarioError("scenario '" + spec.name + "': " + why);
+  };
+  for (const auto& key : spec_keys()) {
+    if (key.number && !key.bound.holds(key.number(spec))) {
+      reject(key.bound.violation(key.name));
+    }
+  }
+  const ScenarioWorkload& w = spec.workload;
+  if (w.source == WorkloadSource::kGenerator && w.circuits.empty()) {
+    reject("source = generator needs a non-empty circuits list");
+  }
+  if (w.source == WorkloadSource::kQasm && w.qasm_files.empty()) {
+    reject("source = qasm needs a non-empty qasm_files list");
+  }
+  if (w.source == WorkloadSource::kTrace) {
+    if (w.trace_jobs < 0) reject("trace_jobs < 0");
+    if (w.trace_mean_gap <= 0.0) reject("trace_mean_gap <= 0");
+    if (w.trace == TraceShape::kBurst && w.trace_burst_size < 1) {
+      reject("trace_burst_size < 1");
+    }
+  }
+  if (spec.engine.router != RouterKind::kNone &&
+      spec.engine.mode != EngineMode::kNetworkSim) {
+    // Loud rather than silently ignored: only the network-sim engine
+    // threads a router into the simulator.
+    reject("router requires mode = network_sim");
+  }
+  if (spec.engine.cache && spec.engine.mode == EngineMode::kBatch) {
+    // Loud rather than silently ignored: the batch engine runs jobs
+    // concurrently, and a cache shared across concurrent requests would
+    // make results depend on worker scheduling.
+    reject(
+        "cache requires a serial engine (multi_tenant, incoming, "
+        "network_sim or streaming)");
+  }
+
+  // Dynamic-cloud and tenant features run through the serial queue engines
+  // only: they are the ones with a pending queue to displace jobs into.
+  const bool queue_engine = spec.engine.mode == EngineMode::kMultiTenant ||
+                            spec.engine.mode == EngineMode::kIncoming;
+  const ChurnSpec& churn = spec.churn;
+  if (churn.enabled()) {
+    if (!queue_engine) {
+      reject("[churn] requires mode = multi_tenant or incoming");
+    }
+    if (churn.random_windows > 0 &&
+        (churn.horizon <= 0.0 || churn.mean_duration <= 0.0)) {
+      reject("random windows need horizon > 0 and mean_duration > 0");
+    }
+    if (churn.drift_amplitude > 0.0 && churn.drift_period <= 0.0) {
+      reject("drift_period <= 0");
+    }
+    for (const MaintenanceWindow& mw : churn.windows) {
+      if (mw.qpu < 0 || mw.start < 0.0 || mw.end <= mw.start) {
+        reject(
+            "maintenance window needs qpu >= 0, start >= 0 and end > start");
+      }
+    }
+  }
+  if (!spec.tenants.empty() && !queue_engine) {
+    reject("[tenant.*] requires mode = multi_tenant or incoming");
+  }
+  for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
+    const TenantSpec& t = spec.tenants[i];
+    const std::string name_error = tenant_name_error(spec.tenants, i, t.name);
+    if (!name_error.empty()) reject(name_error);
+    for (const auto& key : tenant_keys()) {
+      if (key.number && !key.bound.holds(key.number(t))) {
+        reject("tenant '" + t.name + "' needs " +
+               key.bound.requirement(key.name));
+      }
+    }
+  }
+  std::size_t grid = 1;
+  for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
+    const SweepAxis& axis = spec.sweep[i];
+    if (axis.values.empty()) {
+      reject("sweep axis '" + axis.key + "' has no values");
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (spec.sweep[j].key == axis.key) {
+        reject("duplicate sweep axis '" + axis.key + "'");
+      }
+    }
+    grid *= axis.values.size();
+    if (grid > 1024) reject("sweep grid exceeds 1024 points");
+  }
 }
 
 // ----------------------------------------------------- engine execution
@@ -848,26 +948,13 @@ ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
       if (content.back() != ']') fail(line_no, "unterminated section header");
       section = trim(content.substr(1, content.size() - 2));
       if (section.rfind("tenant.", 0) == 0) {
-        const std::string tenant_name = section.substr(7);
-        if (tenant_name.empty()) fail(line_no, "empty tenant name");
-        for (char ch : tenant_name) {
-          if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-              ch != '-') {
-            fail(line_no, "tenant name must be [A-Za-z0-9_-]+, got '" +
-                              tenant_name + "'");
-          }
-        }
-        for (const TenantSpec& t : spec.tenants) {
-          if (t.name == tenant_name) {
-            fail(line_no, "duplicate tenant '" + tenant_name + "'");
-          }
-        }
         TenantSpec tenant;
-        tenant.name = tenant_name;
+        tenant.name = section.substr(7);
+        const std::string error =
+            tenant_name_error(spec.tenants, spec.tenants.size(), tenant.name);
+        if (!error.empty()) fail(line_no, error);
         spec.tenants.push_back(std::move(tenant));
-      } else if (section != "cloud" && section != "workload" &&
-                 section != "engine" && section != "churn" &&
-                 section != "sweep") {
+      } else if (section != "sweep" && !is_spec_section(section)) {
         fail(line_no, "unknown section [" + section + "]");
       }
       continue;
@@ -882,19 +969,14 @@ ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
     if (section.empty()) {
       fail(line_no, "key '" + key + "' outside any section");
     }
-    if (section == "cloud") {
-      apply_cloud_key(spec.cloud, key, value, line_no);
-    } else if (section == "workload") {
-      apply_workload_key(spec.workload, key, value, line_no);
-    } else if (section == "engine") {
-      apply_engine_key(spec.engine, key, value, line_no);
-    } else if (section == "churn") {
-      apply_churn_key(spec.churn, key, value, line_no);
-    } else if (section == "sweep") {
-      apply_sweep_key(spec.sweep, key, value, line_no);
-    } else {
-      // [tenant.NAME]: the header pushed the TenantSpec this key fills.
-      apply_tenant_key(spec.tenants.back(), key, value, line_no);
+    try {
+      if (section == "sweep") {
+        apply_sweep_key(spec.sweep, key, value, line_no);
+      } else {
+        apply_key(spec, section, key, value);
+      }
+    } catch (const std::invalid_argument& e) {
+      fail(line_no, e.what());
     }
   }
   validate(spec);
@@ -925,81 +1007,20 @@ ScenarioSpec load_scenario_file(const std::string& path) {
 
 std::string to_ini(const ScenarioSpec& spec) {
   std::ostringstream out;
-  const CloudSpec& c = spec.cloud;
-  out << "[cloud]\n";
-  out << "topology = " << to_string(c.family) << "\n";
-  out << "num_qpus = " << c.num_qpus << "\n";
-  out << "rows = " << c.rows << "\n";
-  out << "cols = " << c.cols << "\n";
-  out << "bridge_width = " << c.bridge_width << "\n";
-  out << "fanout = " << c.fanout << "\n";
-  out << "topology_seed = " << c.topology_seed << "\n";
-  out << "capacity_profile = " << to_string(c.profile) << "\n";
-  out << "computing_qubits_per_qpu = " << c.config.computing_qubits_per_qpu
-      << "\n";
-  out << "comm_qubits_per_qpu = " << c.config.comm_qubits_per_qpu << "\n";
-  out << "link_probability = " << fmt_double(c.config.link_probability)
-      << "\n";
-  out << "epr_success_prob = " << fmt_double(c.config.epr_success_prob)
-      << "\n";
-  out << "purification_level = " << c.config.purification_level << "\n";
-
-  const ScenarioWorkload& w = spec.workload;
-  out << "\n[workload]\n";
-  out << "source = " << enum_name(kSourceNames, w.source) << "\n";
-  if (!w.circuits.empty()) out << "circuits = " << join(w.circuits) << "\n";
-  if (!w.qasm_files.empty()) {
-    out << "qasm_files = " << join(w.qasm_files) << "\n";
-  }
-  out << "trace = " << enum_name(kTraceNames, w.trace) << "\n";
-  out << "trace_jobs = " << w.trace_jobs << "\n";
-  out << "trace_mean_gap = " << fmt_double(w.trace_mean_gap) << "\n";
-  out << "trace_burst_size = " << w.trace_burst_size << "\n";
-  out << "trace_seed = " << w.trace_seed << "\n";
-
-  const ScenarioEngine& e = spec.engine;
-  out << "\n[engine]\n";
-  out << "mode = " << enum_name(kEngineNames, e.mode) << "\n";
-  out << "placer = " << enum_name(kPlacerNames, e.placer) << "\n";
-  out << "allocator = " << enum_name(kAllocatorNames, e.allocator) << "\n";
-  out << "router = " << enum_name(kRouterNames, e.router) << "\n";
-  out << "seed = " << e.seed << "\n";
-  out << "fifo = " << (e.fifo ? "true" : "false") << "\n";
-  out << "gated_admission = " << (e.gated_admission ? "true" : "false")
-      << "\n";
-  out << "gated_allocation = " << (e.gated_allocation ? "true" : "false")
-      << "\n";
-  out << "workers = " << e.workers << "\n";
-  out << "cache = " << (e.cache ? "true" : "false") << "\n";
-  out << "cache_capacity = " << e.cache_capacity << "\n";
-  out << "max_pending = " << e.max_pending << "\n";
-  out << "backpressure = " << enum_name(kBackpressureNames, e.backpressure)
-      << "\n";
-  out << "intake_shards = " << e.intake_shards << "\n";
-
-  // [churn] is emitted only when it changes anything: a disabled spec
-  // parses back to the identical default, keeping the round trip stable.
-  if (spec.churn.enabled()) {
-    const ChurnSpec& ch = spec.churn;
-    out << "\n[churn]\n";
-    out << "policy = " << enum_name(kChurnPolicyNames, ch.policy) << "\n";
-    for (const MaintenanceWindow& w : ch.windows) {
-      out << "window = " << w.qpu << ":" << fmt_double(w.start) << ":"
-          << fmt_double(w.end) << "\n";
+  std::string_view section;
+  for (const auto& key : spec_keys()) {
+    // [churn] is emitted only when it changes anything: a disabled spec
+    // parses back to the identical default, keeping the round trip stable.
+    if (key.section == "churn" && !spec.churn.enabled()) continue;
+    if (key.section != section) {
+      out << (section.empty() ? "[" : "\n[") << key.section << "]\n";
+      section = key.section;
     }
-    out << "random_windows = " << ch.random_windows << "\n";
-    out << "horizon = " << fmt_double(ch.horizon) << "\n";
-    out << "mean_duration = " << fmt_double(ch.mean_duration) << "\n";
-    out << "seed = " << ch.seed << "\n";
-    out << "drift_amplitude = " << fmt_double(ch.drift_amplitude) << "\n";
-    out << "drift_period = " << fmt_double(ch.drift_period) << "\n";
+    key.emit(out, spec);
   }
   for (const TenantSpec& t : spec.tenants) {
     out << "\n[tenant." << t.name << "]\n";
-    out << "priority = " << t.priority << "\n";
-    out << "weight = " << fmt_double(t.weight) << "\n";
-    out << "slo_jct = " << fmt_double(t.slo_jct) << "\n";
-    out << "preempt = " << (t.preempt ? "true" : "false") << "\n";
+    for (const auto& key : tenant_keys()) key.emit(out, t);
   }
   if (!spec.sweep.empty()) {
     out << "\n[sweep]\n";
@@ -1171,60 +1192,117 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   return result;
 }
 
+namespace {
+
+/// %.17g: the exact rendering every JSON writer uses for doubles.
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Conservative filename part: the scenario name may come from user input.
+std::string safe_name(std::string name) {
+  for (char& ch : name) {
+    if (!is_name_char(ch)) ch = '_';
+  }
+  return name;
+}
+
+std::size_t placed_jobs(const ScenarioResult& r) {
+  std::size_t placed = 0;
+  for (const auto& job : r.jobs) placed += job.placed ? 1 : 0;
+  return placed;
+}
+
+using Fields = std::vector<std::pair<const char*, std::string>>;
+
+/// The aggregate fields write_bench_json and write_golden_json share, in
+/// file order, as rendered JSON values. The streaming block appears only on
+/// streaming runs and jain_fairness only on tenant runs, so files that
+/// predate either stay byte-identical.
+Fields aggregate_fields(const ScenarioResult& r) {
+  Fields fields = {
+      {"engine", "\"" + r.engine + "\""},
+      {"num_jobs", std::to_string(r.jobs.size())},
+      {"placed_jobs", std::to_string(placed_jobs(r))},
+      {"makespan", num(r.makespan)},
+      {"mean_jct", num(r.mean_jct)},
+      {"mean_fidelity", num(r.mean_fidelity)},
+      {"placement_calls", std::to_string(r.placement_calls)},
+      {"events_processed", std::to_string(r.events_processed)},
+      {"allocation_rounds", std::to_string(r.allocation_rounds)},
+      {"cache_exact_hits", std::to_string(r.cache_exact_hits)},
+      {"cache_warm_hits", std::to_string(r.cache_warm_hits)},
+      {"cache_misses", std::to_string(r.cache_misses)},
+  };
+  if (r.engine == "streaming") {
+    const Fields streaming = {
+        {"stream_submitted", std::to_string(r.stream_submitted)},
+        {"stream_completed", std::to_string(r.stream_completed)},
+        {"stream_rejected", std::to_string(r.stream_rejected)},
+        {"stream_peak_pending", std::to_string(r.stream_peak_pending)},
+        {"stream_peak_in_flight", std::to_string(r.stream_peak_in_flight)},
+        {"jct_p50", num(r.jct_p50)},
+        {"jct_p95", num(r.jct_p95)},
+        {"jct_p99", num(r.jct_p99)},
+        {"fidelity_p50", num(r.fidelity_p50)},
+        {"fidelity_p95", num(r.fidelity_p95)},
+        {"fidelity_p99", num(r.fidelity_p99)},
+    };
+    fields.insert(fields.end(), streaming.begin(), streaming.end());
+  }
+  if (!r.tenants.empty()) {
+    fields.emplace_back("jain_fairness", num(r.jain_fairness));
+  }
+  return fields;
+}
+
+/// Shared row format of the two sweep writers: per grid point, the axis
+/// assignment and the headline deterministic aggregates.
+void write_sweep_rows(std::ofstream& os, const SweepResult& sweep) {
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const SweepPoint& point = sweep.points[i];
+    const ScenarioResult& r = point.result;
+    os << (i > 0 ? "," : "") << "\n    {\"assignment\": {";
+    for (std::size_t j = 0; j < point.assignment.size(); ++j) {
+      os << (j > 0 ? ", " : "") << "\"" << point.assignment[j].first
+         << "\": \"" << point.assignment[j].second << "\"";
+    }
+    os << "}, \"engine\": \"" << r.engine << "\""
+       << ", \"num_jobs\": " << r.jobs.size()
+       << ", \"placed_jobs\": " << placed_jobs(r)
+       << ", \"makespan\": " << num(r.makespan)
+       << ", \"mean_jct\": " << num(r.mean_jct)
+       << ", \"mean_fidelity\": " << num(r.mean_fidelity)
+       << ", \"placement_calls\": " << r.placement_calls
+       << ", \"cache_exact_hits\": " << r.cache_exact_hits
+       << ", \"cache_warm_hits\": " << r.cache_warm_hits
+       << ", \"cache_misses\": " << r.cache_misses;
+    if (!r.tenants.empty()) {
+      os << ", \"jain_fairness\": " << num(r.jain_fairness);
+    }
+    os << "}";
+  }
+}
+
+}  // namespace
+
 std::string write_bench_json(const ScenarioResult& result, std::string dir) {
   if (dir.empty()) dir = env_or("CLOUDQC_BENCH_JSON_DIR", ".");
-  // Conservative filename: the scenario name may come from user input.
-  std::string safe = result.scenario;
-  for (char& ch : safe) {
-    if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-        ch != '-') {
-      ch = '_';
-    }
-  }
+  const std::string safe = safe_name(result.scenario);
   const std::string path = dir + "/BENCH_scenario_" + safe + ".json";
   std::ofstream os(path);
   if (!os) return "";
-  std::size_t placed = 0;
-  for (const auto& job : result.jobs) placed += job.placed ? 1 : 0;
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n  \"bench\": \"scenario_" << safe << "\"";
-  os << ",\n  \"engine\": \"" << result.engine << "\"";
-  os << ",\n  \"num_jobs\": " << result.jobs.size();
-  os << ",\n  \"placed_jobs\": " << placed;
-  os << ",\n  \"makespan\": " << num(result.makespan);
-  os << ",\n  \"mean_jct\": " << num(result.mean_jct);
-  os << ",\n  \"mean_fidelity\": " << num(result.mean_fidelity);
-  os << ",\n  \"placement_calls\": " << result.placement_calls;
-  os << ",\n  \"events_processed\": " << result.events_processed;
-  os << ",\n  \"allocation_rounds\": " << result.allocation_rounds;
-  os << ",\n  \"cache_exact_hits\": " << result.cache_exact_hits;
-  os << ",\n  \"cache_warm_hits\": " << result.cache_warm_hits;
-  os << ",\n  \"cache_misses\": " << result.cache_misses;
-  if (result.engine == "streaming") {
-    os << ",\n  \"stream_submitted\": " << result.stream_submitted;
-    os << ",\n  \"stream_completed\": " << result.stream_completed;
-    os << ",\n  \"stream_rejected\": " << result.stream_rejected;
-    os << ",\n  \"stream_peak_pending\": " << result.stream_peak_pending;
-    os << ",\n  \"stream_peak_in_flight\": " << result.stream_peak_in_flight;
-    os << ",\n  \"jct_p50\": " << num(result.jct_p50);
-    os << ",\n  \"jct_p95\": " << num(result.jct_p95);
-    os << ",\n  \"jct_p99\": " << num(result.jct_p99);
-    os << ",\n  \"fidelity_p50\": " << num(result.fidelity_p50);
-    os << ",\n  \"fidelity_p95\": " << num(result.fidelity_p95);
-    os << ",\n  \"fidelity_p99\": " << num(result.fidelity_p99);
+  for (const auto& [key, value] : aggregate_fields(result)) {
+    os << ",\n  \"" << key << "\": " << value;
   }
-  if (!result.tenants.empty()) {
-    os << ",\n  \"jain_fairness\": " << num(result.jain_fairness);
-    for (const ScenarioTenantResult& t : result.tenants) {
-      os << ",\n  \"tenant_" << t.name << "_jobs\": " << t.jobs;
-      os << ",\n  \"tenant_" << t.name << "_mean_jct\": " << num(t.mean_jct);
-      os << ",\n  \"tenant_" << t.name
-         << "_slo_attainment\": " << num(t.slo_attainment);
-    }
+  for (const ScenarioTenantResult& t : result.tenants) {
+    os << ",\n  \"tenant_" << t.name << "_jobs\": " << t.jobs;
+    os << ",\n  \"tenant_" << t.name << "_mean_jct\": " << num(t.mean_jct);
+    os << ",\n  \"tenant_" << t.name
+       << "_slo_attainment\": " << num(t.slo_attainment);
   }
   os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
   os << "\n}\n";
@@ -1236,49 +1314,16 @@ std::string write_golden_json(const ScenarioResult& result,
   const std::string path = dir + "/" + result.scenario + ".golden.json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
-  std::size_t placed = 0;
-  for (const auto& job : result.jobs) placed += job.placed ? 1 : 0;
   os << "{\n";
   os << "  \"scenario\": \"" << result.scenario << "\",\n";
-  os << "  \"engine\": \"" << result.engine << "\",\n";
-  os << "  \"num_jobs\": " << result.jobs.size() << ",\n";
-  os << "  \"placed_jobs\": " << placed << ",\n";
-  os << "  \"makespan\": " << num(result.makespan) << ",\n";
-  os << "  \"mean_jct\": " << num(result.mean_jct) << ",\n";
-  os << "  \"mean_fidelity\": " << num(result.mean_fidelity) << ",\n";
-  os << "  \"placement_calls\": " << result.placement_calls << ",\n";
-  os << "  \"events_processed\": " << result.events_processed << ",\n";
-  os << "  \"allocation_rounds\": " << result.allocation_rounds << ",\n";
-  os << "  \"cache_exact_hits\": " << result.cache_exact_hits << ",\n";
-  os << "  \"cache_warm_hits\": " << result.cache_warm_hits << ",\n";
-  os << "  \"cache_misses\": " << result.cache_misses << ",\n";
   // Streaming runs have no per-job table; their deterministic record is
-  // the aggregate block (absent for every other engine, so committed
-  // goldens predating the streaming engine stay byte-identical).
-  if (result.engine == "streaming") {
-    os << "  \"stream_submitted\": " << result.stream_submitted << ",\n";
-    os << "  \"stream_completed\": " << result.stream_completed << ",\n";
-    os << "  \"stream_rejected\": " << result.stream_rejected << ",\n";
-    os << "  \"stream_peak_pending\": " << result.stream_peak_pending
-       << ",\n";
-    os << "  \"stream_peak_in_flight\": " << result.stream_peak_in_flight
-       << ",\n";
-    os << "  \"jct_p50\": " << num(result.jct_p50) << ",\n";
-    os << "  \"jct_p95\": " << num(result.jct_p95) << ",\n";
-    os << "  \"jct_p99\": " << num(result.jct_p99) << ",\n";
-    os << "  \"fidelity_p50\": " << num(result.fidelity_p50) << ",\n";
-    os << "  \"fidelity_p95\": " << num(result.fidelity_p95) << ",\n";
-    os << "  \"fidelity_p99\": " << num(result.fidelity_p99) << ",\n";
+  // the aggregate block.
+  for (const auto& [key, value] : aggregate_fields(result)) {
+    os << "  \"" << key << "\": " << value << ",\n";
   }
   // Tenant block and per-job tenant/restart fields appear only on tenant
   // runs, so goldens predating tenant classes stay byte-identical.
   if (!result.tenants.empty()) {
-    os << "  \"jain_fairness\": " << num(result.jain_fairness) << ",\n";
     os << "  \"tenants\": [";
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
       const ScenarioTenantResult& t = result.tenants[i];
@@ -1366,61 +1411,16 @@ SweepResult run_sweep(const ScenarioSpec& spec) {
   return result;
 }
 
-namespace {
-
-/// Shared row format of the two sweep writers: axis assignment + headline
-/// deterministic aggregates of one grid point.
-void write_sweep_row(std::ofstream& os, const SweepPoint& point,
-                     const std::function<std::string(double)>& num) {
-  const ScenarioResult& r = point.result;
-  std::size_t placed = 0;
-  for (const auto& job : r.jobs) placed += job.placed ? 1 : 0;
-  os << "{\"assignment\": {";
-  for (std::size_t j = 0; j < point.assignment.size(); ++j) {
-    os << (j > 0 ? ", " : "") << "\"" << point.assignment[j].first
-       << "\": \"" << point.assignment[j].second << "\"";
-  }
-  os << "}, \"engine\": \"" << r.engine << "\""
-     << ", \"num_jobs\": " << r.jobs.size() << ", \"placed_jobs\": " << placed
-     << ", \"makespan\": " << num(r.makespan)
-     << ", \"mean_jct\": " << num(r.mean_jct)
-     << ", \"mean_fidelity\": " << num(r.mean_fidelity)
-     << ", \"placement_calls\": " << r.placement_calls
-     << ", \"cache_exact_hits\": " << r.cache_exact_hits
-     << ", \"cache_warm_hits\": " << r.cache_warm_hits
-     << ", \"cache_misses\": " << r.cache_misses;
-  if (!r.tenants.empty()) {
-    os << ", \"jain_fairness\": " << num(r.jain_fairness);
-  }
-  os << "}";
-}
-
-}  // namespace
-
 std::string write_sweep_json(const SweepResult& result, std::string dir) {
   if (dir.empty()) dir = env_or("CLOUDQC_BENCH_JSON_DIR", ".");
-  std::string safe = result.name;
-  for (char& ch : safe) {
-    if (!std::isalnum(static_cast<unsigned char>(ch)) && ch != '_' &&
-        ch != '-') {
-      ch = '_';
-    }
-  }
+  const std::string safe = safe_name(result.name);
   const std::string path = dir + "/BENCH_sweep_" + safe + ".json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n  \"bench\": \"sweep_" << safe << "\"";
   os << ",\n  \"points\": " << result.points.size();
   os << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    os << (i > 0 ? "," : "") << "\n    ";
-    write_sweep_row(os, result.points[i], num);
-  }
+  write_sweep_rows(os, result);
   os << "\n  ]";
   os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
   os << "\n}\n";
@@ -1432,19 +1432,11 @@ std::string write_sweep_golden_json(const SweepResult& result,
   const std::string path = dir + "/" + result.name + ".golden.json";
   std::ofstream os(path);
   if (!os) return "";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
   os << "{\n";
   os << "  \"sweep\": \"" << result.name << "\",\n";
   os << "  \"num_points\": " << result.points.size() << ",\n";
   os << "  \"points\": [";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    os << (i > 0 ? "," : "") << "\n    ";
-    write_sweep_row(os, result.points[i], num);
-  }
+  write_sweep_rows(os, result);
   os << "\n  ]\n}\n";
   return os ? path : "";
 }

@@ -107,9 +107,10 @@ struct ScenarioEngine {
   /// Cross-request placement cache (placement/placement_cache.hpp): exact
   /// repeats of a circuit under identical free capacities reuse the cached
   /// placement; repeats under changed capacities warm-start the placer.
-  /// Serial engines only (multi_tenant / incoming / network_sim) — the
-  /// batch engine runs jobs concurrently, where a shared cache would make
-  /// results depend on worker scheduling (validate() rejects it loudly).
+  /// Serial engines only (multi_tenant / incoming / network_sim /
+  /// streaming) — the batch engine runs jobs concurrently, where a shared
+  /// cache would make results depend on worker scheduling (validate()
+  /// rejects it loudly).
   bool cache = false;
   /// Entry bound of the cache (circuits, not bytes). Must be >= 1.
   int cache_capacity = 4096;
@@ -169,9 +170,11 @@ struct ScenarioSpec {
 
 /// Parse INI-style scenario text ([cloud] / [workload] / [engine]
 /// sections, key = value lines, '#' or ';' comments). Unknown sections,
-/// unknown keys and unparsable values all throw ScenarioError with the
-/// offending line number; missing keys keep their defaults. `name` is the
-/// scenario's report name (a file's stem, usually).
+/// unknown keys, unparsable or non-finite values and probabilities or
+/// purification levels out of range all throw ScenarioError with the
+/// offending line number; inconsistent specs throw it without one.
+/// Missing keys keep their defaults. `name` is the scenario's report name
+/// (a file's stem, usually).
 ScenarioSpec parse_scenario(std::string_view text,
                             const std::string& name = "scenario");
 

@@ -73,7 +73,7 @@ double purified_fidelity(double f, int level) {
 }
 
 int raw_pairs_needed(int level) {
-  CLOUDQC_CHECK(level >= 0 && level < 16);
+  CLOUDQC_CHECK(level >= 0 && level < kMaxLevel);
   return 1 << level;
 }
 

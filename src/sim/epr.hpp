@@ -70,7 +70,12 @@ double purified_fidelity(double f);
 /// Fidelity after `level` recursive rounds (2^level raw pairs consumed).
 double purified_fidelity(double f, int level);
 
-/// Raw pairs consumed per delivered pair at `level` rounds: 2^level.
+/// Exclusive upper bound on purification levels: 2^level raw pairs per
+/// delivered pair must stay a sane int.
+constexpr int kMaxLevel = 16;
+
+/// Raw pairs consumed per delivered pair at `level` rounds: 2^level, for
+/// level in [0, kMaxLevel).
 int raw_pairs_needed(int level);
 
 }  // namespace purification

@@ -3,14 +3,16 @@
 // committed spec file is bit-identical to hand-wiring the same engine
 // calls in C++ (one multi-tenant batch spec, one network-sim spec).
 //
-// CLOUDQC_SCENARIO_DIR (a compile definition set in CMakeLists.txt)
-// points at the repo's scenarios/ directory.
+// CLOUDQC_SCENARIO_DIR and CLOUDQC_DOCS_DIR (compile definitions set in
+// CMakeLists.txt) point at the repo's scenarios/ and docs/ directories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 
 #include "circuit/workloads.hpp"
@@ -86,6 +88,33 @@ TEST(ScenarioParserTest, RejectsUnknownKeysSectionsAndValues) {
   // (4294967316 == 2^32 + 20 would truncate to a 20-QPU cloud).
   EXPECT_THROW(parse_scenario("[cloud]\nnum_qpus = 4294967316\n"),
                ScenarioError);
+  // Non-finite and out-of-range values fail on their own line (4) instead
+  // of tripping an engine CHECK later or silently running another
+  // experiment.
+  const std::string circuits = "[workload]\ncircuits = ising_n34\n";
+  const char* const bad_values[] = {
+      "source = trace\ntrace_mean_gap = nan",
+      "source = trace\ntrace_mean_gap = inf",
+      "[cloud]\nepr_success_prob = 0",
+      "[cloud]\nepr_success_prob = 1.5",
+      "[cloud]\nepr_success_prob = nan",
+      "[cloud]\nlink_probability = 2",
+      "[cloud]\npurification_level = -1",
+      "[cloud]\npurification_level = 16",
+      "[tenant.a]\nweight = nan",
+      "[tenant.a]\nslo_jct = nan",
+      "[churn]\ndrift_amplitude = nan",
+  };
+  for (const char* bad : bad_values) {
+    SCOPED_TRACE(bad);
+    try {
+      parse_scenario(circuits + bad + "\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4:"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
@@ -172,6 +201,72 @@ TEST(ScenarioParserTest, RejectsInvalidStreamingKnobs) {
                ScenarioError);
 }
 
+/// A spec that sets every INI key away from its default, every list key
+/// included (two churn windows, two tenants, two [sweep] axes). Its to_ini
+/// therefore names every key of the format.
+ScenarioSpec every_key_spec() {
+  ScenarioSpec spec;
+  spec.name = "every_key";
+  spec.cloud.family = TopologyFamily::kTorus;
+  spec.cloud.num_qpus = 12;
+  spec.cloud.rows = 3;
+  spec.cloud.cols = 4;
+  spec.cloud.bridge_width = 2;
+  spec.cloud.fanout = 3;
+  spec.cloud.topology_seed = 99;
+  spec.cloud.profile = CapacityProfile::kBimodal;
+  spec.cloud.config.computing_qubits_per_qpu = 16;
+  spec.cloud.config.comm_qubits_per_qpu = 4;
+  spec.cloud.config.link_probability = 0.35;
+  spec.cloud.config.epr_success_prob = 0.125;
+  spec.cloud.config.purification_level = 1;
+  spec.workload.source = WorkloadSource::kTrace;
+  spec.workload.circuits = {"ising_n34", "qaoa_n50"};
+  spec.workload.qasm_files = {"circuits/ghz8.qasm", "circuits/ripple4.qasm"};
+  spec.workload.trace = TraceShape::kBurst;
+  spec.workload.trace_jobs = 9;
+  spec.workload.trace_mean_gap = 12.5;
+  spec.workload.trace_burst_size = 3;
+  spec.workload.trace_seed = 21;
+  spec.engine.mode = EngineMode::kIncoming;
+  spec.engine.placer = PlacerKind::kAnnealing;
+  spec.engine.allocator = AllocatorKind::kAverage;
+  spec.engine.router = RouterKind::kFrontier;
+  spec.engine.seed = 77;
+  spec.engine.fifo = true;
+  spec.engine.gated_admission = false;
+  spec.engine.gated_allocation = false;
+  spec.engine.workers = 2;
+  spec.engine.cache = true;
+  spec.engine.cache_capacity = 64;
+  spec.engine.max_pending = 32;
+  spec.engine.backpressure = StreamingBackpressure::kReject;
+  spec.engine.intake_shards = 2;
+  spec.churn.policy = ChurnPolicy::kMigrate;
+  spec.churn.windows = {{0, 10.0, 50.0}, {3, 100.5, 2e5}};
+  spec.churn.random_windows = 2;
+  spec.churn.horizon = 500.0;
+  spec.churn.mean_duration = 25.0;
+  spec.churn.seed = 5;
+  spec.churn.drift_amplitude = 0.2;
+  spec.churn.drift_period = 250.0;
+  TenantSpec gold;
+  gold.name = "gold";
+  gold.priority = 2;
+  gold.slo_jct = 1e6;
+  gold.weight = 3.0;
+  gold.preempt = true;
+  TenantSpec free;
+  free.name = "free";
+  free.priority = -1;
+  free.slo_jct = 0.75;
+  free.weight = 0.5;
+  spec.tenants = {gold, free};
+  spec.sweep.push_back({"engine.seed", {"1", "2", "3"}});
+  spec.sweep.push_back({"churn.drift_period", {"100", "200"}});
+  return spec;
+}
+
 TEST(ScenarioParserTest, IniRoundTripIsStable) {
   ScenarioSpec spec;
   spec.name = "rt";
@@ -206,6 +301,169 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
   EXPECT_EQ(reparsed.cloud.config.link_probability, 0.35);
   EXPECT_EQ(reparsed.workload.trace_mean_gap, 12.5);
   EXPECT_EQ(reparsed.engine.placer, PlacerKind::kAnnealing);
+
+  // Exact bytes of the canonical format, every key set away from its
+  // default (to_ini does not validate, so router and mode may clash).
+  EXPECT_EQ(to_ini(every_key_spec()),
+            "[cloud]\n"
+            "topology = torus\n"
+            "num_qpus = 12\n"
+            "rows = 3\n"
+            "cols = 4\n"
+            "bridge_width = 2\n"
+            "fanout = 3\n"
+            "topology_seed = 99\n"
+            "capacity_profile = bimodal\n"
+            "computing_qubits_per_qpu = 16\n"
+            "comm_qubits_per_qpu = 4\n"
+            "link_probability = 0.35\n"
+            "epr_success_prob = 0.125\n"
+            "purification_level = 1\n"
+            "\n"
+            "[workload]\n"
+            "source = trace\n"
+            "circuits = ising_n34, qaoa_n50\n"
+            "qasm_files = circuits/ghz8.qasm, circuits/ripple4.qasm\n"
+            "trace = burst\n"
+            "trace_jobs = 9\n"
+            "trace_mean_gap = 12.5\n"
+            "trace_burst_size = 3\n"
+            "trace_seed = 21\n"
+            "\n"
+            "[engine]\n"
+            "mode = incoming\n"
+            "placer = annealing\n"
+            "allocator = average\n"
+            "router = frontier\n"
+            "seed = 77\n"
+            "fifo = true\n"
+            "gated_admission = false\n"
+            "gated_allocation = false\n"
+            "workers = 2\n"
+            "cache = true\n"
+            "cache_capacity = 64\n"
+            "max_pending = 32\n"
+            "backpressure = reject\n"
+            "intake_shards = 2\n"
+            "\n"
+            "[churn]\n"
+            "policy = migrate\n"
+            "window = 0:1e+01:5e+01\n"
+            "window = 3:100.5:2e+05\n"
+            "random_windows = 2\n"
+            "horizon = 5e+02\n"
+            "mean_duration = 25\n"
+            "seed = 5\n"
+            "drift_amplitude = 0.2\n"
+            "drift_period = 2.5e+02\n"
+            "\n"
+            "[tenant.gold]\n"
+            "priority = 2\n"
+            "weight = 3\n"
+            "slo_jct = 1e+06\n"
+            "preempt = true\n"
+            "\n"
+            "[tenant.free]\n"
+            "priority = -1\n"
+            "weight = 0.5\n"
+            "slo_jct = 0.75\n"
+            "preempt = false\n"
+            "\n"
+            "[sweep]\n"
+            "engine.seed = 1, 2, 3\n"
+            "churn.drift_period = 100, 200\n");
+}
+
+/// Section name of an INI header or docs heading: "tenant" for every
+/// [tenant.NAME].
+std::string section_of(const std::string& header) {
+  return header.rfind("tenant.", 0) == 0 ? "tenant" : header;
+}
+
+// docs/SCENARIOS.md's key tables against the format itself: every key
+// to_ini emits is documented under its section, every documented key
+// exists, and every documented default parses to the same spec as the
+// default-constructed field ("—" = an empty list). Values are compared
+// through the parser and to_ini, not as text (to_ini prints 1000 as
+// "1e+03").
+TEST(ScenarioParserTest, DocsListEveryKeyWithItsDefault) {
+  std::ifstream doc(std::string(CLOUDQC_DOCS_DIR) + "/SCENARIOS.md");
+  ASSERT_TRUE(doc.good());
+  // section -> key -> documented default, from the "| `key` | default |"
+  // table rows under each "### `[section]`" heading.
+  std::map<std::string, std::map<std::string, std::string>> documented;
+  std::string section, line;
+  const auto unquote = [](std::string cell) {
+    const std::size_t b = cell.find_first_not_of(" `");
+    const std::size_t e = cell.find_last_not_of(" `");
+    return b == std::string::npos ? std::string() : cell.substr(b, e - b + 1);
+  };
+  while (std::getline(doc, line)) {
+    if (line.rfind("### `[", 0) == 0) {
+      section = section_of(line.substr(6, line.find(']') - 6));
+    } else if (line.rfind("## ", 0) == 0 || line.rfind("### ", 0) == 0) {
+      section.clear();
+    } else if (!section.empty() && line.rfind("| `", 0) == 0) {
+      const std::size_t c1 = line.find('|', 1);
+      const std::size_t c2 = line.find('|', c1 + 1);
+      const std::string def = unquote(line.substr(c1 + 1, c2 - c1 - 1));
+      std::stringstream keys(line.substr(1, c1 - 1));  // "`rows`, `cols`"
+      std::string key;
+      while (std::getline(keys, key, ',')) {
+        documented[section][unquote(key)] = def;
+      }
+    }
+  }
+
+  // The format's keys: everything every_key_spec() makes to_ini emit.
+  std::map<std::string, std::set<std::string>> emitted;
+  std::stringstream ini(to_ini(every_key_spec()));
+  while (std::getline(ini, line)) {
+    if (!line.empty() && line.front() == '[') {
+      section = section_of(line.substr(1, line.size() - 2));
+    } else if (!line.empty() && section != "sweep") {
+      emitted[section].insert(line.substr(0, line.find(" = ")));
+    }
+  }
+  for (const auto& [sec, keys] : emitted) {
+    for (const std::string& key : keys) {
+      EXPECT_EQ(documented[sec].count(key), 1u)
+          << "[" << sec << "] " << key << " is not documented";
+    }
+  }
+
+  // Defaults. Each section gets a valid prefix that makes to_ini emit it;
+  // the documented value must leave that spec unchanged.
+  const std::string circuits = "[workload]\ncircuits = ising_n34\n";
+  const std::map<std::string, std::string> prefix = {
+      {"cloud", circuits + "[cloud]\n"},
+      {"workload", circuits},
+      {"engine", circuits + "[engine]\n"},
+      {"churn", circuits + "[churn]\nwindow = 0:1:2\n"},
+      {"tenant", circuits + "[tenant.t]\n"},
+  };
+  ScenarioSpec defaults;
+  defaults.churn.random_windows = 1;  // only so that to_ini emits [churn]
+  defaults.tenants.push_back(TenantSpec{"t"});
+  const std::string default_ini = to_ini(defaults);
+  for (const auto& [sec, keys] : documented) {
+    ASSERT_EQ(prefix.count(sec), 1u) << "unknown docs section " << sec;
+    for (const auto& [key, def] : keys) {
+      SCOPED_TRACE("[" + sec + "] " + key + " = " + def);
+      if (emitted[sec].count(key) == 0) {
+        ADD_FAILURE() << "not a key of the format";
+        continue;
+      }
+      if (def == "—") {
+        // An empty list emits no line at all.
+        EXPECT_EQ(default_ini.find("\n" + key + " = "), std::string::npos);
+        continue;
+      }
+      const std::string base = prefix.at(sec);
+      EXPECT_EQ(to_ini(parse_scenario(base + key + " = " + def + "\n")),
+                to_ini(parse_scenario(base)));
+    }
+  }
 }
 
 TEST(ScenarioTest, BurstTraceShape) {
