@@ -8,6 +8,7 @@
 //   CLOUDQC_BENCH_THREADS=N      additionally measure N threads
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
@@ -72,12 +73,13 @@ int main() {
   TextTable table({"threads", "wall time (s)", "jobs/s", "speedup",
                    "bit-identical"});
   for (const int threads : thread_counts) {
-    ParallelExecutor executor(threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     // Warm-up pass (first-touch allocation, thread start-up), then timed.
-    executor.run_independent(jobs, cloud, *placer, *alloc, kSeed);
+    run_independent(jobs, cloud, *placer, *alloc, kSeed, pool.get());
     const auto start = Clock::now();
     const auto results =
-        executor.run_independent(jobs, cloud, *placer, *alloc, kSeed);
+        run_independent(jobs, cloud, *placer, *alloc, kSeed, pool.get());
     const double seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
 
@@ -103,13 +105,13 @@ int main() {
   bench::print_table(table);
 
   // JCT summary over the (deterministically merged) reference results.
-  StatAccumulator jct;
+  std::vector<double> jct;
   for (const auto& r : reference) {
-    if (r.placed) jct.add(r.completion_time);
+    if (r.placed) jct.push_back(r.completion_time);
   }
-  if (jct.count() > 0) {
+  if (!jct.empty()) {
     std::printf("\nJCT over %zu placed jobs: mean %.1f, min %.1f, max %.1f\n",
-                jct.count(), jct.mean(), jct.minimum(), jct.maximum());
+                jct.size(), mean(jct), minimum(jct), maximum(jct));
   }
 
   std::printf(

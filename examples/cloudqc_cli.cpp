@@ -146,12 +146,14 @@ std::unique_ptr<Placer> make_placer(const std::string& name,
   usage_and_exit();
 }
 
-/// Pool for the "race" placer, sized by --threads. Null — no threads
-/// started — unless racing was requested with more than one thread.
-std::unique_ptr<ThreadPool> make_race_pool(const Options& opt) {
+/// The run's one pool, sized by --threads: parbatch's job fan-out and a
+/// "race" placer share it. Null — no threads started — when nothing fans
+/// out or a single thread was requested.
+std::unique_ptr<ThreadPool> make_pool(const Options& opt,
+                                      bool fan_out_jobs = false) {
   const int n = opt.threads <= 0 ? ThreadPool::default_num_threads()
                                  : opt.threads;
-  if (opt.placer != "race" || n <= 1) return nullptr;
+  if ((!fan_out_jobs && opt.placer != "race") || n <= 1) return nullptr;
   return std::make_unique<ThreadPool>(n);
 }
 
@@ -203,7 +205,7 @@ int cmd_place(const Options& opt) {
   if (opt.positional.empty()) usage_and_exit();
   QuantumCloud cloud = make_cloud(opt);
   const Circuit c = load_circuit(opt.positional[0]);
-  const auto pool = make_race_pool(opt);
+  const auto pool = make_pool(opt);
   const auto placer = make_placer(opt.placer, pool.get());
   Rng rng(opt.seed + 17);
   const auto p = placer->place(c, cloud, rng);
@@ -230,7 +232,7 @@ int cmd_schedule(const Options& opt) {
   if (opt.positional.empty()) usage_and_exit();
   QuantumCloud cloud = make_cloud(opt);
   const Circuit c = load_circuit(opt.positional[0]);
-  const auto pool = make_race_pool(opt);
+  const auto pool = make_pool(opt);
   const auto placer = make_placer(opt.placer, pool.get());
   const auto alloc = make_allocator(opt.allocator);
   Rng rng(opt.seed + 17);
@@ -262,7 +264,7 @@ int cmd_batch(const Options& opt) {
   QuantumCloud cloud = make_cloud(opt);
   std::vector<Circuit> jobs;
   for (const auto& name : opt.positional) jobs.push_back(load_circuit(name));
-  const auto pool = make_race_pool(opt);
+  const auto pool = make_pool(opt);
   const auto placer = make_placer(opt.placer, pool.get());
   const auto alloc = make_allocator(opt.allocator);
   MultiTenantOptions mt;
@@ -290,13 +292,13 @@ int cmd_parbatch(const Options& opt) {
   const QuantumCloud cloud = make_cloud(opt);
   std::vector<Circuit> jobs;
   for (const auto& name : opt.positional) jobs.push_back(load_circuit(name));
-  ParallelExecutor executor(opt.threads);
-  // A "race" placer shares the executor's workers: fired from inside a job
-  // task, its parallel_for runs inline, so no second pool is needed.
-  const auto placer = make_placer(opt.placer, executor.pool());
+  // A "race" placer shares the job pool: fired from inside a job task,
+  // its parallel_for runs inline, so no second pool is needed.
+  const auto pool = make_pool(opt, /*fan_out_jobs=*/true);
+  const auto placer = make_placer(opt.placer, pool.get());
   const auto alloc = make_allocator(opt.allocator);
-  const auto results =
-      executor.run_independent(jobs, cloud, *placer, *alloc, opt.seed);
+  const auto results = run_independent(jobs, cloud, *placer, *alloc,
+                                       opt.seed, pool.get());
   TextTable table({"job", "completed", "QPUs", "remote ops", "est. fidelity"});
   std::vector<double> jct;
   for (const auto& r : results) {
@@ -314,7 +316,7 @@ int cmd_parbatch(const Options& opt) {
     std::printf(
         "\n%zu independent jobs on %d worker thread(s): mean JCT %.1f, "
         "max %.1f\n",
-        results.size(), executor.num_threads(), mean(jct), maximum(jct));
+        results.size(), pool ? pool->size() : 1, mean(jct), maximum(jct));
   }
   return 0;
 }

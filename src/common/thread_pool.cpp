@@ -51,16 +51,16 @@ bool ThreadPool::on_worker_thread() const {
   return false;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (on_worker_thread()) {
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n <= 1 || pool->on_worker_thread()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+    futures.push_back(pool->submit([&fn, i] { fn(i); }));
   }
   // Collect in index order so the lowest-index exception wins and failure
   // behaviour is deterministic.

@@ -1,5 +1,8 @@
-// Fixed-size worker-thread pool — the concurrency substrate of the parallel
-// batch-execution engine (core/parallel_executor.hpp).
+// Fixed-size worker-thread pool — the library's one concurrency primitive.
+// Exactly three fan-outs run on it, all through parallel_for below:
+// independent batch jobs (core/independent.hpp), sweep points
+// (run_sweep) and racing placement strategies (make_racing_placer).
+// Everything else is single-threaded.
 //
 // Design constraints, in order:
 //   1. Determinism support: the pool never decides *what* a task computes —
@@ -61,15 +64,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Run fn(0) … fn(n-1) across the pool and block until all complete.
-  /// If any invocations throw, the exception of the lowest index is
-  /// rethrown (deterministic regardless of execution order). Safe to call
-  /// from inside a pool task: nested calls run inline on the calling
-  /// worker (fanning them out again would deadlock — every worker could
-  /// end up waiting for queued subtasks no thread is free to run).
-  /// Results are unchanged either way since each index is independent.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const;
 
@@ -82,5 +76,18 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
+
+/// Run fn(0) … fn(n-1) across `pool` and block until all complete. Runs
+/// inline on the caller when `pool` is null (the serial reference every
+/// worker-count comparison is made against) or n <= 1. If any invocations
+/// throw, the exception of the lowest index is rethrown (deterministic
+/// regardless of execution order). Safe to call from inside a pool task:
+/// nested calls run inline on the calling worker (fanning them out again
+/// would deadlock — every worker could end up waiting for queued subtasks
+/// no thread is free to run). `fn` must write only to its own output slot
+/// and read only const shared state; then results are unchanged at any
+/// worker count.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace cloudqc

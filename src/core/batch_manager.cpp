@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/thread_pool.hpp"
-
 namespace cloudqc {
 
 double job_importance(const Circuit& circuit, const BatchWeights& w) {
@@ -13,22 +11,16 @@ double job_importance(const Circuit& circuit, const BatchWeights& w) {
 }
 
 std::vector<double> job_importances(const std::vector<Circuit>& jobs,
-                                    const BatchWeights& w, ThreadPool* pool) {
-  std::vector<double> importance(jobs.size());
-  auto score = [&](std::size_t i) {
-    importance[i] = job_importance(jobs[i], w);
-  };
-  if (pool != nullptr && jobs.size() > 1) {
-    pool->parallel_for(jobs.size(), score);
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) score(i);
-  }
+                                    const BatchWeights& w) {
+  std::vector<double> importance;
+  importance.reserve(jobs.size());
+  for (const Circuit& job : jobs) importance.push_back(job_importance(job, w));
   return importance;
 }
 
 std::vector<std::size_t> batch_order(const std::vector<Circuit>& jobs,
-                                     const BatchWeights& w, ThreadPool* pool) {
-  const std::vector<double> importance = job_importances(jobs, w, pool);
+                                     const BatchWeights& w) {
+  const std::vector<double> importance = job_importances(jobs, w);
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),

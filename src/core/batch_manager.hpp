@@ -12,8 +12,6 @@
 
 namespace cloudqc {
 
-class ThreadPool;
-
 /// The λ weights of the importance metric (Eq. 11 defaults).
 struct BatchWeights {
   double lambda1 = 1.0;   ///< 2-qubit-gate density
@@ -24,18 +22,14 @@ struct BatchWeights {
 /// The metric I_i for one circuit.
 double job_importance(const Circuit& circuit, const BatchWeights& w = {});
 
-/// I_i for every circuit. Scores are independent per job, so when `pool`
-/// is non-null they are computed across its workers — the result is
-/// identical to the serial computation.
+/// I_i for every circuit, in submission order.
 std::vector<double> job_importances(const std::vector<Circuit>& jobs,
-                                    const BatchWeights& w = {},
-                                    ThreadPool* pool = nullptr);
+                                    const BatchWeights& w = {});
 
 /// Indices of `jobs` in CloudQC batch order (descending importance; ties
 /// keep submission order).
 std::vector<std::size_t> batch_order(const std::vector<Circuit>& jobs,
-                                     const BatchWeights& w = {},
-                                     ThreadPool* pool = nullptr);
+                                     const BatchWeights& w = {});
 
 /// Indices in plain submission order (the CloudQC-FIFO baseline).
 std::vector<std::size_t> fifo_order(std::size_t num_jobs);

@@ -16,8 +16,8 @@
 #include "cloud/topologies.hpp"     // IWYU pragma: export
 #include "core/batch_manager.hpp"   // IWYU pragma: export
 #include "core/incoming.hpp"        // IWYU pragma: export
+#include "core/independent.hpp"     // IWYU pragma: export
 #include "core/multi_tenant.hpp"    // IWYU pragma: export
-#include "core/parallel_executor.hpp"  // IWYU pragma: export
 #include "core/scenario.hpp"        // IWYU pragma: export
 #include "metrics/stats.hpp"        // IWYU pragma: export
 #include "placement/cost.hpp"       // IWYU pragma: export

@@ -71,7 +71,6 @@ class Engine {
     CLOUDQC_CHECK(config.max_pending >= 1);
     CLOUDQC_CHECK(config.intake_shards >= 1);
     sim_.set_change_gated(config.gated_allocation);
-    sim_.set_recycle_completed(true);
     if (config.churn != nullptr) {
       churn_ = &config.churn->events;
       if (config.churn->drift_amplitude > 0.0) {

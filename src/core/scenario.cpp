@@ -25,8 +25,8 @@
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/incoming.hpp"
+#include "core/independent.hpp"
 #include "core/multi_tenant.hpp"
-#include "core/parallel_executor.hpp"
 #include "core/streaming.hpp"
 #include "metrics/quantile_sketch.hpp"
 #include "metrics/stats.hpp"
@@ -696,6 +696,8 @@ class CountingPlacer final : public Placer {
 
  private:
   const Placer& inner_;
+  // det-lint: allow(shared-state) batch mode calls the placer from pool
+  // workers; the count is order-independent.
   mutable std::atomic<std::size_t> calls_{0};
 };
 
@@ -789,7 +791,7 @@ std::vector<Circuit> strip_arrivals(std::vector<ArrivingJob> trace) {
 }
 
 /// Dedicated RNG stream for tenant assignment; must only differ from the
-/// per-task stream indices the executors use.
+/// per-task stream indices the parallel fan-outs use.
 constexpr std::uint64_t kTenantAssignStream = 0x74656e616e74ULL;  // "tenant"
 
 /// Weighted tenant draw per job, from a stream derived from trace_seed (the
@@ -1059,21 +1061,16 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  // The batch engine fans out across its executor's pool; the other
-  // engines are serial loops that only use workers for a racing placer.
-  std::unique_ptr<ParallelExecutor> executor;
-  std::unique_ptr<ThreadPool> race_pool;
-  ThreadPool* pool = nullptr;
-  if (spec.engine.mode == EngineMode::kBatch) {
-    executor = std::make_unique<ParallelExecutor>(spec.engine.workers);
-    pool = executor->pool();
-  } else if (spec.engine.placer == PlacerKind::kRace &&
-             spec.engine.workers > 1) {
-    race_pool = std::make_unique<ThreadPool>(spec.engine.workers);
-    pool = race_pool.get();
+  // One pool per run, shared by the batch fan-out and a racing placer
+  // (fired from a batch task, the race runs inline on that worker). The
+  // other engines are serial loops that only use workers for the race.
+  std::unique_ptr<ThreadPool> pool;
+  if (spec.engine.workers > 1 && (spec.engine.mode == EngineMode::kBatch ||
+                                  spec.engine.placer == PlacerKind::kRace)) {
+    pool = std::make_unique<ThreadPool>(spec.engine.workers);
   }
   const std::unique_ptr<Placer> placer =
-      make_placer(spec.engine.placer, pool);
+      make_placer(spec.engine.placer, pool.get());
   const CountingPlacer counting(*placer);
 
   // Per-run cache: scenarios are self-contained experiments, so the cache
@@ -1095,8 +1092,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
           strip_arrivals(build_trace(spec.workload));
-      const auto stats = executor->run_independent(
-          jobs, cloud, counting, *allocator, spec.engine.seed);
+      const auto stats = run_independent(jobs, cloud, counting, *allocator,
+                                         spec.engine.seed, pool.get());
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
         IncomingJobStats& job = result.jobs[i];
@@ -1399,8 +1396,11 @@ SweepResult run_sweep(const ScenarioSpec& spec) {
   result.points.resize(points.size());
   // Every point is an independent run_scenario() on a private spec, writing
   // only its own slot: bit-identical merged results at any worker count.
-  ParallelExecutor executor(spec.engine.workers);
-  executor.run_indexed(points.size(), [&](std::size_t i) {
+  std::unique_ptr<ThreadPool> pool;
+  if (spec.engine.workers > 1) {
+    pool = std::make_unique<ThreadPool>(spec.engine.workers);
+  }
+  parallel_for(pool.get(), points.size(), [&](std::size_t i) {
     result.points[i].assignment = std::move(points[i].assignment);
     result.points[i].result = run_scenario(points[i].spec);
   });

@@ -48,7 +48,7 @@ enum class TraceShape {
 
 /// Which engine executes the workload.
 enum class EngineMode {
-  kBatch,        ///< ParallelExecutor::run_independent (private clouds)
+  kBatch,        ///< run_independent: private clouds, one job per task
   kMultiTenant,  ///< run_batch: shared cloud, batch-manager admission
   kIncoming,     ///< run_incoming: arrival trace, FIFO + HoL skipping
   kNetworkSim,   ///< place all jobs up front, one shared NetworkSimulator
@@ -307,8 +307,8 @@ struct SweepResult {
   double wall_seconds = 0.0;
 };
 
-/// Execute every point of the sweep grid through ParallelExecutor with
-/// spec.engine.workers threads. Each point is an independent
+/// Execute every point of the sweep grid across a ThreadPool of
+/// spec.engine.workers threads (inline when workers == 1). Each point is an independent
 /// run_scenario() on a private spec copy, so the merged results are
 /// bit-identical at any worker count; a sweep of size 1 equals the plain
 /// run_scenario() result exactly.

@@ -19,10 +19,10 @@
 //   drain    — completed jobs fold into one StreamingMetrics (QuantileSketch
 //              JCT + fidelity) and every byte of per-job state is freed:
 //              the engine erases its in-flight record and the simulator
-//              recycles the job slot (NetworkSimulator::
-//              set_recycle_completed). Steady-state memory is
-//              O(max_pending + in-flight + sketch), independent of how many
-//              jobs have streamed through.
+//              recycles the job slot (NetworkSimulator::add_job).
+//              Steady-state memory is O(max_pending + in-flight +
+//              sketch), independent of how many jobs have streamed
+//              through.
 //
 // Jobs that can never fit the cloud's total capacity, and pending jobs
 // that fail a forced placement attempt against a fully idle cloud, are

@@ -89,57 +89,4 @@ double jains_index(const std::vector<double>& xs) {
   return (sum * sum) / (static_cast<double>(xs.size()) * sum_sq);
 }
 
-void StatAccumulator::add(double x) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  samples_.push_back(x);
-}
-
-void StatAccumulator::add_all(const std::vector<double>& xs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-}
-
-void StatAccumulator::merge(const StatAccumulator& other) {
-  if (&other == this) return;  // self-merge must not duplicate samples
-  // Snapshot first: locking both would deadlock on cross-merging pairs.
-  const std::vector<double> theirs = other.samples();
-  std::lock_guard<std::mutex> lock(mutex_);
-  samples_.insert(samples_.end(), theirs.begin(), theirs.end());
-}
-
-std::size_t StatAccumulator::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return samples_.size();
-}
-
-double StatAccumulator::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s;
-}
-
-double StatAccumulator::mean() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double StatAccumulator::minimum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cloudqc::minimum(samples_);
-}
-
-double StatAccumulator::maximum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cloudqc::maximum(samples_);
-}
-
-std::vector<double> StatAccumulator::samples() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return samples_;
-}
-
 }  // namespace cloudqc

@@ -1,10 +1,8 @@
 // Small statistics helpers for experiment harnesses: means, percentiles,
-// and empirical CDFs (the Sec. VI-D figures plot JCT CDFs), plus a
-// thread-safe accumulator for the parallel batch engine.
+// and empirical CDFs (the Sec. VI-D figures plot JCT CDFs).
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -35,39 +33,5 @@ double fraction_below(const std::vector<double>& xs, double threshold);
 /// for an empty or all-zero vector (nothing is unfair about nothing);
 /// throws std::logic_error on negative inputs.
 double jains_index(const std::vector<double>& xs);
-
-/// Thread-safe sample accumulator: parallel workers add() concurrently and
-/// the driver reads aggregates afterwards.
-///
-/// Count, min and max are order-independent and therefore always
-/// bit-identical to a serial run. Sums (and thus means/percentiles over
-/// the raw samples) depend on accumulation order, so drivers that promise
-/// bit-identical aggregates must instead fold the executor's
-/// deterministically merged per-job results (which are in submission
-/// order) through the free functions above; the accumulator is for live
-/// progress counters and order-insensitive aggregates.
-class StatAccumulator {
- public:
-  StatAccumulator() = default;
-  StatAccumulator(const StatAccumulator& other) : samples_(other.samples()) {}
-  StatAccumulator& operator=(const StatAccumulator&) = delete;
-
-  void add(double x);
-  void add_all(const std::vector<double>& xs);
-  void merge(const StatAccumulator& other);
-
-  std::size_t count() const;
-  double sum() const;
-  double mean() const;  // 0 when empty
-  double minimum() const;
-  double maximum() const;
-
-  /// Snapshot of the raw samples (accumulation order).
-  std::vector<double> samples() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
-};
 
 }  // namespace cloudqc

@@ -1,10 +1,6 @@
 #include "placement/placement_cache.hpp"
 
-#include <atomic>
 #include <cstring>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
@@ -31,12 +27,6 @@ std::uint64_t edge_hash(NodeId u, NodeId v, double weight,
 
 constexpr std::uint64_t kSaltHi = 0xC2B2AE3D27D4EB4Full;
 constexpr std::uint64_t kSaltLo = 0x165667B19E3779F9ull;
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -82,72 +72,26 @@ std::uint64_t capacity_signature_hash(
   return h;
 }
 
-// ----------------------------------------------------------------- shards
+// ------------------------------------------------------------------ cache
 
-struct PlacementCache::Shard {
-  struct Entry {
-    CircuitFingerprint fingerprint;
-    std::uint64_t cap_hash = 0;
-    /// Immutable once stored: handed out as the warm-start seed without
-    /// copying, and stays alive through shared ownership even if the entry
-    /// is evicted while a caller still holds it.
-    std::shared_ptr<const std::vector<QpuId>> mapping;
-    Placement placement;
-  };
-
-  mutable std::mutex mutex;
-  /// Front = most recently used.
-  std::list<Entry> lru;
-  /// fingerprint.hi is already well-mixed; use it as the map hash.
-  struct FpHash {
-    std::size_t operator()(const CircuitFingerprint& fp) const {
-      return static_cast<std::size_t>(fp.hi);
-    }
-  };
-  std::unordered_map<CircuitFingerprint, std::list<Entry>::iterator, FpHash>
-      index;
-
-  // Stats are per-shard plain counters folded under the shard lock, then
-  // summed by stats(); no cross-shard synchronisation needed.
-  PlacementCacheStats stats;
-};
-
-PlacementCache::PlacementCache(CacheOptions options)
-    : options_(options) {
+PlacementCache::PlacementCache(CacheOptions options) : options_(options) {
   CLOUDQC_CHECK_MSG(options_.capacity >= 1, "cache capacity must be >= 1");
-  std::size_t shards = round_up_pow2(std::max<std::size_t>(1, options_.shards));
-  // Never spread fewer entries than shards: a shard with capacity 0 could
-  // cache nothing.
-  while (shards > 1 && options_.capacity / shards == 0) shards >>= 1;
-  shard_mask_ = shards - 1;
-  per_shard_capacity_ = std::max<std::size_t>(1, options_.capacity / shards);
-  shards_ = std::make_unique<Shard[]>(shards);
-}
-
-PlacementCache::~PlacementCache() = default;
-
-PlacementCache::Shard& PlacementCache::shard_for(
-    const CircuitFingerprint& fingerprint) const {
-  // .lo keeps shard choice independent of the map hash (.hi).
-  return shards_[static_cast<std::size_t>(fingerprint.lo) & shard_mask_];
 }
 
 PlacementCache::Lookup PlacementCache::lookup(
     const CircuitFingerprint& fingerprint, std::uint64_t cap_hash,
     const QuantumCloud& cloud) {
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.lookups;
+  ++stats_.lookups;
 
   Lookup result;
-  const auto it = shard.index.find(fingerprint);
-  if (it == shard.index.end()) {
-    ++shard.stats.misses;
+  const auto it = index_.find(fingerprint);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return result;
   }
   // Touch: move to the LRU front.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  const Shard::Entry& entry = shard.lru.front();
+  lru_.splice(lru_.begin(), lru_, it->second);
+  const Entry& entry = lru_.front();
 
   if (entry.cap_hash == cap_hash) {
     // Verify-on-hit: the signature says the free-computing state matches,
@@ -163,15 +107,15 @@ PlacementCache::Lookup PlacementCache::lookup(
       }
     }
     if (fits) {
-      ++shard.stats.exact_hits;
+      ++stats_.exact_hits;
       result.outcome = Outcome::kExact;
       result.placement = entry.placement;
       result.seed = entry.mapping;
       return result;
     }
-    ++shard.stats.verify_rejects;
+    ++stats_.verify_rejects;
   }
-  ++shard.stats.warm_hits;
+  ++stats_.warm_hits;
   result.outcome = Outcome::kWarm;
   result.seed = entry.mapping;
   return result;
@@ -180,14 +124,12 @@ PlacementCache::Lookup PlacementCache::lookup(
 void PlacementCache::insert(const CircuitFingerprint& fingerprint,
                             std::uint64_t cap_hash,
                             const Placement& placement) {
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.insertions;
+  ++stats_.insertions;
 
-  const auto it = shard.index.find(fingerprint);
-  if (it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    Shard::Entry& entry = shard.lru.front();
+  const auto it = index_.find(fingerprint);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    Entry& entry = lru_.front();
     entry.cap_hash = cap_hash;
     entry.mapping = std::make_shared<const std::vector<QpuId>>(
         placement.qubit_to_qpu);
@@ -195,45 +137,20 @@ void PlacementCache::insert(const CircuitFingerprint& fingerprint,
     return;
   }
 
-  Shard::Entry entry;
+  Entry entry;
   entry.fingerprint = fingerprint;
   entry.cap_hash = cap_hash;
   entry.mapping =
       std::make_shared<const std::vector<QpuId>>(placement.qubit_to_qpu);
   entry.placement = placement;
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(fingerprint, shard.lru.begin());
+  lru_.push_front(std::move(entry));
+  index_.emplace(fingerprint, lru_.begin());
 
-  while (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().fingerprint);
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
+  while (lru_.size() > options_.capacity) {
+    index_.erase(lru_.back().fingerprint);
+    lru_.pop_back();
+    ++stats_.evictions;
   }
-}
-
-std::size_t PlacementCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    total += shards_[s].lru.size();
-  }
-  return total;
-}
-
-PlacementCacheStats PlacementCache::stats() const {
-  PlacementCacheStats total;
-  for (std::size_t s = 0; s <= shard_mask_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    const PlacementCacheStats& st = shards_[s].stats;
-    total.lookups += st.lookups;
-    total.exact_hits += st.exact_hits;
-    total.warm_hits += st.warm_hits;
-    total.misses += st.misses;
-    total.verify_rejects += st.verify_rejects;
-    total.insertions += st.insertions;
-    total.evictions += st.evictions;
-  }
-  return total;
 }
 
 // ----------------------------------------------------------- cached_place

@@ -35,14 +35,18 @@
 // metric, so entries must never be shared across clouds with different
 // topologies. Engines own one cache per run.
 //
-// Thread safety: shards with independent mutexes (flat compact key
-// structs, PaperWasp/QSim idiom) so a racing placer's workers may consult
-// the cache concurrently; statistics are atomics.
+// Thread safety: none, by design. A cache is confined to the one thread
+// that runs its engine's admission loop (the determinism contract above
+// already forbids concurrent lookups), so it is one plain LRU with no
+// locks. A racing placer's workers never see it: cached_place consults
+// the cache before the race fans out and inserts after it returns.
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -58,11 +62,9 @@ class CsrAdjacency;  // graph/csr.hpp
 /// non-owning PlacementCache*; scenario specs carry these and the engine
 /// builds the cache per run).
 struct CacheOptions {
-  /// Bound on cached fingerprints across all shards (LRU-evicted).
+  /// Exact bound on cached fingerprints: inserting one more evicts the
+  /// least recently used entry.
   std::size_t capacity = 4096;
-  /// Shard count (rounded up to a power of two, at least 1). Each shard
-  /// holds capacity / shards entries and has its own lock.
-  std::size_t shards = 8;
 };
 
 /// Canonical circuit identity: a 128-bit order-independent hash of the
@@ -116,7 +118,7 @@ struct PlacementCacheStats {
   }
 };
 
-/// Bounded, sharded, LRU placement cache. One entry per fingerprint (the
+/// Bounded LRU placement cache. One entry per fingerprint (the
 /// most recently computed placement for that circuit); the entry's
 /// capacity-signature hash decides exact vs near hit.
 class PlacementCache {
@@ -150,23 +152,36 @@ class PlacementCache {
   void insert(const CircuitFingerprint& fingerprint, std::uint64_t cap_hash,
               const Placement& placement);
 
-  /// Entries currently cached (sums shards).
-  std::size_t size() const;
+  /// Entries currently cached; never more than options().capacity.
+  std::size_t size() const { return lru_.size(); }
 
   const CacheOptions& options() const { return options_; }
 
-  PlacementCacheStats stats() const;
-
-  ~PlacementCache();
+  PlacementCacheStats stats() const { return stats_; }
 
  private:
-  struct Shard;
-  Shard& shard_for(const CircuitFingerprint& fingerprint) const;
+  struct Entry {
+    CircuitFingerprint fingerprint;
+    std::uint64_t cap_hash = 0;
+    /// Immutable once stored: handed out as the warm-start seed without
+    /// copying, and stays alive through shared ownership even if the entry
+    /// is evicted while a caller still holds it.
+    std::shared_ptr<const std::vector<QpuId>> mapping;
+    Placement placement;
+  };
+  /// fingerprint.hi is already well-mixed; use it as the map hash.
+  struct FpHash {
+    std::size_t operator()(const CircuitFingerprint& fp) const {
+      return static_cast<std::size_t>(fp.hi);
+    }
+  };
 
   CacheOptions options_;
-  std::size_t shard_mask_ = 0;
-  std::size_t per_shard_capacity_ = 1;
-  std::unique_ptr<Shard[]> shards_;
+  /// Front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<CircuitFingerprint, std::list<Entry>::iterator, FpHash>
+      index_;
+  PlacementCacheStats stats_;
 };
 
 /// The engines' one-stop admission helper: fingerprint the request, consult

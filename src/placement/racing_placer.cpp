@@ -1,7 +1,7 @@
 // Racing placer: fan one placement request across several strategies (on a
 // thread pool when one is provided) and keep the best candidate. This is
-// the "independent placement candidates race" leg of the parallel batch
-// engine — annealing/genetic/BFS/random explore very different parts of
+// one of the ThreadPool's three fan-outs (common/thread_pool.hpp) —
+// annealing/genetic/BFS/random explore very different parts of
 // the mapping space, and the winner is chosen by the same scoring function
 // the CloudQC placer uses internally.
 #include <utility>
@@ -61,16 +61,11 @@ class RacingPlacer final : public Placer {
     // carrying a warm-start seed) is reused as-is; every raced strategy
     // sees the same warm start.
     std::vector<std::optional<Placement>> candidates(strategies_.size());
-    auto run_one = [&](std::size_t k) {
+    parallel_for(pool_, strategies_.size(), [&](std::size_t k) {
       Rng stream(stream_seed(base, k));
       candidates[k] =
           strategies_[k]->place_with_context(circuit, cloud, stream, ctx);
-    };
-    if (pool_ != nullptr && strategies_.size() > 1) {
-      pool_->parallel_for(strategies_.size(), run_one);
-    } else {
-      for (std::size_t k = 0; k < strategies_.size(); ++k) run_one(k);
-    }
+    });
 
     std::optional<Placement> best;
     for (auto& candidate : candidates) {

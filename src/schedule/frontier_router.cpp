@@ -131,7 +131,7 @@ std::optional<EprPath> FrontierRouter::route(
   CLOUDQC_CHECK(free_comm.size() ==
                 static_cast<std::size_t>(topo.num_nodes()));
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard lock(mu_);
   bind_topology_locked(topo);
   refresh_mask_locked(free_comm, topo_nodes_);
   ++stats_.route_calls;
@@ -163,7 +163,7 @@ std::optional<EprPath> FrontierRouter::route(
 }
 
 FrontierRouter::Stats FrontierRouter::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard lock(mu_);
   return stats_;
 }
 

@@ -41,6 +41,8 @@
 
 namespace cloudqc {
 
+// Routers are shareable across threads: one FrontierRouter may serve
+// simulators running concurrently on different pool workers.
 class FrontierRouter final : public EprRouter {
  public:
   FrontierRouter() = default;
@@ -79,6 +81,9 @@ class FrontierRouter final : public EprRouter {
                            NodeId n) const;
   void sweep_locked(QpuId src) const;
 
+  // det-lint: allow(shared-state) one router may be shared by simulators
+  // running on different threads; route() stays a pure function of its
+  // arguments, the lock only guards the tree cache.
   mutable std::mutex mu_;
   // Topology snapshot identity: pointer + sizes. The simulator keeps one
   // QuantumCloud alive per run, so a pointer change (or an edge-count

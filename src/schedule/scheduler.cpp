@@ -17,15 +17,6 @@ ScheduleRunResult run_schedule(const Circuit& circuit,
           completions.front().est_fidelity, completions.front().log_fidelity};
 }
 
-ScheduleRunResult run_schedule(const Circuit& circuit,
-                               const Placement& placement,
-                               const QuantumCloud& cloud,
-                               const CommAllocator& allocator,
-                               std::uint64_t seed) {
-  Rng rng(seed);
-  return run_schedule(circuit, placement, cloud, allocator, rng);
-}
-
 double mean_completion_time(const Circuit& circuit, const Placement& placement,
                             const QuantumCloud& cloud,
                             const CommAllocator& allocator, int runs,

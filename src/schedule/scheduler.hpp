@@ -30,17 +30,6 @@ ScheduleRunResult run_schedule(const Circuit& circuit,
                                const QuantumCloud& cloud,
                                const CommAllocator& allocator, Rng& rng);
 
-/// Seed-based entry point for parallel drivers: all mutable state (the
-/// RNG, the simulator) is private to the call, so concurrent invocations
-/// on the same cloud/allocator are data-race-free. Produces exactly the
-/// result of `Rng rng(seed); run_schedule(circuit, placement, cloud,
-/// allocator, rng);`.
-ScheduleRunResult run_schedule(const Circuit& circuit,
-                               const Placement& placement,
-                               const QuantumCloud& cloud,
-                               const CommAllocator& allocator,
-                               std::uint64_t seed);
-
 /// Mean completion time over `runs` independent stochastic executions.
 double mean_completion_time(const Circuit& circuit, const Placement& placement,
                             const QuantumCloud& cloud,

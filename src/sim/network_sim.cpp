@@ -29,7 +29,7 @@ int NetworkSimulator::add_job(const Circuit& circuit,
   CLOUDQC_CHECK(qubit_to_qpu.size() ==
                 static_cast<std::size_t>(circuit.num_qubits()));
   int id;
-  if (recycle_completed_ && !free_slots_.empty()) {
+  if (!free_slots_.empty()) {
     id = free_slots_.back();
     free_slots_.pop_back();
   } else {
@@ -61,8 +61,7 @@ int NetworkSimulator::add_job(const Circuit& circuit,
 
   Job& admitted = jobs_[static_cast<std::size_t>(id)];
   if (admitted.gates_left == 0) {
-    admitted.done = true;
-    if (recycle_completed_) release_job(id);
+    release_job(id);
   } else {
     for (const int g : admitted.dag.front_layer()) {
       on_ready(id, g);
@@ -93,9 +92,7 @@ void NetworkSimulator::cancel_job(int job_id) {
           waiting_remote_.begin(), waiting_remote_.end(),
           [&](const std::pair<int, int>& w) { return w.first == job_id; }),
       waiting_remote_.end());
-  jobs_[static_cast<std::size_t>(job_id)] = Job{};
-  jobs_[static_cast<std::size_t>(job_id)].done = true;
-  if (recycle_completed_) free_slots_.push_back(job_id);
+  release_job(job_id);
 }
 
 bool NetworkSimulator::job_live(int job_id) const {
@@ -155,10 +152,10 @@ void NetworkSimulator::release_comm(QpuId q, int pairs) {
 }
 
 void NetworkSimulator::release_job(int job_id) {
-  // Every gate of the job has fired its one GateDone event and no waiting
-  // remote op can reference it, so the slot holds no reachable state —
-  // replace it with an empty Job (frees the DAGs and vectors) and queue
-  // the slot for reuse. O(1) residual per completed job.
+  // The job has no pending event and no waiting remote op left (every
+  // gate fired, or cancel_job dropped them), so the slot holds no
+  // reachable state — replace it with an empty Job (frees the DAGs and
+  // vectors) and queue the slot for reuse. O(1) residual per finished job.
   jobs_[static_cast<std::size_t>(job_id)] = Job{};
   jobs_[static_cast<std::size_t>(job_id)].done = true;
   free_slots_.push_back(job_id);
@@ -408,7 +405,7 @@ std::optional<JobCompletion> NetworkSimulator::step() {
     job.done = true;
     const JobCompletion completion{done.job, now_, std::exp(job.log_fidelity),
                                    job.log_fidelity};
-    if (recycle_completed_) release_job(done.job);
+    release_job(done.job);
     return completion;
   }
   return std::nullopt;

@@ -24,9 +24,9 @@
 // Concurrency contract: a NetworkSimulator instance is confined to one
 // thread, but it only *reads* the cloud and the allocator and owns its RNG
 // by value, so any number of instances may run in parallel over the same
-// QuantumCloud/CommAllocator (the parallel executor's job-level
-// parallelism). Callers must not mutate the cloud's reservations from
-// another thread while a simulation is running on it.
+// QuantumCloud/CommAllocator (run_independent's job-level parallelism).
+// Callers must not mutate the cloud's reservations from another thread
+// while a simulation is running on it.
 #pragma once
 
 #include <memory>
@@ -77,6 +77,13 @@ class NetworkSimulator {
 
   /// Admit a placed job at the current simulation time. Returns a job id.
   /// `qubit_to_qpu` must cover every qubit of `circuit`.
+  ///
+  /// Completed and cancelled slots are recycled: the job's per-job state
+  /// (DAG, remote DAG, mapping) is released and its id is reassigned by a
+  /// later add_job — O(1) residual memory per finished job. Ids are
+  /// therefore unique only among live jobs: a caller that admits work
+  /// after a completion must consume that JobCompletion first. Callers
+  /// that admit every job before the first completion get unique ids.
   int add_job(const Circuit& circuit, std::vector<QpuId> qubit_to_qpu);
 
   /// Advance the simulation until the next job completes; nullopt when all
@@ -102,26 +109,13 @@ class NetworkSimulator {
 
   SimTime now() const { return now_; }
 
-  /// Number of jobs admitted so far (recycled slots still count).
+  /// Number of jobs admitted so far (including jobs whose slots were
+  /// recycled).
   int num_jobs() const { return jobs_admitted_; }
 
-  /// Job slots currently holding live (admitted, not yet completed) state.
-  /// With recycling on this is the simulator's memory bound; without it,
-  /// it equals num_jobs().
+  /// Job slots currently holding live (admitted, not yet completed or
+  /// cancelled) state — the simulator's memory bound.
   std::size_t live_jobs() const { return jobs_.size() - free_slots_.size(); }
-
-  /// Recycle completed job slots (default off): when a job completes, its
-  /// per-job state (DAG, remote DAG, mapping) is released and the slot is
-  /// reused by a later add_job — the streaming engine's O(1)-residual
-  /// contract. Job ids handed out by add_job are then *not* unique across
-  /// the run (a completion's id may be reassigned by the next add_job), so
-  /// callers must consume each JobCompletion before admitting more work.
-  /// Event trajectories, completion times and fidelities are bit-identical
-  /// to the non-recycled run — allocation decisions never read job ids —
-  /// only the id labels differ. Off by default: the batch engines hand out
-  /// stable ids for post-run joins.
-  void set_recycle_completed(bool enabled) { recycle_completed_ = enabled; }
-  bool recycle_completed() const { return recycle_completed_; }
 
   /// Total EPR attempt rounds consumed so far (all jobs) — a network-cost
   /// counter used by benches and tests.
@@ -139,10 +133,10 @@ class NetworkSimulator {
 
   /// Cancel a live job: its pending gate events are dropped, in-flight
   /// remote operations return their communication qubits, and the slot is
-  /// wiped (and recycled when recycling is on). The job produces no
-  /// completion record; re-admitting it restarts the circuit from
-  /// scratch. Used by the churn layer to displace jobs from a departing
-  /// QPU. Precondition: the slot holds a live job.
+  /// wiped and recycled. The job produces no completion record;
+  /// re-admitting it restarts the circuit from scratch. Used by the churn
+  /// layer to displace jobs from a departing QPU. Precondition: the slot
+  /// holds a live job.
   void cancel_job(int job_id);
 
   /// True when the slot holds an admitted, not-yet-completed job.
@@ -241,10 +235,9 @@ class NetworkSimulator {
   EprModel epr_;
   EventQueue<GateDone> events_;
   std::vector<Job> jobs_;
-  /// Completed slots awaiting reuse (recycle mode), LIFO for locality.
+  /// Completed slots awaiting reuse, LIFO for locality.
   std::vector<int> free_slots_;
   int jobs_admitted_ = 0;
-  bool recycle_completed_ = false;
   /// Waiting remote ops as (job, gate).
   std::vector<std::pair<int, int>> waiting_remote_;
   /// Free communication qubits per QPU (simulator-owned view).

@@ -83,7 +83,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RuleCase{"thread_sleep.cpp", "thread-sleep"},
                       RuleCase{"pointer_key.cpp", "pointer-key"},
                       RuleCase{"raw_rng.cpp", "raw-rng"},
-                      RuleCase{"src/raw_rng_src.cpp", "raw-rng"}),
+                      RuleCase{"src/raw_rng_src.cpp", "raw-rng"},
+                      RuleCase{"src/shared_state_src.cpp", "shared-state"}),
     [](const ::testing::TestParamInfo<RuleCase>& info) {
       std::string name = info.param.file;
       for (char& c : name) {
@@ -111,16 +112,26 @@ TEST(DeterminismLint, CleanFileExitsZero) {
 
 TEST(DeterminismLint, WholeFixtureTreeFailsWithEveryRule) {
   // Scanning the fixture directory itself (explicitly named, so the
-  // fixtures/ skip does not apply to the root) must surface all six rules.
+  // fixtures/ skip does not apply to the root) must surface all seven
+  // rules.
   const LintRun run = run_lint(std::string(CLOUDQC_DETLINT_FIXTURES));
   EXPECT_EQ(run.exit_code, 1) << run.output;
   for (const char* rule : {"unordered-iter", "raw-rand", "wall-clock",
-                           "thread-sleep", "pointer-key", "raw-rng"}) {
+                           "thread-sleep", "pointer-key", "raw-rng",
+                           "shared-state"}) {
     EXPECT_NE(run.output.find(std::string("[") + rule + "]"),
               std::string::npos)
         << "missing rule " << rule << " in:\n"
         << run.output;
   }
+}
+
+TEST(DeterminismLint, SharedStateExemptsTheThreadPool) {
+  // The pool is the one place concurrency primitives may live.
+  const LintRun run = run_lint(fixture("src/common/thread_pool.hpp"));
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("0 finding(s), 0 suppressed"), std::string::npos)
+      << run.output;
 }
 
 TEST(DeterminismLint, TraversalSkipsFixtureDirectories) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "circuit/workloads.hpp"
-#include "core/parallel_executor.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/topology.hpp"
 #include "schedule/allocators.hpp"
 #include "schedule/frontier_router.hpp"
@@ -188,8 +188,9 @@ TEST(FrontierRouter, WorkerCountTrajectoriesBitIdentical) {
   for (const int workers : {1, 2, 8}) {
     const FrontierRouter router;
     std::vector<std::vector<JobCompletion>> results(kSims);
-    ParallelExecutor exec(workers);
-    exec.run_indexed(kSims, [&](std::size_t i) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+    parallel_for(pool.get(), kSims, [&](std::size_t i) {
       NetworkSimulator sim(cloud, *alloc, Rng(stream_seed(5, i)), &router);
       for (int j = 0; j < 8; ++j) {
         sim.add_job(chain,

@@ -9,7 +9,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
-#include "core/parallel_executor.hpp"
+#include "common/thread_pool.hpp"
 #include "partition/internal.hpp"
 #include "partition/partitioner.hpp"
 #include "placement/cost.hpp"
@@ -222,8 +222,9 @@ TEST(IncrementalCostProperty, RacedPlacementsIdenticalAt1And2And8Workers) {
     const Circuit c = make_workload(name);
     std::optional<Placement> reference;
     for (const int workers : {1, 2, 8}) {
-      ParallelExecutor executor(workers);
-      const auto placer = make_default_racing_placer({}, executor.pool());
+      std::unique_ptr<ThreadPool> pool;
+      if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+      const auto placer = make_default_racing_placer({}, pool.get());
       Rng rng(17);
       const auto p = placer->place(c, cloud, rng);
       ASSERT_TRUE(p.has_value()) << name << " @" << workers;

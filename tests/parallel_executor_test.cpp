@@ -1,7 +1,8 @@
-// Determinism contract of the parallel batch engine: for a fixed seed,
-// results at any worker count are bit-identical to the serial (1-worker)
-// reference. Every comparison below is exact (== on doubles): "close" is
-// not good enough, the merge must be byte-for-byte reproducible.
+// Determinism contract of the ThreadPool fan-outs (independent batch jobs,
+// repeated engine runs, racing placers): for a fixed seed, results at any
+// worker count are bit-identical to the serial (null-pool) reference.
+// Every comparison below is exact (== on doubles): "close" is not good
+// enough, the merge must be byte-for-byte reproducible.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -31,6 +32,12 @@ std::vector<Circuit> test_jobs() {
   return jobs;
 }
 
+/// Null for one worker (the inline serial reference), else a pool.
+std::unique_ptr<ThreadPool> make_pool(int workers) {
+  if (workers <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(workers);
+}
+
 void expect_identical(const IndependentJobResult& a,
                       const IndependentJobResult& b) {
   EXPECT_EQ(a.name, b.name);
@@ -55,15 +62,14 @@ void expect_identical(const IncomingJobStats& a, const IncomingJobStats& b) {
   EXPECT_EQ(a.restarts, b.restarts);
 }
 
-TEST(ParallelExecutor, IndependentJobsMatchSerialAtAllWorkerCounts) {
+TEST(RunIndependent, MatchesSerialAtAllWorkerCounts) {
   const auto jobs = test_jobs();
   const auto cloud = test_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
 
-  ParallelExecutor serial(1);
   const auto reference =
-      serial.run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5);
+      run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5);
   ASSERT_EQ(reference.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(reference[i].placed) << jobs[i].name();
@@ -71,9 +77,9 @@ TEST(ParallelExecutor, IndependentJobsMatchSerialAtAllWorkerCounts) {
   }
 
   for (int workers : {2, 8}) {
-    ParallelExecutor parallel(workers);
+    const auto pool = make_pool(workers);
     const auto got =
-        parallel.run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5);
+        run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5, pool.get());
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       SCOPED_TRACE("workers=" + std::to_string(workers) + " job=" +
@@ -83,7 +89,7 @@ TEST(ParallelExecutor, IndependentJobsMatchSerialAtAllWorkerCounts) {
   }
 }
 
-TEST(ParallelExecutor, IndependentJobsRejectOverCapacityBatch) {
+TEST(RunIndependent, RejectsOverCapacityBatch) {
   // Same admission precondition as run_batch: test_cloud holds 120
   // computing qubits, qft_n160 needs 160.
   std::vector<Circuit> jobs{make_workload("ising_n34"),
@@ -91,19 +97,19 @@ TEST(ParallelExecutor, IndependentJobsRejectOverCapacityBatch) {
   const auto cloud = test_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  ParallelExecutor ex(2);
-  EXPECT_THROW(ex.run_independent(jobs, cloud, *placer, *alloc, 1),
+  ThreadPool pool(2);
+  EXPECT_THROW(run_independent(jobs, cloud, *placer, *alloc, 1, &pool),
                std::logic_error);
 }
 
-TEST(ParallelExecutor, IndependentJobsDifferAcrossSeeds) {
+TEST(RunIndependent, DiffersAcrossSeeds) {
   const auto jobs = test_jobs();
   const auto cloud = test_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
-  ParallelExecutor ex(2);
-  const auto a = ex.run_independent(jobs, cloud, *placer, *alloc, 5);
-  const auto b = ex.run_independent(jobs, cloud, *placer, *alloc, 6);
+  ThreadPool pool(2);
+  const auto a = run_independent(jobs, cloud, *placer, *alloc, 5, &pool);
+  const auto b = run_independent(jobs, cloud, *placer, *alloc, 6, &pool);
   bool any_difference = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (a[i].completion_time != b[i].completion_time) any_difference = true;
@@ -111,17 +117,17 @@ TEST(ParallelExecutor, IndependentJobsDifferAcrossSeeds) {
   EXPECT_TRUE(any_difference);
 }
 
-// Repeated stochastic runs fan out through run_indexed: every run shares
+// Repeated stochastic runs fan out through parallel_for: every run shares
 // one placer and one allocator, executes on a private cloud copy and
 // writes only its own slot, so the runs are bit-identical at any worker
 // count.
 std::vector<std::vector<IncomingJobStats>> batch_runs(
-    ParallelExecutor& ex, const std::vector<Circuit>& jobs,
+    ThreadPool* pool, const std::vector<Circuit>& jobs,
     const QuantumCloud& cloud, const Placer& placer,
     const CommAllocator& alloc, std::uint64_t base_seed, int num_runs) {
   std::vector<std::vector<IncomingJobStats>> runs(
       static_cast<std::size_t>(num_runs));
-  ex.run_indexed(runs.size(), [&](std::size_t r) {
+  parallel_for(pool, runs.size(), [&](std::size_t r) {
     MultiTenantOptions options;
     options.seed = stream_seed(base_seed, r);
     QuantumCloud view = cloud;
@@ -131,12 +137,12 @@ std::vector<std::vector<IncomingJobStats>> batch_runs(
 }
 
 std::vector<std::vector<IncomingJobStats>> incoming_runs(
-    ParallelExecutor& ex, const std::vector<ArrivingJob>& trace,
+    ThreadPool* pool, const std::vector<ArrivingJob>& trace,
     const QuantumCloud& cloud, const Placer& placer,
     const CommAllocator& alloc, std::uint64_t base_seed, int num_runs) {
   std::vector<std::vector<IncomingJobStats>> runs(
       static_cast<std::size_t>(num_runs));
-  ex.run_indexed(runs.size(), [&](std::size_t r) {
+  parallel_for(pool, runs.size(), [&](std::size_t r) {
     IncomingOptions options;
     options.seed = stream_seed(base_seed, r);
     QuantumCloud view = cloud;
@@ -160,42 +166,40 @@ void expect_identical_runs(
   }
 }
 
-TEST(ParallelExecutor, ConcurrentBatchRunsMatchSerialAtAllWorkerCounts) {
+TEST(ParallelFor, ConcurrentBatchRunsMatchSerialAtAllWorkerCounts) {
   const auto jobs = test_jobs();
   const auto cloud = test_cloud();
   const int free_before = cloud.total_free_computing();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
 
-  ParallelExecutor serial(1);
   const auto reference =
-      batch_runs(serial, jobs, cloud, *placer, *alloc, 21, 6);
+      batch_runs(nullptr, jobs, cloud, *placer, *alloc, 21, 6);
   ASSERT_EQ(reference.size(), 6u);
   for (int workers : {2, 8}) {
-    ParallelExecutor parallel(workers);
+    const auto pool = make_pool(workers);
     expect_identical_runs(
-        batch_runs(parallel, jobs, cloud, *placer, *alloc, 21, 6), reference,
-        workers);
+        batch_runs(pool.get(), jobs, cloud, *placer, *alloc, 21, 6),
+        reference, workers);
   }
   EXPECT_EQ(cloud.total_free_computing(), free_before);
 }
 
-TEST(ParallelExecutor, ConcurrentIncomingRunsMatchSerialAtAllWorkerCounts) {
+TEST(ParallelFor, ConcurrentIncomingRunsMatchSerialAtAllWorkerCounts) {
   const auto trace = drain(
       *make_poisson_source({"ising_n34", "bv_n70", "cat_n65"}, 12, 250.0, 3));
   const auto cloud = test_cloud();
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
 
-  ParallelExecutor serial(1);
   const auto reference =
-      incoming_runs(serial, trace, cloud, *placer, *alloc, 9, 4);
+      incoming_runs(nullptr, trace, cloud, *placer, *alloc, 9, 4);
   ASSERT_EQ(reference.size(), 4u);
   for (int workers : {2, 8}) {
-    ParallelExecutor parallel(workers);
+    const auto pool = make_pool(workers);
     expect_identical_runs(
-        incoming_runs(parallel, trace, cloud, *placer, *alloc, 9, 4), reference,
-        workers);
+        incoming_runs(pool.get(), trace, cloud, *placer, *alloc, 9, 4),
+        reference, workers);
   }
 }
 
@@ -275,66 +279,6 @@ TEST(RacingPlacer, WorksInsideMultiTenantBatchDeterministically) {
     SCOPED_TRACE(i);
     expect_identical(with_pool[i], without_pool[i]);
   }
-}
-
-TEST(Scheduler, SeedOverloadMatchesExplicitRngRun) {
-  const auto cloud = test_cloud();
-  const Circuit circuit = make_workload("ising_n34");
-  Rng place_rng(2);
-  const auto placement = make_cloudqc_placer()->place(circuit, cloud,
-                                                      place_rng);
-  ASSERT_TRUE(placement.has_value());
-  const auto alloc = make_cloudqc_allocator();
-
-  Rng rng(123);
-  const auto via_rng = run_schedule(circuit, *placement, cloud, *alloc, rng);
-  const auto via_seed = run_schedule(circuit, *placement, cloud, *alloc,
-                                     std::uint64_t{123});
-  EXPECT_EQ(via_seed.completion_time, via_rng.completion_time);
-  EXPECT_EQ(via_seed.epr_rounds, via_rng.epr_rounds);
-  EXPECT_EQ(via_seed.est_fidelity, via_rng.est_fidelity);
-  EXPECT_EQ(via_seed.log_fidelity, via_rng.log_fidelity);
-}
-
-TEST(BatchManager, ParallelImportanceScoringMatchesSerial) {
-  const auto jobs = test_jobs();
-  const auto serial_scores = job_importances(jobs);
-  const auto serial_order = batch_order(jobs);
-  ThreadPool pool(4);
-  EXPECT_EQ(job_importances(jobs, {}, &pool), serial_scores);
-  EXPECT_EQ(batch_order(jobs, {}, &pool), serial_order);
-}
-
-TEST(StatAccumulator, ConcurrentAddsCountEverySample) {
-  StatAccumulator acc;
-  ThreadPool pool(8);
-  pool.parallel_for(1000, [&](std::size_t i) {
-    acc.add(static_cast<double>(i % 10));
-  });
-  EXPECT_EQ(acc.count(), 1000u);
-  EXPECT_EQ(acc.minimum(), 0.0);
-  EXPECT_EQ(acc.maximum(), 9.0);
-  // Sum of small integers is exact in double regardless of order.
-  EXPECT_EQ(acc.sum(), 4500.0);
-  EXPECT_EQ(acc.mean(), 4.5);
-}
-
-TEST(StatAccumulator, MergeCombinesSamples) {
-  StatAccumulator a, b;
-  a.add_all({1.0, 2.0});
-  b.add_all({3.0});
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.sum(), 6.0);
-  EXPECT_EQ(b.count(), 1u);
-}
-
-TEST(StatAccumulator, SelfMergeIsANoOp) {
-  StatAccumulator a;
-  a.add_all({1.0, 2.0});
-  a.merge(a);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.sum(), 3.0);
 }
 
 }  // namespace

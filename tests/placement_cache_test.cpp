@@ -201,7 +201,6 @@ TEST(PlacementCacheTest, WarmStartNeverWorseThanColdSameSeed) {
 TEST(PlacementCacheTest, LruEvictionBoundsSize) {
   CacheOptions options;
   options.capacity = 4;
-  options.shards = 1;  // single shard: strict global LRU order
   PlacementCache cache(options);
   const QuantumCloud cloud = paper_cloud();
   const auto placer = make_cloudqc_bfs_placer();
@@ -230,6 +229,25 @@ TEST(PlacementCacheTest, LruEvictionBoundsSize) {
                                      capacity_signature(view)),
                                  view);
   EXPECT_EQ(miss.outcome, PlacementCache::Outcome::kMiss);
+}
+
+TEST(PlacementCacheTest, CapacityIsAnExactBound) {
+  // With default options, a capacity-8 cache given 8 distinct circuits
+  // keeps all 8: the bound is global, not split across partitions.
+  CacheOptions options;
+  options.capacity = 8;
+  PlacementCache cache(options);
+  const QuantumCloud cloud = paper_cloud();
+  const auto placer = make_cloudqc_bfs_placer();
+  for (int n = 6; n < 14; ++n) {
+    QuantumCloud view = cloud;
+    Rng rng(1);
+    ASSERT_TRUE(
+        cached_place(&cache, gen::ghz(n), view, *placer, rng).has_value());
+  }
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().insertions, 8u);
 }
 
 TEST(AdmissionGateTest, SignatureSnapshotSharedAndRefreshed) {

@@ -14,7 +14,8 @@
 #include <vector>
 
 #include "circuit/workloads.hpp"
-#include "core/parallel_executor.hpp"
+#include "common/thread_pool.hpp"
+#include "core/independent.hpp"
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
 #include "sim/network_sim.hpp"
@@ -236,9 +237,10 @@ TEST(SimGating, RandomAllocatorDeterministicAcrossWorkerCounts) {
 
   std::vector<std::vector<IndependentJobResult>> results;
   for (const int workers : {1, 2, 8}) {
-    ParallelExecutor exec(workers);
-    results.push_back(
-        exec.run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5));
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+    results.push_back(run_independent(jobs, cloud, *placer, *alloc,
+                                      /*seed=*/5, pool.get()));
   }
   for (std::size_t w = 1; w < results.size(); ++w) {
     ASSERT_EQ(results[w].size(), results[0].size());

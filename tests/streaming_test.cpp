@@ -188,7 +188,6 @@ TEST(Streaming, SimulatorRecyclesCompletedJobSlots) {
   c.cx(0, 1);
   c.measure(0);
   NetworkSimulator sim(cloud, *alloc, Rng(1));
-  sim.set_recycle_completed(true);
   for (int round = 0; round < 5; ++round) {
     const int id = sim.add_job(c, {0, 1});
     EXPECT_EQ(id, 0);  // the freed slot is reused every round
@@ -197,34 +196,6 @@ TEST(Streaming, SimulatorRecyclesCompletedJobSlots) {
     EXPECT_EQ(sim.live_jobs(), 0u);
   }
   EXPECT_EQ(sim.num_jobs(), 5u);  // admissions counted, state not retained
-}
-
-TEST(Streaming, RecyclingDoesNotChangeTrajectories) {
-  const auto cloud = ring_cloud(3);
-  const auto alloc = make_cloudqc_allocator();
-  Circuit c("t", 2);
-  for (int i = 0; i < 4; ++i) c.cx(0, 1);
-
-  auto completion_times = [&](bool recycle) {
-    NetworkSimulator sim(cloud, *alloc, Rng(9));
-    sim.set_recycle_completed(recycle);
-    std::vector<SimTime> times;
-    // Two overlapping jobs, then a third after both complete.
-    sim.add_job(c, {0, 1});
-    sim.add_job(c, {1, 2});
-    times.push_back(sim.run_until_next_completion()->time);
-    times.push_back(sim.run_until_next_completion()->time);
-    sim.add_job(c, {0, 2});
-    times.push_back(sim.run_until_next_completion()->time);
-    return times;
-  };
-
-  const auto recycled = completion_times(true);
-  const auto retained = completion_times(false);
-  ASSERT_EQ(recycled.size(), retained.size());
-  for (std::size_t i = 0; i < recycled.size(); ++i) {
-    EXPECT_DOUBLE_EQ(recycled[i], retained[i]);
-  }
 }
 
 }  // namespace

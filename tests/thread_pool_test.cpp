@@ -78,14 +78,24 @@ TEST(ThreadPool, PoolSurvivesThrowingTask) {
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  parallel_for(&pool, hits.size(), [&](std::size_t i) { hits[i] += 1; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, ParallelForWithoutPoolRunsInlineInIndexOrder) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for(nullptr, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
   ThreadPool pool(4);
   try {
-    pool.parallel_for(100, [](std::size_t i) {
+    parallel_for(&pool, 100, [](std::size_t i) {
       if (i == 17 || i == 90) {
         throw std::runtime_error("task " + std::to_string(i));
       }
@@ -97,14 +107,14 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  // A racing placer invoked from inside an executor task calls
+  // A racing placer invoked from inside a batch-job task calls
   // parallel_for on the pool that is running it; the nested call must run
   // inline instead of queueing subtasks no worker is free to execute.
   ThreadPool pool(2);
   std::atomic<int> inner_runs{0};
-  pool.parallel_for(8, [&](std::size_t) {
+  parallel_for(&pool, 8, [&](std::size_t) {
     EXPECT_TRUE(pool.on_worker_thread());
-    pool.parallel_for(5, [&](std::size_t) { ++inner_runs; });
+    parallel_for(&pool, 5, [&](std::size_t) { ++inner_runs; });
   });
   EXPECT_EQ(inner_runs.load(), 40);
   EXPECT_FALSE(pool.on_worker_thread());
@@ -114,7 +124,7 @@ TEST(ThreadPool, ParallelForUsesMultipleWorkers) {
   ThreadPool pool(4);
   std::mutex mutex;
   std::set<std::thread::id> seen;
-  pool.parallel_for(64, [&](std::size_t) {
+  parallel_for(&pool, 64, [&](std::size_t) {
     // det-lint: allow(thread-sleep) holds each task long enough that more
     // than one worker must participate; only thread *count* is asserted.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -23,6 +23,12 @@
 //                   derive from a caller seed / stream_seed / splitmix64 /
 //                   fork (library code must thread caller seeds; tests and
 //                   benches own their literal seeds)
+//   shared-state    std::mutex / std::atomic / std::thread /
+//                   std::condition_variable in src/ outside
+//                   common/thread_pool.* (the one concurrency primitive;
+//                   every other library object is confined to one thread
+//                   or shared read-only, so new cross-thread state must be
+//                   justified in a visible allow comment)
 //
 // A finding is suppressed — visibly, in the diff — by a comment on the same
 // line or the line directly above:
@@ -311,10 +317,12 @@ class Linter {
   void rule_pointer_key();
   void rule_raw_rng();
   void rule_unordered_iter();
+  void rule_shared_state();
 
   std::string file_;
   bool in_bench_ = false;
   bool in_src_ = false;
+  bool in_thread_pool_ = false;
   std::set<int> code_lines_;
   const FileScan* scan_ = nullptr;
   std::vector<Finding> findings_;
@@ -624,6 +632,24 @@ void Linter::rule_unordered_iter() {
   }
 }
 
+void Linter::rule_shared_state() {
+  if (!in_src_ || in_thread_pool_) return;
+  static const char* kPrimitives[] = {"mutex", "atomic", "thread",
+                                      "condition_variable"};
+  for (std::size_t i = 2; i < scan_->tokens.size(); ++i) {
+    if (!is_punct(i - 1, "::") || !is_ident(i - 2, "std")) continue;
+    for (const char* primitive : kPrimitives) {
+      if (is_ident(i, primitive)) {
+        report("shared-state", tok(i).line,
+               "std::" + tok(i).text +
+                   " outside common/thread_pool: library objects are "
+                   "confined to one thread or shared read-only");
+        break;
+      }
+    }
+  }
+}
+
 void Linter::lint_file(const std::string& path, const std::string& src) {
   FileScan scan = lex(src);
   file_ = path;
@@ -633,6 +659,7 @@ void Linter::lint_file(const std::string& path, const std::string& src) {
   in_bench_ = path.find("bench/") != std::string::npos ||
               path.rfind("bench_", 0) == 0;
   in_src_ = path.find("src/") != std::string::npos;
+  in_thread_pool_ = path.find("common/thread_pool.") != std::string::npos;
   if (verbose_) {
     std::cerr << "scanning " << path << " (" << scan.tokens.size()
               << " tokens)\n";
@@ -643,6 +670,7 @@ void Linter::lint_file(const std::string& path, const std::string& src) {
   rule_pointer_key();
   rule_raw_rng();
   rule_unordered_iter();
+  rule_shared_state();
   scan_ = nullptr;
 }
 
