@@ -1,6 +1,7 @@
 #include "circuit/dag.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -8,39 +9,56 @@ namespace cloudqc {
 
 CircuitDag::CircuitDag(const Circuit& c) {
   const auto n = c.num_gates();
-  succs_.resize(n);
-  preds_.resize(n);
+  // Pass 1, in program order: each gate's predecessors (the previous gate
+  // on each of its qubits) go straight into the predecessor CSR, and each
+  // predecessor's out-degree is counted.
+  preds_at_.assign(n + 1, 0);
+  preds_.reserve(2 * n);
+  std::vector<int> out_degree(n, 0);
   // last[q] = index of the most recent gate touching qubit q.
   std::vector<int> last(static_cast<std::size_t>(c.num_qubits()), -1);
   for (std::size_t i = 0; i < n; ++i) {
     const Gate& g = c.gates()[i];
     const int gi = static_cast<int>(i);
-    auto link = [&](QubitId q) {
-      auto& l = last[static_cast<std::size_t>(q)];
-      if (l >= 0) {
-        // Avoid duplicate edges when both qubits of a 2q gate share the
-        // same predecessor.
-        if (succs_[static_cast<std::size_t>(l)].empty() ||
-            succs_[static_cast<std::size_t>(l)].back() != gi) {
-          succs_[static_cast<std::size_t>(l)].push_back(gi);
-          preds_[static_cast<std::size_t>(i)].push_back(l);
-        }
-      }
-      l = gi;
-    };
-    link(g.qubits[0]);
-    if (g.two_qubit()) link(g.qubits[1]);
+    const int first =
+        std::exchange(last[static_cast<std::size_t>(g.qubits[0])], gi);
+    if (first >= 0) preds_.push_back(first);
+    if (g.two_qubit()) {
+      const int second =
+          std::exchange(last[static_cast<std::size_t>(g.qubits[1])], gi);
+      // Both qubits of a 2q gate may come from the same predecessor: one
+      // edge, not two.
+      if (second >= 0 && second != first) preds_.push_back(second);
+    }
+    preds_at_[i + 1] = static_cast<int>(preds_.size());
+    for (const int p : preds_of(i)) ++out_degree[static_cast<std::size_t>(p)];
+  }
+  // Pass 2: prefix-sum the out-degrees into offsets, then scatter every
+  // edge in program order, so each successor list comes out ascending.
+  succs_at_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    succs_at_[i + 1] = succs_at_[i] + out_degree[i];
+  }
+  succs_.resize(preds_.size());
+  std::vector<int>& cursor = out_degree;
+  std::copy(succs_at_.begin(), succs_at_.end() - 1, cursor.begin());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const int p : preds_of(i)) {
+      int& at = cursor[static_cast<std::size_t>(p)];
+      succs_[static_cast<std::size_t>(at++)] = static_cast<int>(i);
+    }
   }
 }
 
-const std::vector<int>& CircuitDag::successors(int gate) const {
-  CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < succs_.size());
-  return succs_[static_cast<std::size_t>(gate)];
+NodeRange CircuitDag::successors(int gate) const {
+  CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < num_nodes());
+  const auto g = static_cast<std::size_t>(gate);
+  return {succs_.data() + succs_at_[g], succs_.data() + succs_at_[g + 1]};
 }
 
-const std::vector<int>& CircuitDag::predecessors(int gate) const {
-  CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < preds_.size());
-  return preds_[static_cast<std::size_t>(gate)];
+NodeRange CircuitDag::predecessors(int gate) const {
+  CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < num_nodes());
+  return preds_of(static_cast<std::size_t>(gate));
 }
 
 int CircuitDag::in_degree(int gate) const {
@@ -49,8 +67,8 @@ int CircuitDag::in_degree(int gate) const {
 
 std::vector<int> CircuitDag::front_layer() const {
   std::vector<int> fl;
-  for (std::size_t i = 0; i < preds_.size(); ++i) {
-    if (preds_[i].empty()) fl.push_back(static_cast<int>(i));
+  for (std::size_t i = 0; i < num_nodes(); ++i) {
+    if (preds_at_[i] == preds_at_[i + 1]) fl.push_back(static_cast<int>(i));
   }
   return fl;
 }
@@ -58,15 +76,15 @@ std::vector<int> CircuitDag::front_layer() const {
 std::vector<int> CircuitDag::topological_order() const {
   // Gate indices in program order are already topologically sorted because
   // every edge points from an earlier gate to a later one.
-  std::vector<int> order(succs_.size());
+  std::vector<int> order(num_nodes());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   return order;
 }
 
 std::vector<int> CircuitDag::level_of_each() const {
-  std::vector<int> level(succs_.size(), 1);
-  for (std::size_t i = 0; i < succs_.size(); ++i) {
-    for (int p : preds_[i]) {
+  std::vector<int> level(num_nodes(), 1);
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    for (const int p : preds_of(i)) {
       level[i] = std::max(level[i], level[static_cast<std::size_t>(p)] + 1);
     }
   }
@@ -74,12 +92,12 @@ std::vector<int> CircuitDag::level_of_each() const {
 }
 
 double CircuitDag::critical_path(const std::vector<double>& node_cost) const {
-  CLOUDQC_CHECK(node_cost.size() == succs_.size());
-  std::vector<double> finish(succs_.size(), 0.0);
+  CLOUDQC_CHECK(node_cost.size() == num_nodes());
+  std::vector<double> finish(num_nodes(), 0.0);
   double best = 0.0;
-  for (std::size_t i = 0; i < succs_.size(); ++i) {
+  for (std::size_t i = 0; i < finish.size(); ++i) {
     double start = 0.0;
-    for (int p : preds_[i]) {
+    for (const int p : preds_of(i)) {
       start = std::max(start, finish[static_cast<std::size_t>(p)]);
     }
     finish[i] = start + node_cost[i];

@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -37,10 +36,9 @@ namespace {
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
-/// A job between intake and completion. The circuit sits on the heap so
-/// its address stays fixed while the simulator points into it.
+/// A job between intake and completion.
 struct Job {
-  std::unique_ptr<Circuit> circuit;
+  Circuit circuit;
   SimTime arrival = 0.0;
   std::uint64_t id = 0;  // submit id: the queue key and the gate key
   JobClass cls;
@@ -150,8 +148,7 @@ class Engine {
       ++metrics_.rejected;
       return;
     }
-    enqueue(Job{std::make_unique<Circuit>(std::move(arriving.circuit)),
-                arriving.arrival, id,
+    enqueue(Job{std::move(arriving.circuit), arriving.arrival, id,
                 config_.classes != nullptr ? (*config_.classes)[id]
                                            : JobClass{}});
   }
@@ -177,10 +174,10 @@ class Engine {
   // On success the job moves from the queue into the simulator.
   bool try_admit(std::size_t pos) {
     Job& job = pending_[pos];
-    auto placement = cached_place(config_.cache, *job.circuit, cloud_, placer_,
+    auto placement = cached_place(config_.cache, job.circuit, cloud_, placer_,
                                   rng_, &gate_.signature());
     if (!placement.has_value()) {
-      gate_.record_failure(job.id, job.circuit->num_qubits());
+      gate_.record_failure(job.id, job.circuit.num_qubits());
       return false;
     }
     gate_.record_admission(job.id);
@@ -190,7 +187,7 @@ class Engine {
     gate_.refresh(cloud_);
     const int qpus_used = placement->num_qpus_used();
     const int sim_id =
-        sim_.add_job(*job.circuit, std::move(placement->qubit_to_qpu));
+        sim_.add_job(job.circuit, std::move(placement->qubit_to_qpu));
     const auto slot = static_cast<std::size_t>(sim_id);
     if (slot >= seq_of_slot_.size()) seq_of_slot_.resize(slot + 1);
     seq_of_slot_[slot] = next_seq_;
@@ -318,7 +315,7 @@ class Engine {
     if (config_.on_complete) {
       config_.on_complete(
           flight.job.id,
-          IncomingJobStats{flight.job.circuit->name(), /*placed=*/true,
+          IncomingJobStats{flight.job.circuit.name(), /*placed=*/true,
                            flight.job.arrival, flight.placed_time,
                            completion.time, flight.remote_ops,
                            /*comm_cost=*/0.0, flight.qpus_used,

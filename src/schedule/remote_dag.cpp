@@ -6,24 +6,60 @@
 
 namespace cloudqc {
 
-RemoteDag::RemoteDag(const Circuit& circuit, const CircuitDag& dag,
-                     const std::vector<QpuId>& qubit_to_qpu,
-                     const QuantumCloud& cloud) {
-  const std::size_t n = circuit.num_gates();
+std::vector<RemoteOp> extract_remote_ops(const Circuit& circuit,
+                                         const std::vector<QpuId>& qubit_to_qpu,
+                                         const QuantumCloud& cloud,
+                                         std::vector<int>& remote_of_gate) {
   CLOUDQC_CHECK(qubit_to_qpu.size() ==
                 static_cast<std::size_t>(circuit.num_qubits()));
-
-  // remote_id[g] >= 0 iff gate g is a remote op.
-  std::vector<int> remote_id(n, -1);
+  const std::size_t n = circuit.num_gates();
+  remote_of_gate.assign(n, -1);
+  std::vector<RemoteOp> ops;
   for (std::size_t g = 0; g < n; ++g) {
     const Gate& gate = circuit.gates()[g];
     if (!gate.two_qubit()) continue;
     const QpuId a = qubit_to_qpu[static_cast<std::size_t>(gate.qubits[0])];
     const QpuId b = qubit_to_qpu[static_cast<std::size_t>(gate.qubits[1])];
     if (a == b) continue;
-    remote_id[g] = static_cast<int>(ops_.size());
-    ops_.push_back({static_cast<int>(g), a, b, cloud.distance(a, b)});
+    remote_of_gate[g] = static_cast<int>(ops.size());
+    ops.push_back({static_cast<int>(g), a, b, cloud.distance(a, b)});
   }
+  return ops;
+}
+
+std::vector<int> remote_priorities(const CircuitDag& dag,
+                                   const std::vector<int>& remote_of_gate,
+                                   std::size_t num_ops) {
+  const std::size_t n = dag.num_nodes();
+  CLOUDQC_CHECK(remote_of_gate.size() == n);
+  std::vector<int> prio(num_ops, 0);
+  // down[g] = max of prio(v) + 1 over the remote ops v that g reaches
+  // through local gates only, 0 when there is none. Program order is
+  // topological, so a backward sweep finishes every successor first.
+  std::vector<int> down(n, 0);
+  for (std::size_t g = n; g-- > 0;) {
+    int d = 0;
+    for (const int s : dag.successors(static_cast<int>(g))) {
+      const auto us = static_cast<std::size_t>(s);
+      const int r = remote_of_gate[us];
+      const int via = r >= 0 ? prio[static_cast<std::size_t>(r)] + 1 : down[us];
+      d = std::max(d, via);
+    }
+    down[g] = d;
+    if (remote_of_gate[g] >= 0) {
+      prio[static_cast<std::size_t>(remote_of_gate[g])] = d;
+    }
+  }
+  return prio;
+}
+
+RemoteDag::RemoteDag(const Circuit& circuit, const CircuitDag& dag,
+                     const std::vector<QpuId>& qubit_to_qpu,
+                     const QuantumCloud& cloud) {
+  const std::size_t n = circuit.num_gates();
+  // remote_id[g] >= 0 iff gate g is a remote op.
+  std::vector<int> remote_id;
+  ops_ = extract_remote_ops(circuit, qubit_to_qpu, cloud, remote_id);
   succs_.resize(ops_.size());
   preds_.resize(ops_.size());
 

@@ -20,6 +20,23 @@ struct RemoteOp {
   int hops = 1;  // network distance between the two QPUs
 };
 
+/// The remote ops of `circuit` under `qubit_to_qpu`, in program order.
+/// `remote_of_gate` is resized to the gate count and receives each gate's
+/// index into the result, or -1 for a local gate.
+std::vector<RemoteOp> extract_remote_ops(const Circuit& circuit,
+                                         const std::vector<QpuId>& qubit_to_qpu,
+                                         const QuantumCloud& cloud,
+                                         std::vector<int>& remote_of_gate);
+
+/// RemoteDag::priorities() without building the remote DAG: one backward
+/// sweep over the gate DAG. down(g) is the maximum over successors s of
+/// prio(s) + 1 when s is remote and down(s) otherwise (0 without
+/// successors); a remote gate's priority is its down. `remote_of_gate` is
+/// as filled by extract_remote_ops; returns one priority per remote op.
+std::vector<int> remote_priorities(const CircuitDag& dag,
+                                   const std::vector<int>& remote_of_gate,
+                                   std::size_t num_ops);
+
 class RemoteDag {
  public:
   /// Empty DAG; assign from the extracting constructor before use.

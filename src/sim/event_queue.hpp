@@ -1,11 +1,12 @@
 // Minimal discrete-event queue: (time, sequence, payload) min-heap. The
 // sequence number makes simultaneous events FIFO-stable so simulations are
-// deterministic for a fixed seed.
+// deterministic for a fixed seed. Payloads are trivially copyable.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -19,7 +20,7 @@ class EventQueue {
  public:
   void push(SimTime time, Payload payload) {
     CLOUDQC_DCHECK(time >= 0.0);
-    heap_.push_back(Entry{time, next_seq_++, std::move(payload)});
+    heap_.push_back(Entry{time, next_seq_++, payload});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
 
@@ -31,16 +32,13 @@ class EventQueue {
     return heap_.front().time;
   }
 
-  /// Pop the earliest event; returns (time, payload). The payload is
-  /// *moved* out — the heap is a plain vector (std::priority_queue only
-  /// exposes a const top(), which would force a copy of payloads carrying
-  /// allocations, e.g. the simulator's per-gate reservation vectors).
+  /// Pop the earliest event; returns (time, payload).
   std::pair<SimTime, Payload> pop() {
     CLOUDQC_CHECK(!heap_.empty());
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    Entry e = std::move(heap_.back());
+    const Entry e = heap_.back();
     heap_.pop_back();
-    return {e.time, std::move(e.payload)};
+    return {e.time, e.payload};
   }
 
   /// Remove every event whose payload satisfies `pred` (called once per
@@ -71,6 +69,10 @@ class EventQueue {
       return seq > o.seq;
     }
   };
+  // Every sift copies entries, so they must stay plain records: a payload
+  // that owns memory belongs in a side table the payload indexes.
+  static_assert(std::is_trivially_copyable_v<Entry>,
+                "event payloads must be trivially copyable");
   /// Min-heap over (time, seq) maintained with the std heap algorithms.
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;

@@ -22,6 +22,28 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
   }
   impounded_.assign(free_comm_.size(), 0);
   offline_.assign(free_comm_.size(), 0);
+  const LatencyModel& lat = cloud.config().latency;
+  const FidelityModel& fid = cloud.config().fidelity;
+  gate_duration_[kOneQubitGate] = lat.t_1q;
+  gate_duration_[kTwoQubitGate] = lat.t_2q;
+  gate_duration_[kMeasureGate] = lat.t_measure;  // reset = measure + flip
+  gate_duration_[kBarrierGate] = 0.0;            // synchronisation only
+  gate_log_fidelity_[kOneQubitGate] = std::log(fid.f_1q);
+  gate_log_fidelity_[kTwoQubitGate] = std::log(fid.f_2q);
+  gate_log_fidelity_[kMeasureGate] = std::log(fid.f_measure);
+  gate_log_fidelity_[kBarrierGate] = 0.0;
+}
+
+std::uint8_t NetworkSimulator::gate_class_of(const Gate& g) {
+  switch (g.kind) {
+    case GateKind::kMeasure:
+    case GateKind::kReset:
+      return kMeasureGate;
+    case GateKind::kBarrier:
+      return kBarrierGate;
+    default:
+      return g.two_qubit() ? kTwoQubitGate : kOneQubitGate;
+  }
 }
 
 int NetworkSimulator::add_job(const Circuit& circuit,
@@ -37,35 +59,33 @@ int NetworkSimulator::add_job(const Circuit& circuit,
     jobs_.emplace_back();
   }
   ++jobs_admitted_;
-  CircuitDag dag(circuit);
-  RemoteDag remote(circuit, dag, qubit_to_qpu, cloud_);
 
-  Job job;
-  job.circuit = &circuit;
-  job.map = std::move(qubit_to_qpu);
-  job.remote_prio = remote.priorities();
-  job.remote_of_gate.assign(circuit.num_gates(), -1);
-  for (std::size_t i = 0; i < remote.num_ops(); ++i) {
-    job.remote_of_gate[static_cast<std::size_t>(
-        remote.op(static_cast<int>(i)).gate_index)] = static_cast<int>(i);
+  Job& job = jobs_[static_cast<std::size_t>(id)];
+  CompiledJob& compiled = job.compiled;
+  compiled.dag = CircuitDag(circuit);
+  compiled.gate_class.resize(circuit.num_gates());
+  for (std::size_t g = 0; g < circuit.num_gates(); ++g) {
+    compiled.gate_class[g] = gate_class_of(circuit.gates()[g]);
   }
+  std::vector<int>& remote_of_gate = compiled.remote_of_gate;
+  compiled.remote_ops =
+      extract_remote_ops(circuit, qubit_to_qpu, cloud_, remote_of_gate);
+  const std::size_t num_ops = compiled.remote_ops.size();
+  compiled.remote_prio =
+      remote_priorities(compiled.dag, remote_of_gate, num_ops);
   job.pending_preds.resize(circuit.num_gates());
   for (std::size_t g = 0; g < circuit.num_gates(); ++g) {
-    job.pending_preds[g] = dag.in_degree(static_cast<int>(g));
+    job.pending_preds[g] = compiled.dag.in_degree(static_cast<int>(g));
   }
   job.gates_left = circuit.num_gates();
-  job.admitted = now_;
-  job.dag = std::move(dag);
-  job.remote = std::move(remote);
-  jobs_[static_cast<std::size_t>(id)] = std::move(job);
+  job.live = true;
 
-  Job& admitted = jobs_[static_cast<std::size_t>(id)];
-  if (admitted.gates_left == 0) {
-    release_job(id);
+  if (job.gates_left == 0) {
+    // Nothing will ever finish a gate of this job: its completion is an
+    // event of its own, due now.
+    events_.push(now_, GateDone{id, -1, 0, -1});
   } else {
-    for (const int g : admitted.dag.front_layer()) {
-      on_ready(id, g);
-    }
+    for (const int g : compiled.dag.front_layer()) on_ready(id, g);
     maybe_allocate();
   }
   return id;
@@ -75,16 +95,12 @@ void NetworkSimulator::cancel_job(int job_id) {
   CLOUDQC_CHECK(job_id >= 0 &&
                 static_cast<std::size_t>(job_id) < jobs_.size());
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  CLOUDQC_CHECK_MSG(job.circuit != nullptr && !job.done,
-                    "cancel_job on an empty or completed slot");
+  CLOUDQC_CHECK_MSG(job.live, "cancel_job on an empty or completed slot");
   // Drop every pending event of the job; in-flight remote operations
   // return their communication qubits at cancel time.
   events_.remove_if([&](const GateDone& done) {
     if (done.job != job_id) return false;
-    if (done.comm_pairs > 0) {
-      for (const QpuId q : done.reserved_on) release_comm(q, done.comm_pairs);
-      alloc_dirty_ = true;  // released pairs may fund a waiting op
-    }
+    release_reserved(done);
     return true;
   });
   waiting_remote_.erase(
@@ -99,8 +115,7 @@ bool NetworkSimulator::job_live(int job_id) const {
   if (job_id < 0 || static_cast<std::size_t>(job_id) >= jobs_.size()) {
     return false;
   }
-  const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  return job.circuit != nullptr && !job.done;
+  return jobs_[static_cast<std::size_t>(job_id)].live;
 }
 
 void NetworkSimulator::set_qpu_offline(QpuId q) {
@@ -151,35 +166,37 @@ void NetworkSimulator::release_comm(QpuId q, int pairs) {
   }
 }
 
+int NetworkSimulator::acquire_reserved() {
+  if (free_reserved_.empty()) {
+    reserved_on_.emplace_back();
+    return static_cast<int>(reserved_on_.size()) - 1;
+  }
+  const int slot = free_reserved_.back();
+  free_reserved_.pop_back();
+  return slot;
+}
+
+void NetworkSimulator::release_reserved(const GateDone& done) {
+  if (done.comm_pairs == 0) return;
+  const auto slot = static_cast<std::size_t>(done.reserved);
+  for (const QpuId q : reserved_on_[slot]) release_comm(q, done.comm_pairs);
+  free_reserved_.push_back(done.reserved);
+  alloc_dirty_ = true;  // released pairs may fund a waiting op
+}
+
 void NetworkSimulator::release_job(int job_id) {
   // The job has no pending event and no waiting remote op left (every
   // gate fired, or cancel_job dropped them), so the slot holds no
-  // reachable state — replace it with an empty Job (frees the DAGs and
-  // vectors) and queue the slot for reuse. O(1) residual per finished job.
+  // reachable state — replace it with an empty Job (frees the compiled
+  // program and progress arrays) and queue the slot for reuse. O(1)
+  // residual per finished job.
   jobs_[static_cast<std::size_t>(job_id)] = Job{};
-  jobs_[static_cast<std::size_t>(job_id)].done = true;
   free_slots_.push_back(job_id);
 }
 
-double NetworkSimulator::gate_duration(const Job& job, int gate) const {
-  const LatencyModel& lat = cloud_.config().latency;
-  const Gate& g = job.circuit->gates()[static_cast<std::size_t>(gate)];
-  switch (g.kind) {
-    case GateKind::kMeasure:
-      return lat.t_measure;
-    case GateKind::kReset:
-      return lat.t_measure;  // reset = measure + conditional flip
-    case GateKind::kBarrier:
-      return 0.0;
-    default:
-      break;
-  }
-  return g.two_qubit() ? lat.t_2q : lat.t_1q;
-}
-
 void NetworkSimulator::on_ready(int job_id, int gate) {
-  Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  if (job.remote_of_gate[static_cast<std::size_t>(gate)] >= 0) {
+  const Job& job = jobs_[static_cast<std::size_t>(job_id)];
+  if (job.compiled.remote_of_gate[static_cast<std::size_t>(gate)] >= 0) {
     waiting_remote_.emplace_back(job_id, gate);
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
@@ -189,20 +206,10 @@ void NetworkSimulator::on_ready(int job_id, int gate) {
 
 void NetworkSimulator::start_local(int job_id, int gate) {
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  const FidelityModel& fid = cloud_.config().fidelity;
-  const Gate& g = job.circuit->gates()[static_cast<std::size_t>(gate)];
-  switch (g.kind) {
-    case GateKind::kMeasure:
-    case GateKind::kReset:
-      job.log_fidelity += std::log(fid.f_measure);
-      break;
-    case GateKind::kBarrier:
-      break;
-    default:
-      job.log_fidelity += std::log(g.two_qubit() ? fid.f_2q : fid.f_1q);
-      break;
-  }
-  events_.push(now_ + gate_duration(job, gate), GateDone{job_id, gate, 0, {}});
+  const std::uint8_t cls =
+      job.compiled.gate_class[static_cast<std::size_t>(gate)];
+  job.log_fidelity += gate_log_fidelity_[cls];
+  events_.push(now_ + gate_duration_[cls], GateDone{job_id, gate, 0, -1});
 }
 
 void NetworkSimulator::maybe_allocate() {
@@ -227,13 +234,13 @@ std::size_t NetworkSimulator::run_allocation_round() {
   std::vector<CommRequest> requests;
   requests.reserve(waiting_remote_.size());
   for (const auto& [job_id, gate] : waiting_remote_) {
-    const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
-    const RemoteOp& op = job.remote.op(node);
+    const CompiledJob& compiled =
+        jobs_[static_cast<std::size_t>(job_id)].compiled;
+    const std::size_t node = compiled.remote_index(gate);
+    const RemoteOp& op = compiled.remote_ops[node];
     CommRequest req;
     req.handle = static_cast<int>(requests.size());
-    req.priority =
-        static_cast<double>(job.remote_prio[static_cast<std::size_t>(node)]);
+    req.priority = static_cast<double>(compiled.remote_prio[node]);
     req.qpu_a = op.qpu_a;
     req.qpu_b = op.qpu_b;
     requests.push_back(req);
@@ -277,12 +284,15 @@ std::size_t NetworkSimulator::run_allocation_round() {
       continue;
     }
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    const int node = job.remote_of_gate[static_cast<std::size_t>(gate)];
-    const RemoteOp& op = job.remote.op(node);
+    const RemoteOp& op =
+        job.compiled.remote_ops[job.compiled.remote_index(gate)];
 
     // Decide the path (and hence hop count + the QPUs that hold qubits).
     int hops = op.hops;
-    std::vector<QpuId> reserved_on{op.qpu_a, op.qpu_b};
+    const int reserved = acquire_reserved();
+    std::vector<QpuId>& reserved_on =
+        reserved_on_[static_cast<std::size_t>(reserved)];
+    reserved_on.assign({op.qpu_a, op.qpu_b});
     int x = pairs[i];
     if (router_ != nullptr) {
       const auto path = router_->route(cloud_, op.qpu_a, op.qpu_b, free_comm_);
@@ -293,6 +303,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
         // with endpoint-only reservation (which would bypass the very
         // intermediates the router reported as exhausted).
         still_waiting.emplace_back(job_id, gate);
+        free_reserved_.push_back(reserved);
         continue;
       }
       hops = path->hops();
@@ -310,6 +321,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
         // A saturated swap node blocks this op for now; retry at the next
         // decision point (endpoint qubits were never deducted).
         still_waiting.emplace_back(job_id, gate);
+        free_reserved_.push_back(reserved);
         continue;
       }
     }
@@ -353,8 +365,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
         purification::purified_fidelity(path_fidelity, level);
     job.log_fidelity += std::log(pair_fidelity * fid.f_2q * fid.f_measure *
                                  fid.f_1q);
-    events_.push(now_ + duration,
-                 GateDone{job_id, gate, x, std::move(reserved_on)});
+    events_.push(now_ + duration, GateDone{job_id, gate, x, reserved});
     ++started;
   }
 #ifndef NDEBUG
@@ -369,15 +380,10 @@ std::size_t NetworkSimulator::run_allocation_round() {
 
 void NetworkSimulator::finish_gate(const GateDone& done) {
   Job& job = jobs_[static_cast<std::size_t>(done.job)];
-  if (done.comm_pairs > 0) {
-    for (const QpuId q : done.reserved_on) {
-      release_comm(q, done.comm_pairs);
-    }
-    alloc_dirty_ = true;  // released pairs may fund a waiting op
-  }
+  release_reserved(done);
   CLOUDQC_CHECK(job.gates_left > 0);
   --job.gates_left;
-  for (const int s : job.dag.successors(done.gate)) {
+  for (const int s : job.compiled.dag.successors(done.gate)) {
     if (--job.pending_preds[static_cast<std::size_t>(s)] == 0) {
       on_ready(done.job, s);
     }
@@ -391,18 +397,18 @@ std::optional<SimTime> NetworkSimulator::next_event_time() const {
 
 std::optional<JobCompletion> NetworkSimulator::step() {
   CLOUDQC_CHECK_MSG(!events_.empty(), "step() on an idle simulator");
-  auto [time, done] = events_.pop();
+  const auto [time, done] = events_.pop();
   now_ = time;
   ++events_processed_;
-  finish_gate(done);
+  if (done.gate >= 0) finish_gate(done);  // else: a zero-gate job's end
   // Run an allocation round only when this event freed communication
   // pairs or readied a remote gate — on a no-op event a round provably
   // starts nothing (deterministic allocators) or merely burns RNG
   // (Random), so the change gate skips it.
   maybe_allocate();
-  Job& job = jobs_[static_cast<std::size_t>(done.job)];
-  if (job.gates_left == 0 && !job.done) {
-    job.done = true;
+  const Job& job = jobs_[static_cast<std::size_t>(done.job)];
+  if (job.gates_left == 0) {
+    CLOUDQC_DCHECK(job.live);
     const JobCompletion completion{done.job, now_, std::exp(job.log_fidelity),
                                    job.log_fidelity};
     release_job(done.job);

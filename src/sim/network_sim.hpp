@@ -17,9 +17,14 @@
 // kept behind set_change_gated(false) as the regression baseline
 // (bench_network_sim fails CI when gating stops paying for itself).
 //
-// The simulator supports dynamic job admission, which is how the
-// multi-tenant engine (core/multi_tenant.hpp) runs concurrent tenants on a
-// shared network.
+// The simulator supports dynamic job admission, which is how the admission
+// engine (core/engine.hpp, behind run_batch, run_incoming and
+// run_streaming) runs concurrent tenants on a shared network.
+//
+// add_job compiles each job once into flat arrays (CSR gate DAG, a
+// one-byte latency class per gate, the remote-op list with its
+// priorities); the event loop only walks those and the job's small
+// mutable state. Event-heap entries are plain 32-byte records.
 //
 // Concurrency contract: a NetworkSimulator instance is confined to one
 // thread, but it only *reads* the cloud and the allocator and owns its RNG
@@ -29,7 +34,8 @@
 // while a simulation is running on it.
 #pragma once
 
-#include <memory>
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -76,10 +82,14 @@ class NetworkSimulator {
                    Rng rng, const EprRouter* router = nullptr);
 
   /// Admit a placed job at the current simulation time. Returns a job id.
-  /// `qubit_to_qpu` must cover every qubit of `circuit`.
+  /// `qubit_to_qpu` must cover every qubit of `circuit`. The job is
+  /// compiled here and the simulator keeps no reference to `circuit`:
+  /// callers may destroy it as soon as add_job returns. Every admitted job
+  /// yields exactly one completion through step(); a job without gates
+  /// completes at its admission time with log_fidelity 0.
   ///
   /// Completed and cancelled slots are recycled: the job's per-job state
-  /// (DAG, remote DAG, mapping) is released and its id is reassigned by a
+  /// (compiled program and progress) is released and its id is reassigned by a
   /// later add_job — O(1) residual memory per finished job. Ids are
   /// therefore unique only among live jobs: a caller that admits work
   /// after a completion must consume that JobCompletion first. Callers
@@ -178,27 +188,50 @@ class NetworkSimulator {
   std::uint64_t num_allocation_rounds() const { return alloc_rounds_; }
 
  private:
+  /// One scheduled gate completion. A plain record, so heap sifts copy
+  /// 16 bytes: an in-flight remote op's QPU list lives in reserved_on_.
   struct GateDone {
     int job;
+    /// The finishing gate, or -1 for the completion of a zero-gate job.
     int gate;
     int comm_pairs;  // communication qubits to release (remote gates)
-    /// QPUs holding `comm_pairs` qubits each for this op (endpoints, plus
-    /// intermediate swap nodes when routing is enabled).
-    std::vector<QpuId> reserved_on;
+    /// Slot in reserved_on_ of the QPUs holding `comm_pairs` qubits each
+    /// (remote gates), or -1.
+    int reserved;
+  };
+
+  /// Latency/fidelity class of a local gate; indexes the per-cloud
+  /// gate_duration_ and gate_log_fidelity_ tables.
+  enum GateClass : std::uint8_t {
+    kOneQubitGate,
+    kTwoQubitGate,
+    kMeasureGate,  // measure and reset
+    kBarrierGate,
+    kNumGateClasses,
+  };
+
+  /// Everything add_job derives from (circuit, placement): built once at
+  /// admission, read-only while the job runs.
+  struct CompiledJob {
+    CircuitDag dag;
+    std::vector<std::uint8_t> gate_class;  // GateClass per gate
+    std::vector<RemoteOp> remote_ops;      // in program order
+    std::vector<int> remote_prio;          // per remote op
+    std::vector<int> remote_of_gate;       // gate -> remote op or -1
+
+    /// Index into remote_ops of remote gate `gate`.
+    std::size_t remote_index(int gate) const {
+      return static_cast<std::size_t>(
+          remote_of_gate[static_cast<std::size_t>(gate)]);
+    }
   };
 
   struct Job {
-    const Circuit* circuit = nullptr;
-    std::vector<QpuId> map;
-    CircuitDag dag;
-    RemoteDag remote;
-    std::vector<int> remote_prio;     // priority per remote-dag node
-    std::vector<int> remote_of_gate;  // gate index -> remote node id or -1
-    std::vector<int> pending_preds;   // per gate
+    CompiledJob compiled;
+    std::vector<int> pending_preds;  // per gate
     std::size_t gates_left = 0;
-    SimTime admitted = 0.0;
     double log_fidelity = 0.0;  // Σ log f per executed gate
-    bool done = false;
+    bool live = false;          // admitted, not yet completed or cancelled
   };
 
   /// Gate became ready: local gates start immediately; remote gates join
@@ -221,19 +254,31 @@ class NetworkSimulator {
   /// since the last round (always, when change gating is off).
   void maybe_allocate();
   void finish_gate(const GateDone& done);
+  /// A free reserved_on_ slot for a starting remote op.
+  int acquire_reserved();
+  /// Return the qubits of an in-flight remote op (its reserved_on_ slot)
+  /// to the pool and recycle the slot; no-op for a local gate.
+  void release_reserved(const GateDone& done);
+  static std::uint8_t gate_class_of(const Gate& g);
   /// Return released communication qubits to the free pool — or into the
   /// impound while the QPU is offline.
   void release_comm(QpuId q, int pairs);
   /// Free a completed job's per-job state and queue its slot for reuse.
   void release_job(int job_id);
-  double gate_duration(const Job& job, int gate) const;
 
   const QuantumCloud& cloud_;
   const CommAllocator& allocator_;
   const EprRouter* router_;  // may be null (static shortest-hop model)
   Rng rng_;
   EprModel epr_;
+  std::array<double, kNumGateClasses> gate_duration_{};
+  std::array<double, kNumGateClasses> gate_log_fidelity_{};
   EventQueue<GateDone> events_;
+  /// QPU lists of in-flight remote ops, indexed by GateDone::reserved.
+  /// Released slots keep their capacity and are reused via
+  /// free_reserved_, so steady-state starts allocate nothing.
+  std::vector<std::vector<QpuId>> reserved_on_;
+  std::vector<int> free_reserved_;
   std::vector<Job> jobs_;
   /// Completed slots awaiting reuse, LIFO for locality.
   std::vector<int> free_slots_;

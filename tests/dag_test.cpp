@@ -5,6 +5,10 @@
 namespace cloudqc {
 namespace {
 
+std::vector<int> as_vector(NodeRange r) {
+  return std::vector<int>(r.begin(), r.end());
+}
+
 TEST(CircuitDag, ChainDependencies) {
   Circuit c("t", 1);
   c.h(0);
@@ -13,9 +17,9 @@ TEST(CircuitDag, ChainDependencies) {
   const CircuitDag dag(c);
   ASSERT_EQ(dag.num_nodes(), 3u);
   EXPECT_TRUE(dag.predecessors(0).empty());
-  EXPECT_EQ(dag.predecessors(1), std::vector<int>{0});
-  EXPECT_EQ(dag.predecessors(2), std::vector<int>{1});
-  EXPECT_EQ(dag.successors(0), std::vector<int>{1});
+  EXPECT_EQ(as_vector(dag.predecessors(1)), std::vector<int>{0});
+  EXPECT_EQ(as_vector(dag.predecessors(2)), std::vector<int>{1});
+  EXPECT_EQ(as_vector(dag.successors(0)), std::vector<int>{1});
 }
 
 TEST(CircuitDag, TwoQubitGateJoinsWires) {
@@ -26,7 +30,7 @@ TEST(CircuitDag, TwoQubitGateJoinsWires) {
   c.cx(0, 1);  // 2 — depends on both
   const CircuitDag dag(c);
   EXPECT_EQ(dag.in_degree(2), 2);
-  EXPECT_EQ(dag.predecessors(2), (std::vector<int>{0, 1}));
+  EXPECT_EQ(as_vector(dag.predecessors(2)), (std::vector<int>{0, 1}));
 }
 
 TEST(CircuitDag, SharedPredecessorNotDuplicated) {
@@ -35,7 +39,7 @@ TEST(CircuitDag, SharedPredecessorNotDuplicated) {
   c.cx(0, 1);  // 1 — both wires come from gate 0; edge must appear once
   const CircuitDag dag(c);
   EXPECT_EQ(dag.in_degree(1), 1);
-  EXPECT_EQ(dag.successors(0), std::vector<int>{1});
+  EXPECT_EQ(as_vector(dag.successors(0)), std::vector<int>{1});
 }
 
 TEST(CircuitDag, FrontLayerMatchesPaperDefinition) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "circuit/generators.hpp"
+#include "circuit/qasm.hpp"
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
 #include "core/incoming.hpp"
@@ -183,6 +184,40 @@ TEST(Engine, OpenOutageFenceReleasedAtEnd) {
     }
     EXPECT_EQ(cloud.total_free_computing(), 80);
   }
+}
+
+// A job without gates (QASM that only declares registers parses to one)
+// completes at its admission time with fidelity 1 instead of stalling the
+// engine, and its capacity is returned.
+TEST(Engine, ZeroGateJobCompletesAtAdmission) {
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  const Circuit empty = parse_qasm("OPENQASM 2.0; qreg q[3]; creg c[3];");
+  ASSERT_EQ(empty.num_gates(), 0u);
+  std::vector<ArrivingJob> trace;
+  trace.push_back({empty, 0.0});
+  trace.push_back({gen::ghz(4), 1.0});
+  trace.push_back({Circuit("empty", 2), 2.0});
+
+  QuantumCloud cloud = small_ring();
+  const auto incoming = run_incoming(trace, cloud, *placer, *alloc, {});
+  ASSERT_EQ(incoming.size(), 3u);
+  for (const std::size_t i : {0u, 2u}) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_TRUE(incoming[i].placed);
+    EXPECT_EQ(incoming[i].placed_time, trace[i].arrival);
+    EXPECT_EQ(incoming[i].completion_time, trace[i].arrival);
+    EXPECT_EQ(incoming[i].est_fidelity, 1.0);
+  }
+  EXPECT_GT(incoming[1].completion_time, 1.0);
+  EXPECT_EQ(cloud.total_free_computing(), 80);
+
+  const auto batch =
+      run_batch({empty, gen::ghz(4), empty}, cloud, *placer, *alloc, {});
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0].completion_time, 0.0);
+  EXPECT_EQ(batch[2].completion_time, 0.0);
+  EXPECT_EQ(cloud.total_free_computing(), 80);
 }
 
 }  // namespace

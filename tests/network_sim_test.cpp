@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "circuit/workloads.hpp"
 #include "graph/topology.hpp"
 #include "sim/network_sim.hpp"
@@ -68,9 +71,54 @@ TEST(NetworkSim, EmptyJobCompletesImmediately) {
   const auto alloc = make_cloudqc_allocator();
   Circuit c("empty", 3);
   NetworkSimulator sim(cloud, *alloc, Rng(1));
-  sim.add_job(c, {0, 0, 1});
-  // A gateless job is born complete; there is nothing to run.
-  EXPECT_FALSE(sim.run_until_next_completion().has_value());
+  sim.advance_time(2.5);
+  const int id = sim.add_job(c, {0, 0, 1});
+  // A gateless job has nothing to run, but it still yields its one
+  // completion record, at its admission time.
+  EXPECT_TRUE(sim.job_live(id));
+  ASSERT_EQ(sim.next_event_time(), std::optional<SimTime>(2.5));
+  const auto done = sim.run_to_completion();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].job, id);
+  EXPECT_EQ(done[0].time, 2.5);
+  EXPECT_EQ(done[0].log_fidelity, 0.0);
+  EXPECT_EQ(done[0].est_fidelity, 1.0);
+  EXPECT_FALSE(sim.job_live(id));
+  EXPECT_EQ(sim.live_jobs(), 0u);
+}
+
+TEST(NetworkSim, EmptyJobCanBeCancelled) {
+  const auto cloud = make_cloud(2);
+  const auto alloc = make_cloudqc_allocator();
+  NetworkSimulator sim(cloud, *alloc, Rng(1));
+  sim.cancel_job(sim.add_job(Circuit("empty", 1), {0}));
+  EXPECT_FALSE(sim.next_event_time().has_value());
+  EXPECT_TRUE(sim.run_to_completion().empty());
+}
+
+TEST(NetworkSim, JobOutlivesItsCircuit) {
+  // add_job copies what it needs: destroying the circuit right after
+  // admission changes nothing.
+  const auto cloud = make_cloud(3, /*epr_prob=*/0.4);
+  const auto alloc = make_cloudqc_allocator();
+  const Circuit kept = make_workload("ising_n34");
+  std::vector<QpuId> map(static_cast<std::size_t>(kept.num_qubits()));
+  for (std::size_t q = 0; q < map.size(); ++q) {
+    map[q] = static_cast<QpuId>(q % 3);
+  }
+  NetworkSimulator with_kept(cloud, *alloc, Rng(7));
+  with_kept.add_job(kept, map);
+  NetworkSimulator with_dropped(cloud, *alloc, Rng(7));
+  {
+    const auto dropped = std::make_unique<Circuit>(kept);
+    with_dropped.add_job(*dropped, map);
+  }
+  const auto a = with_kept.run_to_completion();
+  const auto b = with_dropped.run_to_completion();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0].time, b[0].time);
+  EXPECT_EQ(a[0].log_fidelity, b[0].log_fidelity);
 }
 
 TEST(NetworkSim, TwoJobsShareCommunicationQubits) {

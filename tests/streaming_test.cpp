@@ -181,6 +181,23 @@ QuantumCloud ring_cloud(int qpus) {
   return QuantumCloud(cfg, ring_topology(qpus));
 }
 
+TEST(Streaming, ZeroGateJobsComplete) {
+  QuantumCloud cloud = paper_cloud();
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  std::vector<ArrivingJob> trace;
+  trace.push_back({Circuit("empty", 2), 0.0});
+  trace.push_back({gen::ghz(30), 1.0});
+  trace.push_back({Circuit("empty", 5), 2.0});
+  const auto source = make_vector_source(std::move(trace));
+  const StreamingMetrics metrics =
+      run_streaming(*source, cloud, *placer, *alloc, {});
+  EXPECT_EQ(metrics.submitted, 3u);
+  EXPECT_EQ(metrics.completed, 3u);
+  EXPECT_EQ(metrics.rejected, 0u);
+  EXPECT_EQ(cloud.total_free_computing(), cloud.total_computing_capacity());
+}
+
 TEST(Streaming, SimulatorRecyclesCompletedJobSlots) {
   const auto cloud = ring_cloud(2);
   const auto alloc = make_cloudqc_allocator();
