@@ -15,6 +15,16 @@
 // entirely, which is what makes gated and ungated event loops
 // bit-identical for them.
 //
+// The simulator offers only fundable requests: those whose two endpoint
+// QPUs each have at least one free communication qubit. It still makes
+// exactly one allocate() call per decision point, possibly with an empty
+// list. Dropping the rest is exact for every strategy here, because
+// free_comm only decreases inside allocate(): such a request would get 0
+// pairs, and the survivors keep their relative order, so the priority
+// orders, Average's round-robin and Random's takeable list (hence its
+// draws) are unchanged. A new strategy must keep that property: its grants
+// may not depend on requests it cannot fund.
+//
 // Allocating x pairs to an op consumes x communication qubits on *both*
 // endpoint QPUs, mirroring the paper's note that resources on both machines
 // decrease by the allocated amount.

@@ -126,8 +126,8 @@ void FrontierRouter::sweep_locked(QpuId src) const {
 std::optional<EprPath> FrontierRouter::route(
     const QuantumCloud& cloud, QpuId src, QpuId dst,
     const std::vector<int>& free_comm) const {
-  CLOUDQC_CHECK(src != dst);
   const Graph& topo = cloud.topology();
+  check_route_endpoints(topo, src, dst);
   CLOUDQC_CHECK(free_comm.size() ==
                 static_cast<std::size_t>(topo.num_nodes()));
 

@@ -1,9 +1,6 @@
 #include "schedule/routing.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <set>
 
 #include "common/check.hpp"
 
@@ -12,20 +9,23 @@ namespace {
 
 /// Hop-shortest path with deterministic (lowest-id) tie-breaking via BFS
 /// parent tracking. `blocked` nodes (no free comm qubits) may be skipped.
+/// One flat queue and one neighbour buffer serve the whole search, so it
+/// allocates nothing per visited node.
 std::optional<EprPath> bfs_path(const Graph& topo, QpuId src, QpuId dst,
                                 const std::vector<char>* blocked) {
   const auto n = static_cast<std::size_t>(topo.num_nodes());
   std::vector<NodeId> parent(n, kInvalidNode);
   std::vector<char> seen(n, 0);
-  std::queue<NodeId> q;
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  std::vector<NodeId> nbrs;
   seen[static_cast<std::size_t>(src)] = 1;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     if (u == dst) break;
     // Visit neighbours in ascending id for determinism.
-    std::vector<NodeId> nbrs;
+    nbrs.clear();
     for (const auto& e : topo.neighbors(u)) nbrs.push_back(e.to);
     std::sort(nbrs.begin(), nbrs.end());
     for (const NodeId v : nbrs) {
@@ -38,7 +38,7 @@ std::optional<EprPath> bfs_path(const Graph& topo, QpuId src, QpuId dst,
       }
       seen[static_cast<std::size_t>(v)] = 1;
       parent[static_cast<std::size_t>(v)] = u;
-      q.push(v);
+      queue.push_back(v);
     }
   }
   if (!seen[static_cast<std::size_t>(dst)]) return std::nullopt;
@@ -60,7 +60,7 @@ class ShortestPathRouter final : public EprRouter {
   std::optional<EprPath> route(const QuantumCloud& cloud, QpuId src, QpuId dst,
                                const std::vector<int>& free_comm)
       const override {
-    CLOUDQC_CHECK(src != dst);
+    check_route_endpoints(cloud.topology(), src, dst);
     (void)free_comm;
     return bfs_path(cloud.topology(), src, dst, nullptr);
   }
@@ -78,10 +78,15 @@ class CongestionAwareRouter final : public EprRouter {
   std::optional<EprPath> route(const QuantumCloud& cloud, QpuId src, QpuId dst,
                                const std::vector<int>& free_comm)
       const override {
-    CLOUDQC_CHECK(src != dst);
     const Graph& topo = cloud.topology();
+    check_route_endpoints(topo, src, dst);
     CLOUDQC_CHECK(free_comm.size() ==
                   static_cast<std::size_t>(topo.num_nodes()));
+
+    // The cloud's hop matrix is the same BFS over the same topology, so it
+    // gives the unmasked path length without a search.
+    const int direct_hops = cloud.distance(src, dst);
+    if (direct_hops < 0) return std::nullopt;  // disconnected
 
     // Saturated intermediates are unusable (no qubit left to swap with);
     // find the shortest path avoiding them.
@@ -92,15 +97,13 @@ class CongestionAwareRouter final : public EprRouter {
         blocked[static_cast<std::size_t>(v)] = 1;
       }
     }
-    const auto direct = bfs_path(topo, src, dst, nullptr);
-    if (!direct.has_value()) return std::nullopt;  // disconnected
     const auto unblocked = bfs_path(topo, src, dst, &blocked);
     if (!unblocked.has_value() ||
-        unblocked->hops() > direct->hops() + max_extra_hops_) {
+        unblocked->hops() > direct_hops + max_extra_hops_) {
       // Every viable detour is too long: queue on the plain shortest path
       // (EPR success decays as p^hops, so a long detour costs more than
       // waiting for the hot QPU to free up).
-      return direct;
+      return bfs_path(topo, src, dst, nullptr);
     }
 
     // Among paths of the unblocked-minimal length, pick the one with the
@@ -157,8 +160,8 @@ class MaskedShortestRouter final : public EprRouter {
   std::optional<EprPath> route(const QuantumCloud& cloud, QpuId src, QpuId dst,
                                const std::vector<int>& free_comm)
       const override {
-    CLOUDQC_CHECK(src != dst);
     const Graph& topo = cloud.topology();
+    check_route_endpoints(topo, src, dst);
     const auto n = static_cast<std::size_t>(topo.num_nodes());
     CLOUDQC_CHECK(free_comm.size() == n);
 
@@ -214,17 +217,25 @@ std::unique_ptr<EprRouter> make_masked_shortest_router() {
 std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
                                       QpuId dst, int k) {
   CLOUDQC_CHECK(k >= 1);
-  CLOUDQC_CHECK(src != dst);
+  check_route_endpoints(topology, src, dst);
   std::vector<EprPath> result;
   const auto first = bfs_path(topology, src, dst, nullptr);
   if (!first.has_value()) return result;
   result.push_back(*first);
 
   // Yen's algorithm over unit edge weights, with node-removal encoded via
-  // the `blocked` mask of bfs_path.
+  // the `blocked` mask of bfs_path. Every path found so far is in `result`
+  // or `candidates`, and both stay small, so a linear scan over them
+  // de-duplicates.
+  const auto n = static_cast<std::size_t>(topology.num_nodes());
   std::vector<EprPath> candidates;
-  auto path_key = [](const EprPath& p) { return p.nodes; };
-  std::set<std::vector<QpuId>> seen{path_key(*first)};
+  const auto already_found = [&](const EprPath& p) {
+    const auto same = [&p](const EprPath& q) { return q.nodes == p.nodes; };
+    return std::any_of(result.begin(), result.end(), same) ||
+           std::any_of(candidates.begin(), candidates.end(), same);
+  };
+  std::vector<char> blocked;
+  std::vector<char> on_path(n, 0);
 
   while (static_cast<int>(result.size()) < k) {
     const EprPath& prev = result.back();
@@ -232,8 +243,7 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
       const QpuId spur = prev.nodes[i];
       // Block the nodes of the root prefix (except the spur itself) and
       // the next hop every known path takes from this prefix.
-      std::vector<char> blocked(
-          static_cast<std::size_t>(topology.num_nodes()), 0);
+      blocked.assign(n, 0);
       for (std::size_t j = 0; j < i; ++j) {
         blocked[static_cast<std::size_t>(prev.nodes[j])] = 1;
       }
@@ -257,11 +267,17 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
                          spur_path->nodes.end());
       // Loop-free check: Yen with node-blocking guarantees it, but guard
       // against prefix/spur overlap regardless.
-      std::set<QpuId> uniq(total.nodes.begin(), total.nodes.end());
-      if (uniq.size() != total.nodes.size()) continue;
-      if (seen.insert(path_key(total)).second) {
-        candidates.push_back(std::move(total));
+      bool loop_free = true;
+      for (const QpuId q : total.nodes) {
+        char& mark = on_path[static_cast<std::size_t>(q)];
+        if (mark) loop_free = false;
+        mark = 1;
       }
+      for (const QpuId q : total.nodes) {
+        on_path[static_cast<std::size_t>(q)] = 0;
+      }
+      if (!loop_free || already_found(total)) continue;
+      candidates.push_back(std::move(total));
     }
     if (candidates.empty()) break;
     const auto best = std::min_element(
@@ -276,6 +292,13 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
     candidates.erase(best);
   }
   return result;
+}
+
+void check_route_endpoints(const Graph& topology, QpuId src, QpuId dst) {
+  const QpuId n = topology.num_nodes();
+  CLOUDQC_CHECK_MSG(src >= 0 && src < n && dst >= 0 && dst < n,
+                    "route endpoint is not a QPU of this topology");
+  CLOUDQC_CHECK(src != dst);
 }
 
 }  // namespace cloudqc

@@ -35,7 +35,9 @@ struct EprPath {
 /// would silently bypass the saturated intermediates this contract is
 /// reporting. Implementations must be deterministic functions of their
 /// arguments (the change-gated event loop may consult them repeatedly on
-/// identical state and relies on identical answers).
+/// identical state and relies on identical answers). `src` and `dst` must
+/// be distinct QPU ids of `cloud`; route() throws std::logic_error
+/// otherwise (see check_route_endpoints).
 class EprRouter {
  public:
   virtual ~EprRouter() = default;
@@ -80,8 +82,14 @@ std::unique_ptr<EprRouter> make_masked_shortest_router();
 
 /// Enumerate up to `k` loop-free shortest paths between two QPUs (Yen's
 /// algorithm over hop counts). Exposed for tests and for router
-/// implementations.
+/// implementations. Throws std::logic_error unless `src` and `dst` are
+/// distinct node ids of `topology`.
 std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
                                       QpuId dst, int k);
+
+/// Throws std::logic_error unless `src` and `dst` are distinct node ids in
+/// [0, topology.num_nodes()). Every router's route() calls it on entry,
+/// before it indexes any per-QPU array with either id.
+void check_route_endpoints(const Graph& topology, QpuId src, QpuId dst);
 
 }  // namespace cloudqc

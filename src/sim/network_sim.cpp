@@ -231,33 +231,46 @@ void NetworkSimulator::allocate_and_start() {
 
 std::size_t NetworkSimulator::run_allocation_round() {
   ++alloc_rounds_;
+  // Offer only the fundable ops: those with a free communication qubit at
+  // both endpoints. Within allocate() free_comm only decreases, so any
+  // other op would get 0 pairs from every allocator, and dropping it
+  // changes no grant and no Random draw (see allocators.hpp). The handle
+  // is the op's position in the wait set.
   std::vector<CommRequest> requests;
   requests.reserve(waiting_remote_.size());
-  for (const auto& [job_id, gate] : waiting_remote_) {
+  for (std::size_t w = 0; w < waiting_remote_.size(); ++w) {
+    const auto [job_id, gate] = waiting_remote_[w];
     const CompiledJob& compiled =
         jobs_[static_cast<std::size_t>(job_id)].compiled;
     const std::size_t node = compiled.remote_index(gate);
     const RemoteOp& op = compiled.remote_ops[node];
+    if (free_comm_[static_cast<std::size_t>(op.qpu_a)] < 1 ||
+        free_comm_[static_cast<std::size_t>(op.qpu_b)] < 1) {
+      continue;
+    }
     CommRequest req;
-    req.handle = static_cast<int>(requests.size());
+    req.handle = static_cast<int>(w);
     req.priority = static_cast<double>(compiled.remote_prio[node]);
     req.qpu_a = op.qpu_a;
     req.qpu_b = op.qpu_b;
     requests.push_back(req);
   }
 
-  const std::vector<int> pairs =
+  const std::vector<int> grants =
       allocator_.allocate(requests, free_comm_, rng_);
-  CLOUDQC_CHECK(pairs.size() == requests.size());
+  CLOUDQC_CHECK(grants.size() == requests.size());
 
-  // Validate the allocator respected per-QPU budgets, then start funded
+  // Validate the allocator respected per-QPU budgets, then scatter the
+  // grants back over the wait set (unoffered ops get 0) and start funded
   // operations.
   std::vector<int> spend(free_comm_.size(), 0);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    CLOUDQC_CHECK(pairs[i] >= 0);
-    if (pairs[i] == 0) continue;
-    spend[static_cast<std::size_t>(requests[i].qpu_a)] += pairs[i];
-    spend[static_cast<std::size_t>(requests[i].qpu_b)] += pairs[i];
+  std::vector<int> pairs(waiting_remote_.size(), 0);
+  for (std::size_t i = 0; i < grants.size(); ++i) {
+    CLOUDQC_CHECK(grants[i] >= 0);
+    if (grants[i] == 0) continue;
+    spend[static_cast<std::size_t>(requests[i].qpu_a)] += grants[i];
+    spend[static_cast<std::size_t>(requests[i].qpu_b)] += grants[i];
+    pairs[static_cast<std::size_t>(requests[i].handle)] = grants[i];
   }
   for (std::size_t q = 0; q < free_comm_.size(); ++q) {
     CLOUDQC_CHECK_MSG(spend[q] <= free_comm_[q],

@@ -248,7 +248,11 @@ class NetworkSimulator {
   /// deducted — is asserted per round in debug builds, for every router
   /// implementation (the cached frontier router included).
   void allocate_and_start();
-  /// One allocator round; returns the number of operations started.
+  /// One allocator round; returns the number of operations started. The
+  /// allocator is called once and offered only the waiting ops with a
+  /// free communication qubit at both endpoints (exact: it could fund no
+  /// other; see allocators.hpp). Unoffered and unfunded ops stay in the
+  /// wait set in their original relative order.
   std::size_t run_allocation_round();
   /// Invoke allocate_and_start() only when the resource state changed
   /// since the last round (always, when change gating is off).

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "schedule/allocators.hpp"
 
@@ -164,6 +166,70 @@ TEST_P(AllocatorProperty, BudgetAndProgress) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFour, AllocatorProperty,
+                         ::testing::Values(0, 1, 2, 3));
+
+// The simulator offers an allocator only the requests with a free qubit at
+// both endpoints. That filter is exact: for every allocator, allocating
+// over the whole set equals allocating over the fundable subset and
+// scattering zeros back, and Random consumes the same draws either way.
+class FundableFilter : public ::testing::TestWithParam<int> {};
+
+TEST_P(FundableFilter, SubsetAllocationEqualsFullAllocation) {
+  const int variant = GetParam();
+  const std::unique_ptr<CommAllocator> alloc =
+      variant == 0   ? make_cloudqc_allocator()
+      : variant == 1 ? make_greedy_allocator()
+      : variant == 2 ? make_average_allocator()
+                     : make_random_allocator();
+  Rng gen(0xF17E5 + static_cast<std::uint64_t>(variant));
+  for (int trial = 0; trial < 250; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int qpus = 3 + static_cast<int>(gen.below(6));
+    std::vector<int> budget(static_cast<std::size_t>(qpus));
+    for (auto& b : budget) {
+      // About a third of the QPUs have no free qubit at all.
+      b = gen.below(3) == 0 ? 0 : 1 + static_cast<int>(gen.below(4));
+    }
+    std::vector<CommRequest> all;
+    const int n = static_cast<int>(gen.below(12));
+    for (int i = 0; i < n; ++i) {
+      if (!all.empty() && gen.below(4) == 0) {
+        all.push_back(all[gen.below(all.size())]);  // duplicate endpoints
+        all.back().priority = static_cast<double>(gen.below(3));
+        continue;
+      }
+      const auto a =
+          static_cast<QpuId>(gen.below(static_cast<std::uint64_t>(qpus)));
+      auto b = static_cast<QpuId>(
+          gen.below(static_cast<std::uint64_t>(qpus - 1)));
+      if (b >= a) ++b;
+      // Three priority levels, so ties are common.
+      all.push_back(req(static_cast<double>(gen.below(3)), a, b));
+    }
+    std::vector<CommRequest> fundable;
+    std::vector<std::size_t> index;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      if (budget[static_cast<std::size_t>(all[i].qpu_a)] >= 1 &&
+          budget[static_cast<std::size_t>(all[i].qpu_b)] >= 1) {
+        fundable.push_back(all[i]);
+        index.push_back(i);
+      }
+    }
+
+    const std::uint64_t seed = gen();
+    Rng rng_all(seed);
+    Rng rng_sub(seed);
+    const auto want = alloc->allocate(all, budget, rng_all);
+    const auto sub = alloc->allocate(fundable, budget, rng_sub);
+    ASSERT_EQ(sub.size(), fundable.size());
+    std::vector<int> got(all.size(), 0);
+    for (std::size_t i = 0; i < sub.size(); ++i) got[index[i]] = sub[i];
+    EXPECT_EQ(got, want) << alloc->name();
+    EXPECT_EQ(rng_all(), rng_sub()) << alloc->name() << ": RNG diverged";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFour, FundableFilter,
                          ::testing::Values(0, 1, 2, 3));
 
 }  // namespace

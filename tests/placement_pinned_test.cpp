@@ -10,10 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <iomanip>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "circuit/workloads.hpp"
@@ -21,40 +17,14 @@
 #include "graph/topology.hpp"
 #include "partition/partitioner.hpp"
 #include "placement/placement.hpp"
+#include "pin_hash.hpp"
 
 namespace cloudqc {
 namespace {
 
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    add(bits);
-  }
-  void add_ints(const std::vector<int>& v) {
-    add(v.size());
-    for (const int x : v) {
-      add(static_cast<std::uint64_t>(static_cast<std::int64_t>(x)));
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-std::string hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
-}
+using testing::Fnv;
+using testing::hex;
+using testing::Pin;
 
 /// The paper's 20-QPU cloud laid out as a 4x5 grid (the perfbench stream
 /// workloads' cloud). `half_occupied` reserves 5..15 computing qubits per
@@ -71,11 +41,6 @@ QuantumCloud grid_cloud(bool half_occupied) {
   }
   return cloud;
 }
-
-struct Pin {
-  const char* name;
-  const char* hash;
-};
 
 TEST(PlacementPinned, PartitionGraphParts) {
   const std::vector<Pin> pins = {

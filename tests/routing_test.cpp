@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,32 @@ TEST(RoutedSimulation, DeterministicForSeed) {
     return sim.run_to_completion()[0].time;
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+TEST(Routers, RejectOutOfRangeQpuIds) {
+  // An id outside [0, num_qpus) would index past the end of the routers'
+  // per-QPU arrays; every entry point must refuse it before that.
+  const auto cloud = ring_cloud(6);
+  const auto free = full_comm(cloud);
+  std::vector<std::unique_ptr<EprRouter>> routers;
+  routers.push_back(make_shortest_path_router());
+  routers.push_back(make_congestion_aware_router());
+  routers.push_back(make_masked_shortest_router());
+  routers.push_back(make_frontier_router());
+  for (const auto& router : routers) {
+    for (const QpuId bad : {-1, 6}) {
+      EXPECT_THROW(router->route(cloud, bad, 2, free), std::logic_error)
+          << router->name() << " src " << bad;
+      EXPECT_THROW(router->route(cloud, 2, bad, free), std::logic_error)
+          << router->name() << " dst " << bad;
+    }
+  }
+  for (const QpuId bad : {-1, 6}) {
+    EXPECT_THROW(k_shortest_paths(cloud.topology(), bad, 2, 3),
+                 std::logic_error);
+    EXPECT_THROW(k_shortest_paths(cloud.topology(), 2, bad, 3),
+                 std::logic_error);
+  }
 }
 
 TEST(Routers, Names) {
