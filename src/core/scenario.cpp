@@ -33,7 +33,6 @@
 #include "placement/placement.hpp"
 #include "placement/placement_cache.hpp"
 #include "schedule/allocators.hpp"
-#include "schedule/frontier_router.hpp"
 #include "schedule/routing.hpp"
 #include "sim/epr.hpp"
 #include "sim/network_sim.hpp"
@@ -93,7 +92,6 @@ constexpr EnumName<RouterKind> kRouterNames[] = {
     {RouterKind::kShortest, "shortest"},
     {RouterKind::kCongestion, "congestion"},
     {RouterKind::kMasked, "masked"},
-    {RouterKind::kFrontier, "frontier"},
 };
 auto names(RouterKind) { return std::pair{&kRouterNames, "router"}; }
 constexpr EnumName<ChurnPolicy> kChurnPolicyNames[] = {
@@ -743,8 +741,6 @@ std::unique_ptr<EprRouter> make_router(RouterKind kind) {
       return make_congestion_aware_router();
     case RouterKind::kMasked:
       return make_masked_shortest_router();
-    case RouterKind::kFrontier:
-      return make_frontier_router();
   }
   throw ScenarioError("unknown router kind");
 }

@@ -62,12 +62,8 @@ enum class PlacerKind { kCloudQC, kBfs, kRandom, kAnnealing, kGenetic, kRace };
 enum class AllocatorKind { kCloudQC, kGreedy, kAverage, kRandom };
 
 /// EPR-path router selector (schedule/routing.hpp). Only the network-sim
-/// engine consults it; kNone uses the static hop model. kMasked and
-/// kFrontier compute the same masked-shortest-path policy — kMasked is
-/// the per-op reference BFS, kFrontier the batched sweep with cached
-/// trees (schedule/frontier_router.hpp); their results are bit-identical
-/// by contract, so scenarios pick on speed, not semantics.
-enum class RouterKind { kNone, kShortest, kCongestion, kMasked, kFrontier };
+/// engine consults it; kNone uses the static hop model.
+enum class RouterKind { kNone, kShortest, kCongestion, kMasked };
 
 /// Workload half of a scenario: either an explicit circuit list
 /// (generator names or QASM paths) or a synthetic arrival trace.

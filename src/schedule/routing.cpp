@@ -139,16 +139,14 @@ class CongestionAwareRouter final : public EprRouter {
   int max_extra_hops_;
 };
 
-// The canonical masked-shortest-path policy, computed fresh per call with
-// a level-synchronous BFS. Deliberately the *simple* implementation: no
-// CSR, no bitmaps, no caching — a dozen lines whose correctness is easy to
-// audit, so the differential tests can hold the batched FrontierRouter to
-// it result-for-result. The tie-break contract both must satisfy:
+// The masked-shortest-path policy, computed fresh per call with a
+// level-synchronous BFS. The tie-break contract:
 //
-//   * levels are processed synchronously; within a level the frontier is
-//     iterated in ascending node id, and each node expands its neighbours
-//     in ascending id — so every claimed node's parent is its
-//     lowest-indexed neighbour in the previous level;
+//   * levels are processed synchronously, and within a level the frontier
+//     is iterated in ascending node id. A node is claimed by the first
+//     frontier node that reaches it, so its parent is its lowest-id
+//     neighbour in the previous level; the order of each node's adjacency
+//     list does not matter;
 //   * a saturated node (free_comm <= 0, other than src) is *claimable*
 //     (it can terminate a path: destinations are endpoint-exempt) but
 //     never *expandable* (it never enters the frontier, so no path
@@ -173,18 +171,16 @@ class MaskedShortestRouter final : public EprRouter {
     while (!frontier.empty() && !claimed[static_cast<std::size_t>(dst)]) {
       next.clear();
       for (const NodeId u : frontier) {
-        std::vector<NodeId> nbrs;
-        for (const auto& e : topo.neighbors(u)) nbrs.push_back(e.to);
-        std::sort(nbrs.begin(), nbrs.end());
-        for (const NodeId v : nbrs) {
+        for (const auto& e : topo.neighbors(u)) {
+          const NodeId v = e.to;
           if (claimed[static_cast<std::size_t>(v)]) continue;
           claimed[static_cast<std::size_t>(v)] = 1;
           parent[static_cast<std::size_t>(v)] = u;
           if (free_comm[static_cast<std::size_t>(v)] > 0) next.push_back(v);
         }
       }
-      // Claims above arrive in (frontier-rank, neighbour-id) order, which
-      // is not globally ascending past level 1 — restore the invariant.
+      // Claims above arrive in (frontier-rank, adjacency) order, which is
+      // not ascending — restore the invariant.
       std::sort(next.begin(), next.end());
       frontier.swap(next);
     }

@@ -61,23 +61,17 @@ std::unique_ptr<EprRouter> make_shortest_path_router();
 /// when every alternative is saturated.
 std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
 
-/// Masked shortest path — the "frontier" routing policy, per-operation
-/// reference implementation. The path is the hop-shortest one that never
+/// Masked shortest path. The path is the hop-shortest one that never
 /// transits a *saturated* intermediate QPU (free_comm <= 0); the endpoints
 /// are exempt (their qubits are accounted by the endpoint allocation).
 /// Unlike the congestion-aware router there is no detour cap and no load
 /// scoring: a saturated cut means nullopt, and the simulator requeues the
-/// op until the congestion state changes (the PR-3 stall contract).
+/// op until the congestion state changes (the stall contract above).
 ///
-/// Canonical tie-break (the determinism contract shared with the batched
-/// FrontierRouter in schedule/frontier_router.hpp): the BFS is
-/// level-synchronous and every node's parent is its lowest-indexed
-/// neighbour in the previous level — "lowest-index neighbour wins" at
-/// every hop, so the chosen path is a pure function of (topology, src,
-/// dst, saturation set). This implementation recomputes a fresh BFS per
-/// call; it is the differential-test baseline and the per-op bench leg
-/// that FrontierRouter must match result-for-result while amortising the
-/// sweeps.
+/// Canonical tie-break: the BFS is level-synchronous and every node's
+/// parent is its lowest-id neighbour in the previous level, whatever order
+/// the topology stores its adjacency in. The chosen path is therefore a
+/// pure function of (topology edge set, src, dst, saturation set).
 std::unique_ptr<EprRouter> make_masked_shortest_router();
 
 /// Enumerate up to `k` loop-free shortest paths between two QPUs (Yen's

@@ -14,8 +14,10 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
     : cloud_(cloud),
       allocator_(allocator),
       router_(router),
-      rng_(rng),
-      epr_(cloud.config().epr_success_prob) {
+      rng_(rng) {
+  CLOUDQC_CHECK_MSG(cloud.config().epr_success_prob > 0.0 &&
+                        cloud.config().epr_success_prob <= 1.0,
+                    "EPR success probability must be in (0, 1]");
   free_comm_.resize(static_cast<std::size_t>(cloud.num_qpus()));
   for (QpuId q = 0; q < cloud.num_qpus(); ++q) {
     free_comm_[static_cast<std::size_t>(q)] = cloud.qpu(q).comm_capacity();
@@ -281,12 +283,11 @@ std::size_t NetworkSimulator::run_allocation_round() {
   std::size_t started = 0;
   const LatencyModel& lat = cloud_.config().latency;
 #ifndef NDEBUG
-  // Grant conservation (the PR 3 fixed-point rule, asserted for every
-  // router implementation — per-op and frontier alike): an op the
-  // allocator funded but the router path-blocked (nullopt, or capped to
-  // x <= 0 by a saturated reserved node) must return its *full* grant for
-  // redistribution. Equivalently, the only qubits leaving the pool this
-  // round are those reserved by ops that actually started.
+  // Grant conservation (the fixed-point rule, asserted for every router):
+  // an op the allocator funded but the router path-blocked (nullopt, or
+  // capped to x <= 0 by a saturated reserved node) must return its *full*
+  // grant for redistribution. Equivalently, the only qubits leaving the
+  // pool this round are those reserved by ops that actually started.
   const std::vector<int> free_before = free_comm_;
   std::vector<int> started_spend(free_comm_.size(), 0);
 #endif
@@ -350,27 +351,17 @@ std::size_t NetworkSimulator::run_allocation_round() {
     const int level = cloud_.config().purification_level;
     const int raw_needed = purification::raw_pairs_needed(level);
     const FidelityModel& fid = cloud_.config().fidelity;
-    int rounds;
-    double path_fidelity;
-    if (drift_amplitude_ > 0.0) {
-      // Calibration drift: scale the EPR success probability and the
-      // per-hop link fidelity by the current drift factor. The drifted
-      // model draws exactly as many uniforms as the static one, so the
-      // amplitude-0 branch below stays bit-identical.
-      const double d =
-          calibration_drift_factor(now_, drift_amplitude_, drift_period_);
-      const EprModel drifted(cloud_.config().epr_success_prob * d);
-      rounds = raw_needed == 1
-                   ? drifted.rounds_until_success(hops, x, rng_)
-                   : drifted.rounds_until_k_successes(hops, x, raw_needed,
-                                                      rng_);
-      path_fidelity = std::pow(fid.f_epr * d, hops);
-    } else {
-      rounds = raw_needed == 1
-                   ? epr_.rounds_until_success(hops, x, rng_)
-                   : epr_.rounds_until_k_successes(hops, x, raw_needed, rng_);
-      path_fidelity = fid.epr_path_fidelity(hops);
-    }
+    // Calibration drift scales the EPR success probability and the
+    // per-hop link fidelity by the current drift factor, which is exactly
+    // 1.0 at amplitude 0 (the static model, bit for bit).
+    const double d =
+        calibration_drift_factor(now_, drift_amplitude_, drift_period_);
+    const EprModel epr(cloud_.config().epr_success_prob * d);
+    const int rounds =
+        raw_needed == 1
+            ? epr.rounds_until_success(hops, x, rng_)
+            : epr.rounds_until_k_successes(hops, x, raw_needed, rng_);
+    const double path_fidelity = std::pow(fid.f_epr * d, hops);
     total_epr_rounds_ += static_cast<std::uint64_t>(rounds);
     const double duration =
         rounds * lat.t_epr + lat.remote_gate_overhead();

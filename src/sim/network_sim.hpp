@@ -174,9 +174,8 @@ class NetworkSimulator {
   /// Sinusoidal calibration drift (cloud/churn.hpp): at each remote-op
   /// start, the EPR success probability and the per-hop link fidelity
   /// are scaled by calibration_drift_factor(now(), amplitude, period).
-  /// The drifted path consumes exactly as many RNG draws as the static
-  /// one, so amplitude = 0 (the default) is bit-identical to never
-  /// calling this.
+  /// The factor is exactly 1 at amplitude 0 (the default), so that is
+  /// bit-identical to never calling this.
   void set_calibration_drift(double amplitude, double period);
 
   /// Events processed so far (step() calls) — the events/sec numerator.
@@ -245,8 +244,7 @@ class NetworkSimulator {
   /// by a saturated path without consuming its grant, leaving budget the
   /// next round may redistribute. The grant-conservation half of that
   /// rule — a path-blocked op returns its *full* grant, nothing is
-  /// deducted — is asserted per round in debug builds, for every router
-  /// implementation (the cached frontier router included).
+  /// deducted — is asserted per round in debug builds, for every router.
   void allocate_and_start();
   /// One allocator round; returns the number of operations started. The
   /// allocator is called once and offered only the waiting ops with a
@@ -274,7 +272,6 @@ class NetworkSimulator {
   const CommAllocator& allocator_;
   const EprRouter* router_;  // may be null (static shortest-hop model)
   Rng rng_;
-  EprModel epr_;
   std::array<double, kNumGateClasses> gate_duration_{};
   std::array<double, kNumGateClasses> gate_log_fidelity_{};
   EventQueue<GateDone> events_;

@@ -88,8 +88,8 @@ TEST(ScenarioParserTest, RejectsUnknownKeysSectionsAndValues) {
   // (4294967316 == 2^32 + 20 would truncate to a 20-QPU cloud).
   EXPECT_THROW(parse_scenario("[cloud]\nnum_qpus = 4294967316\n"),
                ScenarioError);
-  // Non-finite and out-of-range values fail on their own line (4) instead
-  // of tripping an engine CHECK later or silently running another
+  // Non-finite, out-of-range and unknown values fail on their own line (4)
+  // instead of tripping an engine CHECK later or silently running another
   // experiment.
   const std::string circuits = "[workload]\ncircuits = ising_n34\n";
   const char* const bad_values[] = {
@@ -104,6 +104,7 @@ TEST(ScenarioParserTest, RejectsUnknownKeysSectionsAndValues) {
       "[tenant.a]\nweight = nan",
       "[tenant.a]\nslo_jct = nan",
       "[churn]\ndrift_amplitude = nan",
+      "[engine]\nrouter = frontier",  // not a router name
   };
   for (const char* bad : bad_values) {
     SCOPED_TRACE(bad);
@@ -136,14 +137,12 @@ TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
 
 TEST(ScenarioParserTest, RouterKindsRoundTrip) {
   // Every router name parses under the network-sim engine and survives the
-  // emit/reparse cycle — including the routed-engine pair "masked" and
-  // "frontier" (same policy, per-op vs batched implementation).
+  // emit/reparse cycle.
   const std::pair<const char*, RouterKind> kinds[] = {
       {"none", RouterKind::kNone},
       {"shortest", RouterKind::kShortest},
       {"congestion", RouterKind::kCongestion},
       {"masked", RouterKind::kMasked},
-      {"frontier", RouterKind::kFrontier},
   };
   for (const auto& [name, kind] : kinds) {
     const std::string text = std::string("[workload]\ncircuits = ising_n34\n") +
@@ -156,11 +155,11 @@ TEST(ScenarioParserTest, RouterKindsRoundTrip) {
         << ini;
     EXPECT_EQ(parse_scenario(ini, "r").engine.router, kind) << name;
   }
-  // The new kinds are as loud as the old ones outside network_sim.
+  // A router outside network_sim is an error in every other mode.
   for (const char* mode : {"batch", "multi_tenant", "streaming"}) {
     EXPECT_THROW(parse_scenario(std::string("[workload]\ncircuits = "
                                             "ising_n34\n[engine]\nmode = ") +
-                                mode + "\nrouter = frontier\n"),
+                                mode + "\nrouter = masked\n"),
                  ScenarioError)
         << mode;
   }
@@ -231,7 +230,7 @@ ScenarioSpec every_key_spec() {
   spec.engine.mode = EngineMode::kIncoming;
   spec.engine.placer = PlacerKind::kAnnealing;
   spec.engine.allocator = AllocatorKind::kAverage;
-  spec.engine.router = RouterKind::kFrontier;
+  spec.engine.router = RouterKind::kMasked;
   spec.engine.seed = 77;
   spec.engine.fifo = true;
   spec.engine.gated_admission = false;
@@ -334,7 +333,7 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
             "mode = incoming\n"
             "placer = annealing\n"
             "allocator = average\n"
-            "router = frontier\n"
+            "router = masked\n"
             "seed = 77\n"
             "fifo = true\n"
             "gated_admission = false\n"

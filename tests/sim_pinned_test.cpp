@@ -21,7 +21,6 @@
 
 #include "graph/topology.hpp"
 #include "pin_hash.hpp"
-#include "schedule/frontier_router.hpp"
 #include "schedule/routing.hpp"
 #include "sim/network_sim.hpp"
 
@@ -99,8 +98,7 @@ std::unique_ptr<EprRouter> make_router(int i) {
     case 0: return nullptr;
     case 1: return make_shortest_path_router();
     case 2: return make_congestion_aware_router();
-    case 3: return make_masked_shortest_router();
-    default: return make_frontier_router();
+    default: return make_masked_shortest_router();
   }
 }
 
@@ -114,8 +112,6 @@ TEST(SimPinned, ContendedTrajectories) {
       {"CloudQC congestion ungated", "0x355d89b45da7cd74"},
       {"CloudQC masked gated", "0x6bc8406e6264ea4b"},
       {"CloudQC masked ungated", "0x6bc8406e6264ea4b"},
-      {"CloudQC frontier gated", "0x6bc8406e6264ea4b"},
-      {"CloudQC frontier ungated", "0x6bc8406e6264ea4b"},
       {"Greedy none gated", "0x60264830d2883366"},
       {"Greedy none ungated", "0x60264830d2883366"},
       {"Greedy shortest gated", "0xdc401478bee30f72"},
@@ -124,8 +120,6 @@ TEST(SimPinned, ContendedTrajectories) {
       {"Greedy congestion ungated", "0x44eb17d46a8949c1"},
       {"Greedy masked gated", "0xf0d7635a5c6236a6"},
       {"Greedy masked ungated", "0xf0d7635a5c6236a6"},
-      {"Greedy frontier gated", "0xf0d7635a5c6236a6"},
-      {"Greedy frontier ungated", "0xf0d7635a5c6236a6"},
       {"Average none gated", "0xf9983f08319ca6c8"},
       {"Average none ungated", "0xf9983f08319ca6c8"},
       {"Average shortest gated", "0x3bff46583695a359"},
@@ -134,8 +128,6 @@ TEST(SimPinned, ContendedTrajectories) {
       {"Average congestion ungated", "0x8234dae737bb4ef6"},
       {"Average masked gated", "0xa7fafa868951fd09"},
       {"Average masked ungated", "0xa7fafa868951fd09"},
-      {"Average frontier gated", "0xa7fafa868951fd09"},
-      {"Average frontier ungated", "0xa7fafa868951fd09"},
       {"Random none gated", "0x109df49a2b7a3bb1"},
       {"Random none ungated", "0x109df49a2b7a3bb1"},
       {"Random shortest gated", "0x46076b76f119cd80"},
@@ -144,8 +136,6 @@ TEST(SimPinned, ContendedTrajectories) {
       {"Random congestion ungated", "0x149008b8069cfd3c"},
       {"Random masked gated", "0xdaf7d5f4e9dce737"},
       {"Random masked ungated", "0x1932173df3a010b5"},
-      {"Random frontier gated", "0xdaf7d5f4e9dce737"},
-      {"Random frontier ungated", "0x1932173df3a010b5"},
   };
   const QuantumCloud cloud = contended_cloud();
   const auto maps = tenant_maps(cloud);
@@ -155,7 +145,7 @@ TEST(SimPinned, ContendedTrajectories) {
   std::size_t i = 0;
   for (int a = 0; a < 4; ++a) {
     const auto alloc = make_allocator(a);
-    for (int r = 0; r < 5; ++r) {
+    for (int r = 0; r < 4; ++r) {
       for (const bool gated : {true, false}) {
         const auto router = make_router(r);
         NetworkSimulator sim(cloud, *alloc, Rng(11), router.get());
@@ -226,6 +216,31 @@ TEST(SimPinned, KShortestPaths) {
   }
 }
 
+/// Digest of `router`'s answer for every ordered QPU pair of `topo` under
+/// four seeded saturation masks (free qubits 0..3 per QPU, about a quarter
+/// saturated). The masks do not depend on the topology, so the two
+/// random14 twins must agree.
+std::string route_digest(const EprRouter& router, const Graph& topo) {
+  CloudConfig cfg;
+  cfg.num_qpus = topo.num_nodes();
+  const QuantumCloud cloud(cfg, topo);
+  Rng rng(0xC0DE);
+  Fnv h;
+  for (int mask = 0; mask < 4; ++mask) {
+    std::vector<int> free_comm(static_cast<std::size_t>(topo.num_nodes()));
+    for (auto& f : free_comm) f = static_cast<int>(rng.below(4));
+    for (QpuId s = 0; s < topo.num_nodes(); ++s) {
+      for (QpuId d = 0; d < topo.num_nodes(); ++d) {
+        if (s == d) continue;
+        const auto path = router.route(cloud, s, d, free_comm);
+        h.add(path.has_value() ? 1 : 0);
+        if (path.has_value()) add_path(h, *path);
+      }
+    }
+  }
+  return hex(h.value());
+}
+
 TEST(SimPinned, CongestionAwareRoutes) {
   const std::vector<Pin> pins = {
       {"ring9", "0xab46408927c9aba5"},
@@ -237,28 +252,26 @@ TEST(SimPinned, CongestionAwareRoutes) {
   ASSERT_EQ(topologies.size(), pins.size());
   const auto router = make_congestion_aware_router();
   for (std::size_t i = 0; i < topologies.size(); ++i) {
-    const Graph& topo = topologies[i].second;
-    CloudConfig cfg;
-    cfg.num_qpus = topo.num_nodes();
-    const QuantumCloud cloud(cfg, topo);
-    // The same masks for every topology, so the two random14 twins must
-    // agree.
-    Rng rng(0xC0DE);
-    Fnv h;
-    for (int mask = 0; mask < 4; ++mask) {
-      // Free qubits 0..3 per QPU: about a quarter saturated.
-      std::vector<int> free_comm(static_cast<std::size_t>(topo.num_nodes()));
-      for (auto& f : free_comm) f = static_cast<int>(rng.below(4));
-      for (QpuId s = 0; s < topo.num_nodes(); ++s) {
-        for (QpuId d = 0; d < topo.num_nodes(); ++d) {
-          if (s == d) continue;
-          const auto path = router->route(cloud, s, d, free_comm);
-          h.add(path.has_value() ? 1 : 0);
-          if (path.has_value()) add_path(h, *path);
-        }
-      }
-    }
-    EXPECT_EQ(hex(h.value()), pins[i].hash) << pins[i].name;
+    EXPECT_EQ(route_digest(*router, topologies[i].second), pins[i].hash)
+        << pins[i].name;
+  }
+}
+
+TEST(SimPinned, MaskedShortestRoutes) {
+  // The masked router's parent is the lowest-id neighbour in the previous
+  // BFS level whatever the adjacency order, so the random14 twins agree.
+  const std::vector<Pin> pins = {
+      {"ring9", "0x3c33563f9891f2a5"},
+      {"grid3x4", "0x1aa0632d68a4bac5"},
+      {"random14", "0x1407c7758fa84025"},
+      {"random14-descending", "0x1407c7758fa84025"},
+  };
+  const auto topologies = pinned_topologies();
+  ASSERT_EQ(topologies.size(), pins.size());
+  const auto router = make_masked_shortest_router();
+  for (std::size_t i = 0; i < topologies.size(); ++i) {
+    EXPECT_EQ(route_digest(*router, topologies[i].second), pins[i].hash)
+        << pins[i].name;
   }
 }
 

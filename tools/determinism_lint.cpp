@@ -2,7 +2,7 @@
 //
 // Every engine in this repo promises: a seeded run produces byte-identical
 // results at 1/2/8 workers. That contract is enforced dynamically by the
-// replay tests (parallel_executor_test, bench_streaming's worker-equality
+// replay tests (independent_test, bench_streaming's worker-equality
 // leg, the scenario property harness); this tool catches the hazards
 // *before* they reach a replay test, by scanning the sources for the
 // constructs that historically break seeded determinism:
