@@ -16,6 +16,8 @@
 // This binary is a CI gate, not just a report:
 //   - VmHWM growth between the 25% and 100% checkpoints must stay within
 //     CLOUDQC_BENCH_STREAMING_RSS_TOLERANCE_MB (default 64; 0 disables);
+//   - the engine must compile exactly one circuit program per distinct
+//     circuit of the mix (an exact, machine-independent count; always on);
 //   - jobs/sec must reach CLOUDQC_BENCH_STREAMING_MIN_JOBS_PER_SEC
 //     (default 0 = report-only; CI sets a floor);
 //   - the 1/2/8-worker metrics equality is always on.
@@ -159,6 +161,12 @@ int main() {
     std::printf("JCT p50/p95/p99: %.1f / %.1f / %.1f | mean fidelity: %.4f\n",
                 metrics.jct_p50(), metrics.jct_p95(), metrics.jct_p99(),
                 metrics.fidelity.mean());
+    std::printf(
+        "programs compiled: %llu (distinct circuits: %zu) | placed parts "
+        "compiled: %llu\n",
+        static_cast<unsigned long long>(metrics.programs_compiled),
+        stream_mix().size(),
+        static_cast<unsigned long long>(metrics.placed_parts_compiled));
 
     json.add("wall_seconds", seconds);
     json.add("jobs_per_sec", jobs_per_sec);
@@ -169,6 +177,9 @@ int main() {
     json.add("jct_p50", metrics.jct_p50());
     json.add("jct_p95", metrics.jct_p95());
     json.add("jct_p99", metrics.jct_p99());
+    json.add("programs_compiled", static_cast<long>(metrics.programs_compiled));
+    json.add("placed_parts_compiled",
+             static_cast<long>(metrics.placed_parts_compiled));
     for (std::size_t i = 0; i < samples.size(); ++i) {
       json.add("vm_hwm_kb_checkpoint_" + std::to_string(i),
                static_cast<long>(samples[i].hwm_kb));
@@ -192,6 +203,14 @@ int main() {
                      growth_mb, rss_tolerance_mb);
         gate_failed = true;
       }
+    }
+    if (metrics.programs_compiled != stream_mix().size()) {
+      std::fprintf(stderr,
+                   "FATAL: %llu circuit programs compiled for %zu distinct "
+                   "circuits — the engine recompiles repeat circuits\n",
+                   static_cast<unsigned long long>(metrics.programs_compiled),
+                   stream_mix().size());
+      gate_failed = true;
     }
     if (min_jobs_per_sec > 0.0 && jobs_per_sec < min_jobs_per_sec) {
       std::fprintf(stderr,

@@ -59,6 +59,28 @@ constexpr bool is_two_qubit(GateKind k) {
   }
 }
 
+/// Latency/fidelity class of a gate: the simulator indexes its per-cloud
+/// duration and log-fidelity tables by it.
+enum GateClass : std::uint8_t {
+  kOneQubitGate,
+  kTwoQubitGate,
+  kMeasureGate,  // measure and reset
+  kBarrierGate,
+  kNumGateClasses,
+};
+
+constexpr GateClass gate_class(GateKind k) {
+  switch (k) {
+    case GateKind::kMeasure:
+    case GateKind::kReset:
+      return kMeasureGate;
+    case GateKind::kBarrier:
+      return kBarrierGate;
+    default:
+      return is_two_qubit(k) ? kTwoQubitGate : kOneQubitGate;
+  }
+}
+
 constexpr std::string_view gate_name(GateKind k) {
   switch (k) {
     case GateKind::kH: return "h";

@@ -1,9 +1,12 @@
 #include "circuit/qasm.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -73,12 +76,17 @@ class Cursor {
   int integer() {
     skip_ws();
     std::size_t start = pos_;
+    long long value = 0;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      value = value * 10 + (text_[pos_] - '0');
+      if (value > std::numeric_limits<int>::max()) {
+        fail(line_, "integer out of range");
+      }
       ++pos_;
     }
     if (start == pos_) fail(line_, "expected integer");
-    return std::stoi(std::string(text_.substr(start, pos_ - start)));
+    return static_cast<int>(value);
   }
 
   int line() const { return line_; }
@@ -141,7 +149,16 @@ class Cursor {
                (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
         ++pos_;
       }
-      return std::stod(std::string(text_.substr(start, pos_ - start)));
+      const std::string literal(text_.substr(start, pos_ - start));
+      char* end = nullptr;
+      const double value = std::strtod(literal.c_str(), &end);
+      if (end != literal.c_str() + literal.size()) {
+        fail(line_, "malformed number '" + literal + "'");
+      }
+      if (!std::isfinite(value)) {
+        fail(line_, "number out of range '" + literal + "'");
+      }
+      return value;
     }
     // pi, a gate parameter, or a function call (sin/cos/tan/exp/ln/sqrt
     // per OpenQASM 2).
@@ -280,6 +297,9 @@ void apply_gate(Circuit& circ, GateKind kind, double param,
       q[i] = static_cast<QubitId>(ops[i].reg->offset + idx);
     }
     if (two) {
+      if (q[0] == q[1]) {
+        fail(line, std::string(gate_name(kind)) + " on a repeated qubit");
+      }
       circ.add(Gate::two(kind, q[0], q[1], param));
     } else {
       circ.add(Gate::one(kind, q[0], param));
@@ -337,6 +357,9 @@ class Executor {
       }
       cur.expect(')');
     }
+    for (const double p : params) {
+      if (!std::isfinite(p)) fail(s.line, "non-finite gate parameter");
+    }
     std::vector<Operand> ops;
     ops.push_back(parse_operand(cur, st_, subst));
     while (cur.consume(',')) ops.push_back(parse_operand(cur, st_, subst));
@@ -376,9 +399,15 @@ class Executor {
       for (std::size_t i = 0; i < params.size(); ++i) {
         child.params[def.params[i]] = params[i];
       }
+      std::vector<int> qubits;
       for (std::size_t i = 0; i < ops.size(); ++i) {
         Operand concrete = ops[i];
         if (concrete.index < 0) concrete.index = r;
+        const int qubit = concrete.reg->offset + concrete.index;
+        if (std::find(qubits.begin(), qubits.end(), qubit) != qubits.end()) {
+          fail(s.line, "gate '" + head + "' on a repeated qubit");
+        }
+        qubits.push_back(qubit);
         child.qargs[def.qargs[i]] = concrete;
       }
       for (const Stmt& body_stmt : def.body) {
@@ -509,9 +538,15 @@ Circuit parse_qasm(std::string_view source, std::string name) {
     if (head == "qreg") {
       Register r;
       r.name = cur.ident();
+      if (st.find_qreg(r.name) != nullptr) {
+        fail(s.line, "duplicate register '" + r.name + "'");
+      }
       cur.expect('[');
       r.size = cur.integer();
       cur.expect(']');
+      if (r.size > std::numeric_limits<int>::max() - total_qubits) {
+        fail(s.line, "total qubit count out of range");
+      }
       r.offset = total_qubits;
       total_qubits += r.size;
       st.qregs.push_back(r);

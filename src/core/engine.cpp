@@ -4,9 +4,11 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "circuit/circuit_program.hpp"
 #include "cloud/churn.hpp"
 #include "common/check.hpp"
 #include "core/admission_gate.hpp"
@@ -38,7 +40,8 @@ constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
 
 /// A job between intake and completion.
 struct Job {
-  Circuit circuit;
+  /// Interned at intake: jobs that run the same circuit share it.
+  std::shared_ptr<const CircuitProgram> program;
   SimTime arrival = 0.0;
   std::uint64_t id = 0;  // submit id: the queue key and the gate key
   JobClass cls;
@@ -126,6 +129,8 @@ class Engine {
     cloud_.release(fenced_);  // outages still open at the end
     CLOUDQC_CHECK(metrics_.submitted ==
                   metrics_.completed + metrics_.rejected);
+    metrics_.programs_compiled = interner_.programs_compiled();
+    metrics_.placed_parts_compiled = sim_.num_placed_parts_compiled();
     return metrics_;
   }
 
@@ -148,7 +153,8 @@ class Engine {
       ++metrics_.rejected;
       return;
     }
-    enqueue(Job{std::move(arriving.circuit), arriving.arrival, id,
+    enqueue(Job{interner_.intern(std::move(arriving.circuit)),
+                arriving.arrival, id,
                 config_.classes != nullptr ? (*config_.classes)[id]
                                            : JobClass{}});
   }
@@ -174,10 +180,10 @@ class Engine {
   // On success the job moves from the queue into the simulator.
   bool try_admit(std::size_t pos) {
     Job& job = pending_[pos];
-    auto placement = cached_place(config_.cache, job.circuit, cloud_, placer_,
+    auto placement = cached_place(config_.cache, job.program, cloud_, placer_,
                                   rng_, &gate_.signature());
     if (!placement.has_value()) {
-      gate_.record_failure(job.id, job.circuit.num_qubits());
+      gate_.record_failure(job.id, job.program->circuit().num_qubits());
       return false;
     }
     gate_.record_admission(job.id);
@@ -187,7 +193,7 @@ class Engine {
     gate_.refresh(cloud_);
     const int qpus_used = placement->num_qpus_used();
     const int sim_id =
-        sim_.add_job(job.circuit, std::move(placement->qubit_to_qpu));
+        sim_.add_job(*job.program, std::move(placement->qubit_to_qpu));
     const auto slot = static_cast<std::size_t>(sim_id);
     if (slot >= seq_of_slot_.size()) seq_of_slot_.resize(slot + 1);
     seq_of_slot_[slot] = next_seq_;
@@ -315,7 +321,8 @@ class Engine {
     if (config_.on_complete) {
       config_.on_complete(
           flight.job.id,
-          IncomingJobStats{flight.job.circuit.name(), /*placed=*/true,
+          IncomingJobStats{flight.job.program->circuit().name(),
+                           /*placed=*/true,
                            flight.job.arrival, flight.placed_time,
                            completion.time, flight.remote_ops,
                            /*comm_cost=*/0.0, flight.qpus_used,
@@ -337,6 +344,8 @@ class Engine {
   const std::uint64_t shards_;
   Rng rng_;
   NetworkSimulator sim_;
+  /// Compiles each distinct ingested circuit once (bounded LRU).
+  CircuitInterner interner_;
   AdmissionGate gate_;
   const std::vector<ChurnEvent>* churn_ = nullptr;
   std::size_t next_churn_ = 0;

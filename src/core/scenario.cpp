@@ -15,6 +15,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "circuit/circuit_program.hpp"
 #include "circuit/qasm.hpp"
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
@@ -899,18 +900,20 @@ void run_network_sim(const ScenarioSpec& spec,
   NetworkSimulator sim(cloud, allocator, rng.fork(), router.get());
   sim.set_change_gated(eng.gated_allocation);
   std::map<int, std::size_t> sim_to_job;
+  CircuitInterner interner;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     IncomingJobStats& job = result.jobs[i];
     job.name = jobs[i].name();
     // Serial admission loop: consulting the cache here is deterministic
-    // (cache == nullptr is exactly the pre-cache placer.place path).
-    const auto placement = cached_place(cache, jobs[i], cloud, placer, rng);
+    // (cache == nullptr is one placer call, bit-identical to place()).
+    const auto program = interner.intern(jobs[i]);
+    const auto placement = cached_place(cache, program, cloud, placer, rng);
     if (!placement.has_value()) {
       job.placed = false;
       continue;
     }
     CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-    sim_to_job[sim.add_job(jobs[i], placement->qubit_to_qpu)] = i;
+    sim_to_job[sim.add_job(*program, placement->qubit_to_qpu)] = i;
     job.remote_ops = placement->remote_ops;
     job.comm_cost = placement->comm_cost;
     job.qpus_used = placement->num_qpus_used();

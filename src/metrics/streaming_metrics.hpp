@@ -37,6 +37,14 @@ struct StreamingMetrics {
   std::uint64_t peak_in_flight = 0;
   /// Latest completion time (simulation units).
   double makespan = 0.0;
+  /// Work counters, deterministic but not results (operator== skips them,
+  /// so a fold of per-job records can equal an engine's metrics).
+  /// Circuit programs the engine compiled (intern misses): one per
+  /// distinct circuit while the distinct set fits the interner.
+  std::uint64_t programs_compiled = 0;
+  /// Placed parts the simulator compiled (placed-part cache misses): one
+  /// per distinct (circuit, placement) pair while they fit its cache.
+  std::uint64_t placed_parts_compiled = 0;
 
   /// JCT (completion - arrival) of every completed job.
   QuantileSketch jct;
@@ -72,12 +80,14 @@ struct StreamingMetrics {
                          ? peak_in_flight
                          : other.peak_in_flight;
     if (other.makespan > makespan) makespan = other.makespan;
+    programs_compiled += other.programs_compiled;
+    placed_parts_compiled += other.placed_parts_compiled;
     jct.merge(other.jct);
     fidelity.merge(other.fidelity);
   }
 
-  /// Bit-identity over every deterministic field — the equality the
-  /// 1/2/8-worker contract tests assert.
+  /// Bit-identity over every deterministic result field (not the work
+  /// counters) — the equality the 1/2/8-worker contract tests assert.
   bool operator==(const StreamingMetrics& other) const {
     return submitted == other.submitted && completed == other.completed &&
            rejected == other.rejected &&

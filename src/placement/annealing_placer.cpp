@@ -9,6 +9,7 @@
 // decisions (integer-valued deltas).
 #include <cmath>
 
+#include "common/check.hpp"
 #include "placement/cost.hpp"
 #include "placement/incremental_cost.hpp"
 #include "placement/placement.hpp"
@@ -54,6 +55,7 @@ class AnnealingPlacer final : public Placer {
       const PlacementContext& ctx) const override {
     const int n = circuit.num_qubits();
     if (n == 0) return std::nullopt;
+    CLOUDQC_CHECK(ctx.dag != nullptr);
     // Warm start (placement cache near-hit): anneal from the cached
     // mapping when it is still feasible. The final result can never be
     // worse than the seed — `best` below starts at the seed's cost — so a
@@ -108,7 +110,8 @@ class AnnealingPlacer final : public Placer {
         best = model.mapping();
       }
     }
-    return finalize_placement(circuit, cloud, std::move(best), 0.5, 0.5);
+    return finalize_placement(circuit, *ctx.dag, cloud, std::move(best), 0.5,
+                              0.5);
   }
 
  private:

@@ -210,6 +210,7 @@ namespace {
 
 /// Single-QPU fast path: best-fit QPU able to host the whole circuit.
 std::optional<Placement> try_single_qpu(const Circuit& circuit,
+                                        const CircuitDag& dag,
                                         const QuantumCloud& cloud,
                                         const PlacerOptions& opts) {
   const int n = circuit.num_qubits();
@@ -224,7 +225,7 @@ std::optional<Placement> try_single_qpu(const Circuit& circuit,
   }
   if (best == kInvalidNode) return std::nullopt;
   std::vector<QpuId> map(static_cast<std::size_t>(n), best);
-  return finalize_placement(circuit, cloud, std::move(map), opts.alpha,
+  return finalize_placement(circuit, dag, cloud, std::move(map), opts.alpha,
                             opts.beta);
 }
 
@@ -270,9 +271,13 @@ class CloudQcFamilyPlacer final : public Placer {
       const PlacementContext& ctx) const override {
     const int n = circuit.num_qubits();
     if (n == 0) return std::nullopt;
+    CLOUDQC_CHECK(ctx.dag != nullptr && ctx.interaction != nullptr);
+    const CircuitDag& dag = *ctx.dag;
 
     // Algorithm 1 line 2: whole circuit fits one QPU.
-    if (auto single = try_single_qpu(circuit, cloud, opts_)) return single;
+    if (auto single = try_single_qpu(circuit, dag, cloud, opts_)) {
+      return single;
+    }
 
     const int k_min = min_feasible_parts(cloud, n);
     if (k_min == 0) return std::nullopt;
@@ -283,13 +288,12 @@ class CloudQcFamilyPlacer final : public Placer {
             : std::min(k_cap, k_min + opts_.max_extra_parts);
 
     // Per-call work, done once for the whole imbalance/k sweep: the
-    // interaction graph (shared with the polish pass's delta-cost engine
-    // via the context), the gate DAG every candidate is scored on, the
     // resource-weighted topology community detection runs on, and the
     // candidate-set centers, memoised by exact candidate set because many
-    // grid points select the same QPUs.
+    // grid points select the same QPUs. The interaction graph (shared with
+    // the polish pass's delta-cost engine) and the gate DAG every candidate
+    // is scored on come from the context, compiled once per circuit.
     const Graph& interaction = *ctx.interaction;
-    const CircuitDag dag(circuit);
     const Graph weighted = select_ == QpuSelect::kCommunity
                                ? cloud.resource_weighted_topology()
                                : Graph();

@@ -9,6 +9,7 @@
 // O(degree(qubit)) per target QPU.
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "placement/cost.hpp"
 #include "placement/incremental_cost.hpp"
 #include "placement/placement.hpp"
@@ -74,6 +75,7 @@ class GeneticPlacer final : public Placer {
       const PlacementContext& ctx) const override {
     const int n = circuit.num_qubits();
     if (n == 0 || cloud.total_free_computing() < n) return std::nullopt;
+    CLOUDQC_CHECK(ctx.dag != nullptr);
     IncrementalCostModel model(ctx.csr, cloud);
 
     // Seed population: random assignments, repaired to feasibility. A
@@ -153,7 +155,7 @@ class GeneticPlacer final : public Placer {
 
     const std::size_t best = static_cast<std::size_t>(
         std::min_element(cost.begin(), cost.end()) - cost.begin());
-    return finalize_placement(circuit, cloud, pop[best], 0.5, 0.5);
+    return finalize_placement(circuit, *ctx.dag, cloud, pop[best], 0.5, 0.5);
   }
 
  private:

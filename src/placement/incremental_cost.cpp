@@ -4,11 +4,20 @@
 
 namespace cloudqc {
 
-PlacementContext PlacementContext::for_circuit(const Circuit& circuit) {
+PlacementContext PlacementContext::for_program(
+    const std::shared_ptr<const CircuitProgram>& program) {
+  CLOUDQC_CHECK(program != nullptr);
+  // Aliasing pointers: each shares the program's ownership.
   PlacementContext ctx;
-  ctx.interaction = std::make_shared<Graph>(circuit.interaction_graph());
-  ctx.csr = std::make_shared<CsrAdjacency>(*ctx.interaction);
+  ctx.interaction =
+      std::shared_ptr<const Graph>(program, &program->interaction());
+  ctx.csr = std::shared_ptr<const CsrAdjacency>(program, &program->csr());
+  ctx.dag = std::shared_ptr<const CircuitDag>(program, &program->dag());
   return ctx;
+}
+
+PlacementContext PlacementContext::for_circuit(const Circuit& circuit) {
+  return for_program(std::make_shared<const CircuitProgram>(circuit));
 }
 
 IncrementalCostModel::IncrementalCostModel(const Circuit& circuit,

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/circuit_program.hpp"
+#include "circuit/dag.hpp"
 #include "cloud/cloud.hpp"
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
@@ -33,12 +35,19 @@ namespace cloudqc {
 /// without affecting determinism: the cached artefacts are pure functions
 /// of the circuit (and, for warm_start, of the serial request history —
 /// fixed before the context is shared).
+///
+/// The artefacts are the circuit's CircuitProgram's, shared rather than
+/// copied: each pointer keeps the whole program alive. Build contexts with
+/// for_program or for_circuit, which set every artefact; placers rely on
+/// them being non-null.
 struct PlacementContext {
   /// The paper's D_ij multigraph: node per qubit, edge weight = number of
   /// 2-qubit gates between the endpoints.
   std::shared_ptr<const Graph> interaction;
   /// CSR snapshot of `interaction` for the delta-cost engine.
   std::shared_ptr<const CsrAdjacency> csr;
+  /// The gate DAG every candidate placement is scored on.
+  std::shared_ptr<const CircuitDag> dag;
   /// Optional seed placement (the placement cache's near-hit hook): a
   /// previously computed qubit→QPU mapping for this circuit. Optimizing
   /// placers start from it instead of a cold random assignment when it is
@@ -46,6 +55,11 @@ struct PlacementContext {
   /// warm-start (random, BFS) ignore it. Null for cold requests.
   std::shared_ptr<const std::vector<QpuId>> warm_start;
 
+  /// A context over `program`'s artefacts (no warm start).
+  static PlacementContext for_program(
+      const std::shared_ptr<const CircuitProgram>& program);
+
+  /// Compiles `circuit` into a program first.
   static PlacementContext for_circuit(const Circuit& circuit);
 };
 

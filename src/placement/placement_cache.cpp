@@ -1,58 +1,11 @@
 #include "placement/placement_cache.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
 #include "placement/incremental_cost.hpp"
 
 namespace cloudqc {
-
-namespace {
-
-/// Mixes one undirected weighted edge into a 64-bit value. Weights are
-/// integer-valued doubles (2-qubit-gate counts), so hashing the bit
-/// pattern is stable across runs and platforms.
-std::uint64_t edge_hash(NodeId u, NodeId v, double weight,
-                        std::uint64_t salt) {
-  std::uint64_t w_bits = 0;
-  static_assert(sizeof w_bits == sizeof weight, "double must be 64-bit");
-  std::memcpy(&w_bits, &weight, sizeof w_bits);
-  std::uint64_t h = salt;
-  h = splitmix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(u)));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  h = splitmix64(h ^ w_bits);
-  return h;
-}
-
-constexpr std::uint64_t kSaltHi = 0xC2B2AE3D27D4EB4Full;
-constexpr std::uint64_t kSaltLo = 0x165667B19E3779F9ull;
-
-}  // namespace
-
-CircuitFingerprint circuit_fingerprint(const CsrAdjacency& csr) {
-  // Commutative (wrapping-sum) combine over undirected edges: the CSR's
-  // adjacency order depends on gate order, the fingerprint must not.
-  CircuitFingerprint fp;
-  const NodeId n = csr.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t i = csr.begin(u); i < csr.end(u); ++i) {
-      const NodeId v = csr.to(i);
-      if (v < u) continue;  // each undirected edge once (self-loops kept)
-      fp.hi += edge_hash(u, v, csr.weight(i), kSaltHi);
-      fp.lo += edge_hash(u, v, csr.weight(i), kSaltLo);
-    }
-  }
-  // Fold in the qubit count: circuits that differ only in isolated qubits
-  // are different placement problems (they consume different capacity).
-  fp.hi ^= splitmix64(kSaltHi ^ static_cast<std::uint64_t>(n));
-  fp.lo ^= splitmix64(kSaltLo ^ static_cast<std::uint64_t>(n));
-  return fp;
-}
-
-CircuitFingerprint circuit_fingerprint(const Circuit& circuit) {
-  return circuit_fingerprint(CsrAdjacency(circuit.interaction_graph()));
-}
 
 std::vector<int> capacity_signature(const QuantumCloud& cloud) {
   std::vector<int> sig(static_cast<std::size_t>(cloud.num_qpus()));
@@ -155,18 +108,19 @@ void PlacementCache::insert(const CircuitFingerprint& fingerprint,
 
 // ----------------------------------------------------------- cached_place
 
-std::optional<Placement> cached_place(PlacementCache* cache,
-                                      const Circuit& circuit,
-                                      const QuantumCloud& cloud,
-                                      const Placer& placer, Rng& rng,
-                                      const std::vector<int>* capacity_sig) {
+std::optional<Placement> cached_place(
+    PlacementCache* cache,
+    const std::shared_ptr<const CircuitProgram>& program,
+    const QuantumCloud& cloud, const Placer& placer, Rng& rng,
+    const std::vector<int>* capacity_sig) {
+  CLOUDQC_CHECK(program != nullptr);
+  const Circuit& circuit = program->circuit();
   if (cache == nullptr) {
-    // Uncached engines stay bit-identical to the pre-cache code path.
-    return placer.place(circuit, cloud, rng);
+    return placer.place_with_context(circuit, cloud, rng,
+                                     PlacementContext::for_program(program));
   }
 
-  PlacementContext ctx = PlacementContext::for_circuit(circuit);
-  const CircuitFingerprint fingerprint = circuit_fingerprint(*ctx.csr);
+  const CircuitFingerprint& fingerprint = program->fingerprint();
   const std::uint64_t cap_hash =
       capacity_sig != nullptr ? capacity_signature_hash(*capacity_sig)
                               : capacity_signature_hash(
@@ -174,10 +128,11 @@ std::optional<Placement> cached_place(PlacementCache* cache,
 
   PlacementCache::Lookup hit = cache->lookup(fingerprint, cap_hash, cloud);
   if (hit.outcome == PlacementCache::Outcome::kExact) {
-    // Verified reuse: no placer call, no RNG draw — repeat traffic is
-    // O(fingerprint + verify).
+    // Verified reuse: no placer call, no RNG draw — repeat traffic costs
+    // one lookup and a verify.
     return std::move(hit.placement);
   }
+  PlacementContext ctx = PlacementContext::for_program(program);
   if (hit.outcome == PlacementCache::Outcome::kWarm) {
     ctx.warm_start = std::move(hit.seed);
   }
@@ -187,6 +142,15 @@ std::optional<Placement> cached_place(PlacementCache* cache,
     cache->insert(fingerprint, cap_hash, *placement);
   }
   return placement;
+}
+
+std::optional<Placement> cached_place(PlacementCache* cache,
+                                      const Circuit& circuit,
+                                      const QuantumCloud& cloud,
+                                      const Placer& placer, Rng& rng,
+                                      const std::vector<int>* capacity_sig) {
+  return cached_place(cache, std::make_shared<const CircuitProgram>(circuit),
+                      cloud, placer, rng, capacity_sig);
 }
 
 }  // namespace cloudqc

@@ -6,8 +6,11 @@
 // request, nothing amortizes *across* requests. This cache closes that gap:
 //
 //   - Every request is reduced to a canonical CircuitFingerprint — an
-//     order-independent hash of the weighted qubit-interaction CSR the
-//     PlacementContext already builds — plus the qubit count.
+//     order-independent hash of the weighted qubit-interaction CSR plus the
+//     qubit count. The request's CircuitProgram (circuit/circuit_program.hpp)
+//     carries it, so it is computed once per distinct circuit, and the
+//     PlacementContext a miss hands the placer shares the program's
+//     interaction graph, CSR and gate DAG instead of rebuilding them.
 //   - Entries are keyed by (fingerprint, cloud capacity signature), where
 //     the capacity signature is the per-QPU free-computing vector the
 //     admission gate already snapshots once per allocation round.
@@ -50,13 +53,12 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/circuit_program.hpp"
 #include "cloud/cloud.hpp"
 #include "common/rng.hpp"
 #include "placement/placement.hpp"
 
 namespace cloudqc {
-
-class CsrAdjacency;  // graph/csr.hpp
 
 /// Cache knobs, engine-facing (MultiTenantOptions / IncomingOptions carry a
 /// non-owning PlacementCache*; scenario specs carry these and the engine
@@ -66,32 +68,6 @@ struct CacheOptions {
   /// least recently used entry.
   std::size_t capacity = 4096;
 };
-
-/// Canonical circuit identity: a 128-bit order-independent hash of the
-/// weighted qubit-interaction CSR plus the qubit count. Two circuits whose
-/// 2-qubit gates are the same multiset of weighted pairs — regardless of
-/// gate order, and regardless of 1-qubit gates — collapse to the same
-/// fingerprint, which is exactly the equivalence the placement objective
-/// Σ D_ij · C_{π(i)π(j)} sees.
-struct CircuitFingerprint {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-
-  bool operator==(const CircuitFingerprint& other) const {
-    return hi == other.hi && lo == other.lo;
-  }
-  bool operator!=(const CircuitFingerprint& other) const {
-    return !(*this == other);
-  }
-};
-
-/// Fingerprint from a prebuilt interaction CSR (the PlacementContext
-/// artefact; O(E)). Edge hashes are combined commutatively, so the result
-/// is independent of adjacency-list order and therefore of gate order.
-CircuitFingerprint circuit_fingerprint(const CsrAdjacency& csr);
-
-/// Convenience overload: builds the interaction graph first (O(gates)).
-CircuitFingerprint circuit_fingerprint(const Circuit& circuit);
 
 /// The per-QPU free-computing vector — the same signature AdmissionGate
 /// snapshots once per allocation round (AdmissionGate::signature()).
@@ -184,16 +160,25 @@ class PlacementCache {
   PlacementCacheStats stats_;
 };
 
-/// The engines' one-stop admission helper: fingerprint the request, consult
-/// the cache, and either reuse (exact hit), warm-start the placer (near
-/// hit) or place cold (miss), inserting computed placements back.
+/// The engines' one-stop admission helper: take the program's
+/// fingerprint, consult the cache, and either reuse (exact hit), warm-start
+/// the placer (near hit) or place cold (miss), inserting computed
+/// placements back. A placer call gets PlacementContext::for_program, so it
+/// reuses the program's artefacts.
 ///
 /// `capacity_sig` is the per-QPU free-computing vector; pass the admission
 /// gate's per-round snapshot (AdmissionGate::signature()) so the gate and
 /// the cache share one computation per round, or nullptr to compute one
-/// from `cloud` here. `cache == nullptr` degrades to a plain
-/// `placer.place(circuit, cloud, rng)` — bit-identical to the uncached
-/// engines.
+/// from `cloud` here. `cache == nullptr` degrades to a plain placer call
+/// on the program's context — bit-identical to the uncached engines, since
+/// place_with_context is bit-identical to place().
+std::optional<Placement> cached_place(
+    PlacementCache* cache,
+    const std::shared_ptr<const CircuitProgram>& program,
+    const QuantumCloud& cloud, const Placer& placer, Rng& rng,
+    const std::vector<int>* capacity_sig = nullptr);
+
+/// Convenience overload: compiles `circuit` into a program first.
 std::optional<Placement> cached_place(PlacementCache* cache,
                                       const Circuit& circuit,
                                       const QuantumCloud& cloud,

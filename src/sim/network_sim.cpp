@@ -36,22 +36,40 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
   gate_log_fidelity_[kBarrierGate] = 0.0;
 }
 
-std::uint8_t NetworkSimulator::gate_class_of(const Gate& g) {
-  switch (g.kind) {
-    case GateKind::kMeasure:
-    case GateKind::kReset:
-      return kMeasureGate;
-    case GateKind::kBarrier:
-      return kBarrierGate;
-    default:
-      return g.two_qubit() ? kTwoQubitGate : kOneQubitGate;
-  }
-}
-
 int NetworkSimulator::add_job(const Circuit& circuit,
                               std::vector<QpuId> qubit_to_qpu) {
+  return add_job(CircuitProgram(circuit), std::move(qubit_to_qpu));
+}
+
+int NetworkSimulator::add_job(const CircuitProgram& program,
+                              std::vector<QpuId> qubit_to_qpu) {
+  const Circuit& circuit = program.circuit();
   CLOUDQC_CHECK(qubit_to_qpu.size() ==
                 static_cast<std::size_t>(circuit.num_qubits()));
+  std::uint64_t key = program.content_hash();
+  for (const QpuId q : qubit_to_qpu) {
+    key = splitmix64(key ^ static_cast<std::uint32_t>(q));
+  }
+  const auto* hit = placed_parts_.find(
+      key, [&](const std::shared_ptr<const PlacedPart>& part) {
+        return part->gates == program.gate_table() &&
+               part->qubit_to_qpu == qubit_to_qpu;
+      });
+  std::shared_ptr<const PlacedPart> part;
+  if (hit != nullptr) {
+    part = *hit;
+  } else {
+    auto fresh = std::make_shared<PlacedPart>();
+    fresh->remote_ops = extract_remote_ops(circuit, qubit_to_qpu, cloud_,
+                                           fresh->remote_of_gate);
+    fresh->remote_prio = remote_priorities(
+        program.dag(), fresh->remote_of_gate, fresh->remote_ops.size());
+    fresh->gates = program.gate_table();
+    fresh->qubit_to_qpu = std::move(qubit_to_qpu);
+    ++placed_parts_compiled_;
+    part = placed_parts_.insert(key, std::move(fresh));
+  }
+
   int id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();
@@ -63,31 +81,25 @@ int NetworkSimulator::add_job(const Circuit& circuit,
   ++jobs_admitted_;
 
   Job& job = jobs_[static_cast<std::size_t>(id)];
-  CompiledJob& compiled = job.compiled;
-  compiled.dag = CircuitDag(circuit);
-  compiled.gate_class.resize(circuit.num_gates());
-  for (std::size_t g = 0; g < circuit.num_gates(); ++g) {
-    compiled.gate_class[g] = gate_class_of(circuit.gates()[g]);
+  const GateTable& gates = *part->gates;
+  const std::size_t num_gates = gates.classes.size();
+  job.pending_preds.resize(num_gates);
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    job.pending_preds[g] = gates.dag.in_degree(static_cast<int>(g));
   }
-  std::vector<int>& remote_of_gate = compiled.remote_of_gate;
-  compiled.remote_ops =
-      extract_remote_ops(circuit, qubit_to_qpu, cloud_, remote_of_gate);
-  const std::size_t num_ops = compiled.remote_ops.size();
-  compiled.remote_prio =
-      remote_priorities(compiled.dag, remote_of_gate, num_ops);
-  job.pending_preds.resize(circuit.num_gates());
-  for (std::size_t g = 0; g < circuit.num_gates(); ++g) {
-    job.pending_preds[g] = compiled.dag.in_degree(static_cast<int>(g));
-  }
-  job.gates_left = circuit.num_gates();
+  job.gates_left = num_gates;
   job.live = true;
+  job.dag = &gates.dag;
+  job.gate_class = gates.classes.data();
+  job.remote_of_gate = part->remote_of_gate.data();
+  job.part = std::move(part);
 
   if (job.gates_left == 0) {
     // Nothing will ever finish a gate of this job: its completion is an
     // event of its own, due now.
     events_.push(now_, GateDone{id, -1, 0, -1});
   } else {
-    for (const int g : compiled.dag.front_layer()) on_ready(id, g);
+    for (const int g : gates.front_layer) on_ready(id, g);
     maybe_allocate();
   }
   return id;
@@ -189,16 +201,16 @@ void NetworkSimulator::release_reserved(const GateDone& done) {
 void NetworkSimulator::release_job(int job_id) {
   // The job has no pending event and no waiting remote op left (every
   // gate fired, or cancel_job dropped them), so the slot holds no
-  // reachable state — replace it with an empty Job (frees the compiled
-  // program and progress arrays) and queue the slot for reuse. O(1)
-  // residual per finished job.
+  // reachable state — replace it with an empty Job (drops its share of
+  // the placed part and frees its progress arrays) and queue the slot for
+  // reuse. O(1) residual per finished job.
   jobs_[static_cast<std::size_t>(job_id)] = Job{};
   free_slots_.push_back(job_id);
 }
 
 void NetworkSimulator::on_ready(int job_id, int gate) {
   const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  if (job.compiled.remote_of_gate[static_cast<std::size_t>(gate)] >= 0) {
+  if (job.remote_of_gate[gate] >= 0) {
     waiting_remote_.emplace_back(job_id, gate);
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
@@ -208,8 +220,7 @@ void NetworkSimulator::on_ready(int job_id, int gate) {
 
 void NetworkSimulator::start_local(int job_id, int gate) {
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  const std::uint8_t cls =
-      job.compiled.gate_class[static_cast<std::size_t>(gate)];
+  const GateClass cls = job.gate_class[gate];
   job.log_fidelity += gate_log_fidelity_[cls];
   events_.push(now_ + gate_duration_[cls], GateDone{job_id, gate, 0, -1});
 }
@@ -242,17 +253,16 @@ std::size_t NetworkSimulator::run_allocation_round() {
   requests.reserve(waiting_remote_.size());
   for (std::size_t w = 0; w < waiting_remote_.size(); ++w) {
     const auto [job_id, gate] = waiting_remote_[w];
-    const CompiledJob& compiled =
-        jobs_[static_cast<std::size_t>(job_id)].compiled;
-    const std::size_t node = compiled.remote_index(gate);
-    const RemoteOp& op = compiled.remote_ops[node];
+    const PlacedPart& part = *jobs_[static_cast<std::size_t>(job_id)].part;
+    const std::size_t node = part.remote_index(gate);
+    const RemoteOp& op = part.remote_ops[node];
     if (free_comm_[static_cast<std::size_t>(op.qpu_a)] < 1 ||
         free_comm_[static_cast<std::size_t>(op.qpu_b)] < 1) {
       continue;
     }
     CommRequest req;
     req.handle = static_cast<int>(w);
-    req.priority = static_cast<double>(compiled.remote_prio[node]);
+    req.priority = static_cast<double>(part.remote_prio[node]);
     req.qpu_a = op.qpu_a;
     req.qpu_b = op.qpu_b;
     requests.push_back(req);
@@ -298,8 +308,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
       continue;
     }
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
-    const RemoteOp& op =
-        job.compiled.remote_ops[job.compiled.remote_index(gate)];
+    const RemoteOp& op = job.part->remote_ops[job.part->remote_index(gate)];
 
     // Decide the path (and hence hop count + the QPUs that hold qubits).
     int hops = op.hops;
@@ -387,7 +396,7 @@ void NetworkSimulator::finish_gate(const GateDone& done) {
   release_reserved(done);
   CLOUDQC_CHECK(job.gates_left > 0);
   --job.gates_left;
-  for (const int s : job.compiled.dag.successors(done.gate)) {
+  for (const int s : job.dag->successors(done.gate)) {
     if (--job.pending_preds[static_cast<std::size_t>(s)] == 0) {
       on_ready(done.job, s);
     }

@@ -21,27 +21,35 @@
 // engine (core/engine.hpp, behind run_batch, run_incoming and
 // run_streaming) runs concurrent tenants on a shared network.
 //
-// add_job compiles each job once into flat arrays (CSR gate DAG, a
-// one-byte latency class per gate, the remote-op list with its
-// priorities); the event loop only walks those and the job's small
-// mutable state. Event-heap entries are plain 32-byte records.
+// A job runs the shared, immutable GateTable of its CircuitProgram
+// (circuit/circuit_program.hpp: the CSR gate DAG, a one-byte latency class
+// per gate, the front layer) plus its placed part: the remote-op list,
+// each gate's remote op and the remote priorities, which depend on the
+// placement too. The simulator keeps the placed parts it compiled in a
+// small bounded LRU keyed by (gate table, qubit_to_qpu), so jobs that run
+// one circuit under one placement share one placed part; the event loop
+// only walks those flat arrays and the job's small mutable state.
+// Event-heap entries are plain 32-byte records.
 //
 // Concurrency contract: a NetworkSimulator instance is confined to one
 // thread, but it only *reads* the cloud and the allocator and owns its RNG
 // by value, so any number of instances may run in parallel over the same
 // QuantumCloud/CommAllocator (run_independent's job-level parallelism).
-// Callers must not mutate the cloud's reservations from another thread
+// Each instance owns its placed-part cache; the programs it shares with
+// other owners are immutable. Callers must not mutate the cloud's reservations from another thread
 // while a simulation is running on it.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "circuit/dag.hpp"
+#include "circuit/circuit_program.hpp"
 #include "cloud/cloud.hpp"
+#include "common/bounded_lru.hpp"
 #include "common/rng.hpp"
 #include "schedule/allocators.hpp"
 #include "schedule/remote_dag.hpp"
@@ -82,18 +90,28 @@ class NetworkSimulator {
                    Rng rng, const EprRouter* router = nullptr);
 
   /// Admit a placed job at the current simulation time. Returns a job id.
-  /// `qubit_to_qpu` must cover every qubit of `circuit`. The job is
-  /// compiled here and the simulator keeps no reference to `circuit`:
-  /// callers may destroy it as soon as add_job returns. Every admitted job
-  /// yields exactly one completion through step(); a job without gates
-  /// completes at its admission time with log_fidelity 0.
+  /// `qubit_to_qpu` must cover every qubit of the program's circuit. The
+  /// job shares the program's GateTable (held until the job and its
+  /// placed-part cache entry are gone; the program itself is not kept, so
+  /// callers may destroy it once add_job returns) and its placed part: a
+  /// cache hit for the same program's table and an equal mapping reuses
+  /// the remote ops and priorities compiled for an earlier job, which are a
+  /// pure function of the two, so hits and misses give bit-identical
+  /// trajectories. Every admitted job yields exactly one completion through
+  /// step(); a job without gates completes at its admission time with
+  /// log_fidelity 0.
   ///
   /// Completed and cancelled slots are recycled: the job's per-job state
-  /// (compiled program and progress) is released and its id is reassigned by a
-  /// later add_job — O(1) residual memory per finished job. Ids are
+  /// (its share of the placed part, and its progress) is released and its
+  /// id is reassigned by a later add_job — O(1) residual memory per
+  /// finished job, plus the bounded placed-part cache. Ids are
   /// therefore unique only among live jobs: a caller that admits work
   /// after a completion must consume that JobCompletion first. Callers
   /// that admit every job before the first completion get unique ids.
+  int add_job(const CircuitProgram& program, std::vector<QpuId> qubit_to_qpu);
+
+  /// Compiles `circuit` into a fresh program first. The simulator keeps no
+  /// reference to `circuit`.
   int add_job(const Circuit& circuit, std::vector<QpuId> qubit_to_qpu);
 
   /// Advance the simulation until the next job completes; nullopt when all
@@ -186,6 +204,13 @@ class NetworkSimulator {
   /// completions for deterministic allocators.
   std::uint64_t num_allocation_rounds() const { return alloc_rounds_; }
 
+  /// Placed parts compiled so far (placed-part cache misses): a
+  /// deterministic count of how often admission paid for remote-op
+  /// extraction and priorities.
+  std::uint64_t num_placed_parts_compiled() const {
+    return placed_parts_compiled_;
+  }
+
  private:
   /// One scheduled gate completion. A plain record, so heap sifts copy
   /// 16 bytes: an in-flight remote op's QPU list lives in reserved_on_.
@@ -199,24 +224,18 @@ class NetworkSimulator {
     int reserved;
   };
 
-  /// Latency/fidelity class of a local gate; indexes the per-cloud
-  /// gate_duration_ and gate_log_fidelity_ tables.
-  enum GateClass : std::uint8_t {
-    kOneQubitGate,
-    kTwoQubitGate,
-    kMeasureGate,  // measure and reset
-    kBarrierGate,
-    kNumGateClasses,
-  };
-
-  /// Everything add_job derives from (circuit, placement): built once at
-  /// admission, read-only while the job runs.
-  struct CompiledJob {
-    CircuitDag dag;
-    std::vector<std::uint8_t> gate_class;  // GateClass per gate
-    std::vector<RemoteOp> remote_ops;      // in program order
-    std::vector<int> remote_prio;          // per remote op
-    std::vector<int> remote_of_gate;       // gate -> remote op or -1
+  /// What a job derives from (program, placement): compiled on a
+  /// placed-part cache miss, read-only and shared while jobs run it. It
+  /// holds the program's GateTable, not the program, so a job keeps
+  /// neither the circuit copy nor the placement artefacts alive.
+  struct PlacedPart {
+    /// The program's gate table; its identity and `qubit_to_qpu` are the
+    /// cache key (the entry keeps it alive, so the identity is not reused).
+    std::shared_ptr<const GateTable> gates;
+    std::vector<QpuId> qubit_to_qpu;
+    std::vector<RemoteOp> remote_ops;    // in program order
+    std::vector<int> remote_prio;        // per remote op
+    std::vector<int> remote_of_gate;     // gate -> remote op or -1
 
     /// Index into remote_ops of remote gate `gate`.
     std::size_t remote_index(int gate) const {
@@ -225,8 +244,16 @@ class NetworkSimulator {
     }
   };
 
+  /// Distinct (program, placement) pairs kept; a fixed bound, not a knob.
+  static constexpr std::size_t kPlacedPartCapacity = 32;
+
   struct Job {
-    CompiledJob compiled;
+    std::shared_ptr<const PlacedPart> part;
+    /// Views into *part and its program, which `part` keeps alive: the
+    /// event loop's per-gate reads skip the pointer chain.
+    const CircuitDag* dag = nullptr;
+    const GateClass* gate_class = nullptr;
+    const int* remote_of_gate = nullptr;
     std::vector<int> pending_preds;  // per gate
     std::size_t gates_left = 0;
     double log_fidelity = 0.0;  // Σ log f per executed gate
@@ -261,7 +288,6 @@ class NetworkSimulator {
   /// Return the qubits of an in-flight remote op (its reserved_on_ slot)
   /// to the pool and recycle the slot; no-op for a local gate.
   void release_reserved(const GateDone& done);
-  static std::uint8_t gate_class_of(const Gate& g);
   /// Return released communication qubits to the free pool — or into the
   /// impound while the QPU is offline.
   void release_comm(QpuId q, int pairs);
@@ -274,6 +300,10 @@ class NetworkSimulator {
   Rng rng_;
   std::array<double, kNumGateClasses> gate_duration_{};
   std::array<double, kNumGateClasses> gate_log_fidelity_{};
+  /// Placed parts by (gate table, qubit_to_qpu), verified by equality.
+  BoundedLru<std::shared_ptr<const PlacedPart>> placed_parts_{
+      kPlacedPartCapacity};
+  std::uint64_t placed_parts_compiled_ = 0;
   EventQueue<GateDone> events_;
   /// QPU lists of in-flight remote ops, indexed by GateDone::reserved.
   /// Released slots keep their capacity and are reused via

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "circuit/qasm.hpp"
 
@@ -265,6 +266,61 @@ TEST(Qasm, IndexOutOfRangeRejected) {
 
 TEST(Qasm, UnknownRegisterRejected) {
   EXPECT_THROW(parse_qasm("qreg q[2]; h r[0];"), QasmError);
+}
+
+/// `source` must fail with a QasmError naming `line` — not another
+/// exception type, and not a crash.
+void expect_error_on_line(const char* source, int line) {
+  try {
+    parse_qasm(source);
+    ADD_FAILURE() << "expected QasmError for: " << source;
+  } catch (const QasmError& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Qasm, TwoQubitGateOnOneQubitRejected) {
+  expect_error_on_line("qreg q[2];\ncx q[0],q[0];\n", 2);
+}
+
+TEST(Qasm, SwapOnOneQubitRejected) {
+  expect_error_on_line("qreg q[2];\n\nswap q[1],q[1];\n", 3);
+}
+
+TEST(Qasm, BroadcastOverlappingItsOtherOperandRejected) {
+  expect_error_on_line("qreg q[2];\ncx q[0], q;\n", 2);
+}
+
+TEST(Qasm, OverlongRegisterSizeRejected) {
+  expect_error_on_line("qreg q[99999999999999999999];\n", 1);
+}
+
+TEST(Qasm, OverflowingAngleLiteralRejected) {
+  expect_error_on_line("qreg q[1];\nrx(1e999999) q[0];\n", 2);
+}
+
+TEST(Qasm, OverflowingTotalQubitCountRejected) {
+  expect_error_on_line("qreg x[2147483647];\nqreg y[2147483647];\n", 2);
+  // The same register twice fails too (as a duplicate).
+  expect_error_on_line("qreg x[2147483647];\nqreg x[2147483647];\n", 2);
+}
+
+TEST(Qasm, CustomGateOnRepeatedQubitRejected) {
+  // Reported on the application's line, not inside the definition.
+  expect_error_on_line(
+      "qreg q[2];\ngate bell a, b {\n  h a;\n  cx a, b;\n}\nbell q[1], q[1];\n",
+      6);
+}
+
+TEST(Qasm, NonFiniteParameterRejected) {
+  expect_error_on_line("qreg q[1];\nrx(ln(0)) q[0];\n", 2);
+  expect_error_on_line("qreg q[1];\nrz(1e308 * 10) q[0];\n", 2);
+}
+
+TEST(Qasm, DuplicateRegisterRejected) {
+  expect_error_on_line("qreg q[2];\nh q[0];\nqreg q[3];\n", 3);
 }
 
 TEST(Qasm, RoundTripThroughSerialiser) {

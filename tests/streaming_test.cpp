@@ -10,6 +10,7 @@
 #include "core/incoming.hpp"
 #include "core/streaming.hpp"
 #include "graph/topology.hpp"
+#include "placement/placement_cache.hpp"
 #include "sim/network_sim.hpp"
 
 namespace cloudqc {
@@ -196,6 +197,27 @@ TEST(Streaming, ZeroGateJobsComplete) {
   EXPECT_EQ(metrics.completed, 3u);
   EXPECT_EQ(metrics.rejected, 0u);
   EXPECT_EQ(cloud.total_free_computing(), cloud.total_computing_capacity());
+}
+
+// The engine compiles each distinct circuit once, however many jobs run
+// it, and with the placement cache on, repeat jobs reuse their placed part
+// too.
+TEST(Streaming, CompilesOneProgramPerDistinctCircuit) {
+  QuantumCloud cloud = paper_cloud();
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  PlacementCache cache;
+  const auto source = make_poisson_source(
+      {"ising_n34", "ising_n66", "vqe_uccsd_n28"}, 60, 2000.0, 11);
+  StreamingOptions options;
+  options.seed = 4;
+  options.cache = &cache;
+  const StreamingMetrics metrics =
+      run_streaming(*source, cloud, *placer, *alloc, options);
+  EXPECT_EQ(metrics.completed, 60u);
+  EXPECT_EQ(metrics.programs_compiled, 3u);
+  EXPECT_GE(metrics.placed_parts_compiled, 3u);
+  EXPECT_LT(metrics.placed_parts_compiled, metrics.completed);
 }
 
 TEST(Streaming, SimulatorRecyclesCompletedJobSlots) {
