@@ -2,12 +2,9 @@
 
 namespace cloudqc {
 
-AdmissionGate::AdmissionGate(std::size_t expected_jobs, bool enabled)
-    : enabled_(enabled) {
-  if (enabled_) {
-    // Capacity hint only; entries exist for currently-failed jobs alone.
-    failed_free_.reserve(expected_jobs < 1024 ? expected_jobs : 1024);
-  }
+AdmissionGate::AdmissionGate(std::size_t expected_jobs) {
+  // Capacity hint only; entries exist for currently-failed jobs alone.
+  failed_free_.reserve(expected_jobs < 1024 ? expected_jobs : 1024);
 }
 
 void AdmissionGate::refresh(const QuantumCloud& cloud) {
@@ -20,7 +17,6 @@ void AdmissionGate::refresh(const QuantumCloud& cloud) {
 }
 
 bool AdmissionGate::should_attempt(std::size_t job) const {
-  if (!enabled_) return true;
   const auto it = failed_free_.find(job);
   if (it == failed_free_.end()) return true;
   // A placement reserves exactly `requirement` computing qubits in total,
@@ -37,12 +33,10 @@ bool AdmissionGate::should_attempt(std::size_t job) const {
 }
 
 void AdmissionGate::record_failure(std::size_t job, int requirement) {
-  if (!enabled_) return;
   failed_free_[job] = FailureRecord{free_, requirement};
 }
 
 void AdmissionGate::record_admission(std::size_t job) {
-  if (!enabled_) return;
   failed_free_.erase(job);
 }
 

@@ -34,10 +34,17 @@
 // total free capacity is short — and which fail before consuming any
 // randomness (the annealing and genetic baselines bail out of their
 // initial feasible-assignment draw) — make suppressed retries provably
-// no-ops, so gated engine results are bit-identical to ungated runs. For
-// placers that can fail stochastically after consuming RNG, suppression
-// shifts the RNG stream: the trajectory may change, same-seed determinism
-// never does.
+// no-ops: an engine that retried every queued job at every decision point
+// would produce the same results with more placement calls. For placers
+// that can fail stochastically after consuming RNG, suppression shifts the
+// RNG stream: the trajectory may change, same-seed determinism never does.
+//
+// Known gap (priority inversion): the total-free rule counts only free
+// capacity, not the capacity a preempt-enabled job could win back by
+// evicting strictly lower-priority work. Once such a job has failed, it
+// is not retried — and so evicts nothing — until total free capacity
+// alone covers its requirement, while lower-priority jobs admitted after
+// it keep running.
 #pragma once
 
 #include <unordered_map>
@@ -49,15 +56,11 @@ namespace cloudqc {
 
 class AdmissionGate {
  public:
-  /// `enabled == false` turns the gate into a pass-through (the ungated
-  /// baseline bench_network_sim compares against). The signature snapshot
-  /// is still maintained so the placement cache can share it.
-  ///
   /// `expected_jobs` is a capacity hint only: the gate stores state for
   /// *currently failed* jobs, not for every job id ever seen, so the
   /// streaming engine can feed it an unbounded id stream while memory
   /// stays O(bounded pending set). Admission releases a job's entry.
-  AdmissionGate(std::size_t expected_jobs, bool enabled);
+  explicit AdmissionGate(std::size_t expected_jobs);
 
   /// Snapshot the cloud's per-QPU free-computing vector. Call once at the
   /// start of each decision round, and again after every successful
@@ -69,9 +72,9 @@ class AdmissionGate {
   const std::vector<int>& signature() const { return free_; }
 
   /// True when `job` deserves a placement attempt under the snapshot
-  /// state: gating disabled, never failed before, or — both — the total
-  /// free computing fits the job's recorded requirement AND some QPU now
-  /// has more free computing qubits than at its last failure.
+  /// state: never failed before, or — both — the total free computing
+  /// fits the job's recorded requirement AND some QPU now has more free
+  /// computing qubits than at its last failure.
   bool should_attempt(std::size_t job) const;
 
   /// Record that `job` (needing `requirement` computing qubits in total)
@@ -89,7 +92,6 @@ class AdmissionGate {
     int requirement = 0;
   };
 
-  bool enabled_;
   /// Free-computing vector at the last refresh().
   std::vector<int> free_;
   /// Sum of free_ — the cheap fits-at-all precheck.

@@ -67,11 +67,10 @@ class Engine {
         shards_(static_cast<std::uint64_t>(config.intake_shards)),
         rng_(config.seed),
         sim_(cloud, allocator, rng_.fork()),
-        gate_(config.max_pending, config.gated_admission),
+        gate_(config.max_pending),
         fenced_(static_cast<std::size_t>(cloud.num_qpus()), 0) {
     CLOUDQC_CHECK(config.max_pending >= 1);
     CLOUDQC_CHECK(config.intake_shards >= 1);
-    sim_.set_change_gated(config.gated_allocation);
     if (config.churn != nullptr) {
       churn_ = &config.churn->events;
       if (config.churn->drift_amplitude > 0.0) {

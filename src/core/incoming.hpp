@@ -68,19 +68,12 @@ struct IncomingJobStats {
   int restarts = 0;
 };
 
-/// Knobs shared by run_batch, run_incoming and run_streaming.
+/// Knobs shared by run_batch, run_incoming and run_streaming. Both of the
+/// engine's decision points are change-gated, with no knob: admission
+/// (core/admission_gate.hpp) and allocation (sim/network_sim.hpp).
 struct EngineOptions {
   /// Engine RNG seed (placement draws and EPR outcomes derive from it).
   std::uint64_t seed = 1;
-  /// Change-gated decision points (see README "Simulator event loop &
-  /// decision points"). Both default on; the ungated paths are kept as
-  /// the regression baseline for bench_network_sim and for A/B studies.
-  /// `gated_admission` suppresses placement retries for queued jobs until
-  /// computing qubits have been released since their last failed attempt
-  /// (capacity-signature rule; bypassed whenever the cloud is idle).
-  /// `gated_allocation` is NetworkSimulator::set_change_gated.
-  bool gated_admission = true;
-  bool gated_allocation = true;
   /// Optional cross-request placement cache (not owned; see
   /// placement/placement_cache.hpp). Null keeps the exact pre-cache
   /// behaviour: every admission attempt runs the placer cold. The caller

@@ -408,8 +408,6 @@ const std::vector<Key<ScenarioSpec>>& spec_keys() {
       {"engine", "router", FIELD(engine.router)},
       {"engine", "seed", FIELD(engine.seed)},
       {"engine", "fifo", FIELD(engine.fifo)},
-      {"engine", "gated_admission", FIELD(engine.gated_admission)},
-      {"engine", "gated_allocation", FIELD(engine.gated_allocation)},
       {"engine", "workers", FIELD(engine.workers), Bound{1}},
       {"engine", "cache", FIELD(engine.cache)},
       {"engine", "cache_capacity", FIELD(engine.cache_capacity), Bound{1}},
@@ -898,7 +896,6 @@ void run_network_sim(const ScenarioSpec& spec,
   const std::unique_ptr<EprRouter> router = make_router(eng.router);
   Rng rng(eng.seed);
   NetworkSimulator sim(cloud, allocator, rng.fork(), router.get());
-  sim.set_change_gated(eng.gated_allocation);
   std::map<int, std::size_t> sim_to_job;
   CircuitInterner interner;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -1083,8 +1080,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   }
   EngineOptions shared;
   shared.seed = spec.engine.seed;
-  shared.gated_admission = spec.engine.gated_admission;
-  shared.gated_allocation = spec.engine.gated_allocation;
   shared.cache = cache.get();
 
   switch (spec.engine.mode) {

@@ -93,9 +93,6 @@ struct ScenarioEngine {
   std::uint64_t seed = 1;
   /// Multi-tenant only: submission order instead of importance order.
   bool fifo = false;
-  /// Change-gated decision points (see docs/ARCHITECTURE.md).
-  bool gated_admission = true;
-  bool gated_allocation = true;
   /// Worker threads: fan-out width of the batch engine and the racing
   /// placer's pool. Metrics are worker-count-invariant by the library's
   /// determinism contract.

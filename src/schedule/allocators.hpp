@@ -12,8 +12,8 @@
 // (requests, free_comm, rng): identical inputs must yield identical
 // grants, and an implementation must not rely on being called once per
 // simulated event. The three deterministic strategies below ignore `rng`
-// entirely, which is what makes gated and ungated event loops
-// bit-identical for them.
+// entirely, so for them a skipped round on unchanged state is provably a
+// round that would have started nothing.
 //
 // The simulator offers only fundable requests: those whose two endpoint
 // QPUs each have at least one free communication qubit. It still makes

@@ -226,7 +226,7 @@ void NetworkSimulator::start_local(int job_id, int gate) {
 }
 
 void NetworkSimulator::maybe_allocate() {
-  if (!change_gated_ || alloc_dirty_) allocate_and_start();
+  if (alloc_dirty_) allocate_and_start();
 }
 
 void NetworkSimulator::allocate_and_start() {

@@ -9,13 +9,11 @@
 // gate released its pairs, or a newly ready remote gate joined the wait
 // queue. Events that free no communication qubits and ready no remote ops
 // (the bulk of the event stream for local-gate-heavy circuits) skip the
-// allocator entirely. For RNG-free allocators (CloudQC/Greedy/Average)
-// this is a pure no-op elimination — a repeated round on unchanged state
-// provably starts nothing — so completion records are bit-identical to the
-// ungated event loop; the Random allocator consumes RNG per round, so its
-// trajectory changes but stays deterministic per seed. The ungated loop is
-// kept behind set_change_gated(false) as the regression baseline
-// (bench_network_sim fails CI when gating stops paying for itself).
+// allocator entirely. For RNG-free allocators (CloudQC/Greedy/Average) a
+// round on unchanged state provably starts nothing; the Random allocator
+// would only have drawn from the RNG. bench_network_sim pins the exact
+// number of rounds that gating leaves, so a change that makes it skip
+// less work fails CI.
 //
 // The simulator supports dynamic job admission, which is how the admission
 // engine (core/engine.hpp, behind run_batch, run_incoming and
@@ -149,16 +147,6 @@ class NetworkSimulator {
   /// counter used by benches and tests.
   std::uint64_t total_epr_rounds() const { return total_epr_rounds_; }
 
-  /// Change-gated decision points (default on): allocation rounds fire
-  /// only when communication pairs were released or a remote gate became
-  /// ready. `false` disables only the change gate, making decision points
-  /// fire after *every* event — the baseline bench_network_sim and the
-  /// parity tests compare against. It does not restore pre-gating
-  /// behavior wholesale: the router-stall requeue and the routed
-  /// fixed-point rounds apply in both modes.
-  void set_change_gated(bool enabled) { change_gated_ = enabled; }
-  bool change_gated() const { return change_gated_; }
-
   /// Cancel a live job: its pending gate events are dropped, in-flight
   /// remote operations return their communication qubits, and the slot is
   /// wiped and recycled. The job produces no completion record;
@@ -280,7 +268,7 @@ class NetworkSimulator {
   /// wait set in their original relative order.
   std::size_t run_allocation_round();
   /// Invoke allocate_and_start() only when the resource state changed
-  /// since the last round (always, when change gating is off).
+  /// since the last round.
   void maybe_allocate();
   void finish_gate(const GateDone& done);
   /// A free reserved_on_ slot for a starting remote op.
@@ -329,7 +317,6 @@ class NetworkSimulator {
   /// True when comm pairs were released or the waiting set grew since the
   /// last allocation round — the change-gate for the next decision point.
   bool alloc_dirty_ = false;
-  bool change_gated_ = true;
   std::uint64_t events_processed_ = 0;
   std::uint64_t alloc_rounds_ = 0;
 };

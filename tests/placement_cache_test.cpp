@@ -252,7 +252,7 @@ TEST(PlacementCacheTest, CapacityIsAnExactBound) {
 
 TEST(AdmissionGateTest, SignatureSnapshotSharedAndRefreshed) {
   QuantumCloud cloud = paper_cloud();
-  AdmissionGate gate(/*num_jobs=*/2, /*enabled=*/true);
+  AdmissionGate gate(/*expected_jobs=*/2);
   gate.refresh(cloud);
   EXPECT_EQ(gate.signature(), capacity_signature(cloud));
 
@@ -295,7 +295,7 @@ TEST(AdmissionGateTest, RequirementMustFitTotalFreeBeforeWaking) {
   // gated job's requirement must NOT wake it, even when some QPU is
   // strictly richer than at the recorded failure.
   QuantumCloud cloud = paper_cloud();
-  AdmissionGate gate(/*num_jobs=*/1, /*enabled=*/true);
+  AdmissionGate gate(/*expected_jobs=*/1);
 
   // Drain the cloud down to 2 free qubits on QPU 0, fail a 10-qubit job.
   std::vector<int> drain(static_cast<std::size_t>(cloud.num_qpus()), 0);

@@ -151,8 +151,6 @@ ScenarioSpec random_spec(Rng& rng, int iter) {
       rng.chance(0.5) ? AllocatorKind::kCloudQC : AllocatorKind::kGreedy;
   spec.engine.seed = rng.below(1000);
   spec.engine.fifo = rng.chance(0.5);
-  spec.engine.gated_admission = rng.chance(0.7);
-  spec.engine.gated_allocation = rng.chance(0.7);
   spec.engine.cache = rng.chance(0.5);
   return spec;
 }

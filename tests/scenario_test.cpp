@@ -105,6 +105,9 @@ TEST(ScenarioParserTest, RejectsUnknownKeysSectionsAndValues) {
       "[tenant.a]\nslo_jct = nan",
       "[churn]\ndrift_amplitude = nan",
       "[engine]\nrouter = frontier",  // not a router name
+      // Decision points are always change-gated; the keys are gone.
+      "[engine]\ngated_admission = false",
+      "[engine]\ngated_allocation = true",
   };
   for (const char* bad : bad_values) {
     SCOPED_TRACE(bad);
@@ -233,8 +236,6 @@ ScenarioSpec every_key_spec() {
   spec.engine.router = RouterKind::kMasked;
   spec.engine.seed = 77;
   spec.engine.fifo = true;
-  spec.engine.gated_admission = false;
-  spec.engine.gated_allocation = false;
   spec.engine.workers = 2;
   spec.engine.cache = true;
   spec.engine.cache_capacity = 64;
@@ -291,7 +292,6 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
   spec.engine.placer = PlacerKind::kAnnealing;
   spec.engine.allocator = AllocatorKind::kAverage;
   spec.engine.seed = 77;
-  spec.engine.gated_admission = false;
   spec.engine.workers = 2;
 
   const std::string ini = to_ini(spec);
@@ -336,8 +336,6 @@ TEST(ScenarioParserTest, IniRoundTripIsStable) {
             "router = masked\n"
             "seed = 77\n"
             "fifo = true\n"
-            "gated_admission = false\n"
-            "gated_allocation = false\n"
             "workers = 2\n"
             "cache = true\n"
             "cache_capacity = 64\n"
@@ -582,8 +580,6 @@ TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
                           spec.workload.trace_seed);
   StreamingOptions options;
   options.seed = spec.engine.seed;
-  options.gated_admission = spec.engine.gated_admission;
-  options.gated_allocation = spec.engine.gated_allocation;
   options.max_pending = static_cast<std::size_t>(spec.engine.max_pending);
   options.backpressure = spec.engine.backpressure;
   options.intake_shards = spec.engine.intake_shards;

@@ -2,14 +2,14 @@
 // routers. Every digest below was recorded from the reference
 // implementation. A change to the allocation round, a router, the EPR
 // model or RNG consumption that moves a single completion time, fidelity
-// or path fails here; the gated/ungated and differential suites only
-// compare two runs of the same code and cannot catch such a change.
+// or path fails here; the differential suites only compare two runs of
+// the same code and cannot catch such a change.
 //
 // The trajectory matrix covers all four allocators, the static-hop model
-// and every router, each with and without change gating, on a small
-// contended cloud in the shape of perfbench's netsim_contended workload:
-// tenants split over QPU pairs two hops apart, two communication qubits
-// per QPU, and EPR generation that fails half the time.
+// and every router on a small contended cloud in the shape of perfbench's
+// netsim_contended workload: tenants split over QPU pairs two hops apart,
+// two communication qubits per QPU, and EPR generation that fails half the
+// time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -105,37 +105,21 @@ std::unique_ptr<EprRouter> make_router(int i) {
 TEST(SimPinned, ContendedTrajectories) {
   const std::vector<Pin> pins = {
       {"CloudQC none gated", "0x0f07f1d03fe221d9"},
-      {"CloudQC none ungated", "0x0f07f1d03fe221d9"},
       {"CloudQC shortest gated", "0x8c7b4d0bd16d8cd5"},
-      {"CloudQC shortest ungated", "0x8c7b4d0bd16d8cd5"},
       {"CloudQC congestion gated", "0x355d89b45da7cd74"},
-      {"CloudQC congestion ungated", "0x355d89b45da7cd74"},
       {"CloudQC masked gated", "0x6bc8406e6264ea4b"},
-      {"CloudQC masked ungated", "0x6bc8406e6264ea4b"},
       {"Greedy none gated", "0x60264830d2883366"},
-      {"Greedy none ungated", "0x60264830d2883366"},
       {"Greedy shortest gated", "0xdc401478bee30f72"},
-      {"Greedy shortest ungated", "0xdc401478bee30f72"},
       {"Greedy congestion gated", "0x44eb17d46a8949c1"},
-      {"Greedy congestion ungated", "0x44eb17d46a8949c1"},
       {"Greedy masked gated", "0xf0d7635a5c6236a6"},
-      {"Greedy masked ungated", "0xf0d7635a5c6236a6"},
       {"Average none gated", "0xf9983f08319ca6c8"},
-      {"Average none ungated", "0xf9983f08319ca6c8"},
       {"Average shortest gated", "0x3bff46583695a359"},
-      {"Average shortest ungated", "0x3bff46583695a359"},
       {"Average congestion gated", "0x8234dae737bb4ef6"},
-      {"Average congestion ungated", "0x8234dae737bb4ef6"},
       {"Average masked gated", "0xa7fafa868951fd09"},
-      {"Average masked ungated", "0xa7fafa868951fd09"},
       {"Random none gated", "0x109df49a2b7a3bb1"},
-      {"Random none ungated", "0x109df49a2b7a3bb1"},
       {"Random shortest gated", "0x46076b76f119cd80"},
-      {"Random shortest ungated", "0xbea984c6115e7429"},
       {"Random congestion gated", "0x99dbdb005edf1627"},
-      {"Random congestion ungated", "0x149008b8069cfd3c"},
       {"Random masked gated", "0xdaf7d5f4e9dce737"},
-      {"Random masked ungated", "0x1932173df3a010b5"},
   };
   const QuantumCloud cloud = contended_cloud();
   const auto maps = tenant_maps(cloud);
@@ -146,26 +130,23 @@ TEST(SimPinned, ContendedTrajectories) {
   for (int a = 0; a < 4; ++a) {
     const auto alloc = make_allocator(a);
     for (int r = 0; r < 4; ++r) {
-      for (const bool gated : {true, false}) {
-        const auto router = make_router(r);
-        NetworkSimulator sim(cloud, *alloc, Rng(11), router.get());
-        sim.set_change_gated(gated);
-        for (int t = 0; t < kTenants; ++t) {
-          sim.add_job(tenants[static_cast<std::size_t>(t)],
-                      maps[static_cast<std::size_t>(t)]);
-        }
-        const auto done = sim.run_to_completion();
-        ASSERT_EQ(done.size(), static_cast<std::size_t>(kTenants));
-        Fnv h;
-        for (const JobCompletion& c : done) {
-          h.add(static_cast<std::uint64_t>(c.job));
-          h.add_double(c.time);
-          h.add_double(c.log_fidelity);
-        }
-        ASSERT_LT(i, pins.size());
-        EXPECT_EQ(hex(h.value()), pins[i].hash) << pins[i].name;
-        ++i;
+      const auto router = make_router(r);
+      NetworkSimulator sim(cloud, *alloc, Rng(11), router.get());
+      for (int t = 0; t < kTenants; ++t) {
+        sim.add_job(tenants[static_cast<std::size_t>(t)],
+                    maps[static_cast<std::size_t>(t)]);
       }
+      const auto done = sim.run_to_completion();
+      ASSERT_EQ(done.size(), static_cast<std::size_t>(kTenants));
+      Fnv h;
+      for (const JobCompletion& c : done) {
+        h.add(static_cast<std::uint64_t>(c.job));
+        h.add_double(c.time);
+        h.add_double(c.log_fidelity);
+      }
+      ASSERT_LT(i, pins.size());
+      EXPECT_EQ(hex(h.value()), pins[i].hash) << pins[i].name;
+      ++i;
     }
   }
   EXPECT_EQ(i, pins.size());
