@@ -16,12 +16,15 @@
 // capacity-signature admission gate lets through.
 //
 // At quick scale (the default, and what CI runs) every scenario A row's
-// events and allocation rounds, and scenario B's placement calls, must
-// equal the constants below, recorded from the reference implementation.
-// The counts are machine-independent and repeat exactly, so a change that
-// makes gating skip less work moves a count and FAILS the binary on any
-// machine. A change that moves them on purpose re-records them. At full
-// scale the counts are printed but not compared.
+// events, allocation rounds and EPR rounds, and scenario B's placement
+// calls, must equal the constants below, recorded from the reference
+// implementation. The counts are machine-independent and repeat exactly,
+// so a change that makes gating skip less work moves a count and FAILS
+// the binary on any machine. EPR rounds also see the routes: a path of a
+// different length draws a different number of generation rounds even
+// where the event and allocation-round counts stay put. A change that
+// moves them on purpose re-records them. At full scale the counts are
+// printed but not compared.
 //
 // Environment knobs:
 //   CLOUDQC_BENCH_SCALE=full              paper-scale sizes (no count gate)
@@ -60,13 +63,18 @@ struct ExpectedRow {
   bool router;
   std::uint64_t events;
   std::uint64_t alloc_rounds;
+  std::uint64_t epr_rounds;
 };
 
 constexpr ExpectedRow kQuickRows[] = {
-    {"cloudqc", false, 221200, 28885}, {"cloudqc", true, 221200, 41883},
-    {"greedy", false, 221200, 28951},  {"greedy", true, 221200, 41745},
-    {"average", false, 221200, 28865}, {"average", true, 221200, 41796},
-    {"random", false, 221200, 28880},  {"random", true, 221200, 41737},
+    {"cloudqc", false, 221200, 28885, 859065},
+    {"cloudqc", true, 221200, 41883, 3562082},
+    {"greedy", false, 221200, 28951, 779300},
+    {"greedy", true, 221200, 41745, 1766624},
+    {"average", false, 221200, 28865, 893823},
+    {"average", true, 221200, 41796, 2633291},
+    {"random", false, 221200, 28880, 810644},
+    {"random", true, 221200, 41737, 2454964},
 };
 constexpr std::uint64_t kQuickTracePlacementCalls = 389;
 
@@ -123,6 +131,7 @@ struct SimRun {
   double seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t alloc_rounds = 0;
+  std::uint64_t epr_rounds = 0;
 };
 
 SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
@@ -137,6 +146,7 @@ SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
   out.seconds = seconds_since(start);
   out.events = sim.num_events_processed();
   out.alloc_rounds = sim.num_allocation_rounds();
+  out.epr_rounds = sim.total_epr_rounds();
   return out;
 }
 
@@ -235,7 +245,8 @@ int main() {
   allocators.emplace_back("average", make_average_allocator());
   allocators.emplace_back("random", make_random_allocator());
 
-  TextTable table({"allocator", "router", "events", "alloc rounds", "ev/s"});
+  TextTable table(
+      {"allocator", "router", "events", "alloc rounds", "EPR rounds", "ev/s"});
   for (const auto& [name, alloc] : allocators) {
     for (const bool use_router : {false, true}) {
       const EprRouter* r = use_router ? router.get() : nullptr;
@@ -255,16 +266,20 @@ int main() {
             !count_matches(row + " events", run.events, want.events);
         counts_failed |= !count_matches(row + " allocation rounds",
                                         run.alloc_rounds, want.alloc_rounds);
+        counts_failed |=
+            !count_matches(row + " EPR rounds", run.epr_rounds, want.epr_rounds);
       }
 
       const double ev_per_s = static_cast<double>(run.events) / run.seconds;
       const std::string key = name + (use_router ? "_routed" : "_static");
       json.add(key + "_events", static_cast<long>(run.events));
       json.add(key + "_alloc_rounds", static_cast<long>(run.alloc_rounds));
+      json.add(key + "_epr_rounds", static_cast<long>(run.epr_rounds));
       json.add(key + "_events_per_sec", ev_per_s);
       table.add_row({name, use_router ? "on" : "off",
                      std::to_string(run.events),
                      std::to_string(run.alloc_rounds),
+                     std::to_string(run.epr_rounds),
                      fmt_double(ev_per_s, 0)});
     }
   }

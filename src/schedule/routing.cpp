@@ -1,8 +1,11 @@
 #include "schedule/routing.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_map>
 
 #include "common/check.hpp"
+#include "graph/csr.hpp"
 
 namespace cloudqc {
 namespace {
@@ -98,17 +101,18 @@ class CongestionAwareRouter final : public EprRouter {
       }
     }
     const auto unblocked = bfs_path(topo, src, dst, &blocked);
+    const std::vector<EprPath>& candidates = static_paths(topo, src, dst);
     if (!unblocked.has_value() ||
         unblocked->hops() > direct_hops + max_extra_hops_) {
       // Every viable detour is too long: queue on the plain shortest path
       // (EPR success decays as p^hops, so a long detour costs more than
-      // waiting for the hot QPU to free up).
-      return bfs_path(topo, src, dst, nullptr);
+      // waiting for the hot QPU to free up). Yen's first path is it.
+      if (candidates.empty()) return std::nullopt;
+      return candidates.front();
     }
 
     // Among paths of the unblocked-minimal length, pick the one with the
     // least-loaded intermediates (sum of 1/(free+1)).
-    const auto candidates = k_shortest_paths(topo, src, dst, 5);
     const EprPath* best = &*unblocked;
     double best_load = load_of(*unblocked, free_comm);
     for (const auto& p : candidates) {
@@ -128,6 +132,8 @@ class CongestionAwareRouter final : public EprRouter {
   }
 
  private:
+  static constexpr int kCandidates = 5;
+
   static double load_of(const EprPath& p, const std::vector<int>& free_comm) {
     double load = 0.0;
     for (std::size_t j = 1; j + 1 < p.nodes.size(); ++j) {
@@ -136,7 +142,46 @@ class CongestionAwareRouter final : public EprRouter {
     return load;
   }
 
+  /// k_shortest_paths(topo, src, dst, kCandidates), computed once per
+  /// (src, dst) and topology. The memo is dropped when `topo` differs in
+  /// content from the topology it was filled for.
+  const std::vector<EprPath>& static_paths(const Graph& topo, QpuId src,
+                                           QpuId dst) const {
+    if (!memo_topology_matches(topo)) {
+      paths_.clear();
+      memo_topology_ = CsrAdjacency(topo);
+    }
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(
+                                              topo.num_nodes()) +
+        static_cast<std::uint64_t>(dst);
+    const auto hit = paths_.find(key);
+    if (hit != paths_.end()) return hit->second;
+    return paths_.emplace(key, k_shortest_paths(topo, src, dst, kCandidates))
+        .first->second;
+  }
+
+  /// True when `topo` has the node count and the adjacency rows
+  /// (neighbour ids in stored order; paths read nothing else) the memo
+  /// was filled for. Compared in place, so a hit allocates nothing.
+  bool memo_topology_matches(const Graph& topo) const {
+    if (memo_topology_.num_nodes() != topo.num_nodes()) return false;
+    for (NodeId u = 0; u < topo.num_nodes(); ++u) {
+      const std::vector<Edge>& row = topo.neighbors(u);
+      if (memo_topology_.degree(u) != row.size()) return false;
+      std::size_t at = memo_topology_.begin(u);
+      for (const Edge& e : row) {
+        if (memo_topology_.to(at++) != e.to) return false;
+      }
+    }
+    return true;
+  }
+
   int max_extra_hops_;
+  // The memo, filled on first use, and the topology it belongs to.
+  mutable CsrAdjacency memo_topology_{Graph(0)};
+  /// Candidates by src * num_nodes + dst; looked up, never iterated.
+  mutable std::unordered_map<std::uint64_t, std::vector<EprPath>> paths_;
 };
 
 // The masked-shortest-path policy, computed fresh per call with a

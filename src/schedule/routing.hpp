@@ -59,6 +59,15 @@ std::unique_ptr<EprRouter> make_shortest_path_router();
 /// so a detour costs exponentially more generation rounds and is only worth
 /// it to avoid outright blocking. Falls back to the plain shortest path
 /// when every alternative is saturated.
+///
+/// The router memoizes, per (src, dst), the static part of its answer:
+/// the k_shortest_paths candidates, whose first path is the fallback.
+/// Both are pure functions of the topology, so the memo changes no path.
+/// It is dropped when route() sees a topology whose content (node count
+/// and adjacency rows) differs from the one it was filled for; the
+/// saturation-masked search still runs on every call. Because route()
+/// fills the memo, a congestion-aware router is confined to one thread,
+/// unlike the other routers, which are stateless.
 std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
 
 /// Masked shortest path. The path is the hop-shortest one that never
@@ -75,9 +84,10 @@ std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
 std::unique_ptr<EprRouter> make_masked_shortest_router();
 
 /// Enumerate up to `k` loop-free shortest paths between two QPUs (Yen's
-/// algorithm over hop counts). Exposed for tests and for router
-/// implementations. Throws std::logic_error unless `src` and `dst` are
-/// distinct node ids of `topology`.
+/// algorithm over hop counts). The first is the shortest-path router's
+/// path; the list is empty when `dst` is unreachable. Exposed for tests
+/// and for router implementations. Throws std::logic_error unless `src`
+/// and `dst` are distinct node ids of `topology`.
 std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
                                       QpuId dst, int k);
 

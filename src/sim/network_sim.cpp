@@ -118,9 +118,8 @@ void NetworkSimulator::cancel_job(int job_id) {
     return true;
   });
   waiting_remote_.erase(
-      std::remove_if(
-          waiting_remote_.begin(), waiting_remote_.end(),
-          [&](const std::pair<int, int>& w) { return w.first == job_id; }),
+      std::remove_if(waiting_remote_.begin(), waiting_remote_.end(),
+                     [&](const WaitingOp& w) { return w.job == job_id; }),
       waiting_remote_.end());
   release_job(job_id);
 }
@@ -210,8 +209,12 @@ void NetworkSimulator::release_job(int job_id) {
 
 void NetworkSimulator::on_ready(int job_id, int gate) {
   const Job& job = jobs_[static_cast<std::size_t>(job_id)];
-  if (job.remote_of_gate[gate] >= 0) {
-    waiting_remote_.emplace_back(job_id, gate);
+  const int remote = job.remote_of_gate[gate];
+  if (remote >= 0) {
+    const auto r = static_cast<std::size_t>(remote);
+    const RemoteOp& op = job.part->remote_ops[r];
+    waiting_remote_.push_back(
+        {job_id, gate, op.qpu_a, op.qpu_b, job.part->remote_prio[r]});
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
     start_local(job_id, gate);
@@ -249,47 +252,45 @@ std::size_t NetworkSimulator::run_allocation_round() {
   // other op would get 0 pairs from every allocator, and dropping it
   // changes no grant and no Random draw (see allocators.hpp). The handle
   // is the op's position in the wait set.
-  std::vector<CommRequest> requests;
-  requests.reserve(waiting_remote_.size());
+  requests_.clear();
   for (std::size_t w = 0; w < waiting_remote_.size(); ++w) {
-    const auto [job_id, gate] = waiting_remote_[w];
-    const PlacedPart& part = *jobs_[static_cast<std::size_t>(job_id)].part;
-    const std::size_t node = part.remote_index(gate);
-    const RemoteOp& op = part.remote_ops[node];
+    const WaitingOp& op = waiting_remote_[w];
     if (free_comm_[static_cast<std::size_t>(op.qpu_a)] < 1 ||
         free_comm_[static_cast<std::size_t>(op.qpu_b)] < 1) {
       continue;
     }
     CommRequest req;
     req.handle = static_cast<int>(w);
-    req.priority = static_cast<double>(part.remote_prio[node]);
+    req.priority = static_cast<double>(op.priority);
     req.qpu_a = op.qpu_a;
     req.qpu_b = op.qpu_b;
-    requests.push_back(req);
+    requests_.push_back(req);
   }
 
   const std::vector<int> grants =
-      allocator_.allocate(requests, free_comm_, rng_);
-  CLOUDQC_CHECK(grants.size() == requests.size());
+      allocator_.allocate(requests_, free_comm_, rng_);
+  CLOUDQC_CHECK(grants.size() == requests_.size());
 
   // Validate the allocator respected per-QPU budgets, then scatter the
   // grants back over the wait set (unoffered ops get 0) and start funded
   // operations.
-  std::vector<int> spend(free_comm_.size(), 0);
-  std::vector<int> pairs(waiting_remote_.size(), 0);
+  spend_.assign(free_comm_.size(), 0);
+  pairs_.assign(waiting_remote_.size(), 0);
   for (std::size_t i = 0; i < grants.size(); ++i) {
     CLOUDQC_CHECK(grants[i] >= 0);
     if (grants[i] == 0) continue;
-    spend[static_cast<std::size_t>(requests[i].qpu_a)] += grants[i];
-    spend[static_cast<std::size_t>(requests[i].qpu_b)] += grants[i];
-    pairs[static_cast<std::size_t>(requests[i].handle)] = grants[i];
+    spend_[static_cast<std::size_t>(requests_[i].qpu_a)] += grants[i];
+    spend_[static_cast<std::size_t>(requests_[i].qpu_b)] += grants[i];
+    pairs_[static_cast<std::size_t>(requests_[i].handle)] = grants[i];
   }
   for (std::size_t q = 0; q < free_comm_.size(); ++q) {
-    CLOUDQC_CHECK_MSG(spend[q] <= free_comm_[q],
+    CLOUDQC_CHECK_MSG(spend_[q] <= free_comm_[q],
                       "allocator exceeded communication budget");
   }
 
-  std::vector<std::pair<int, int>> still_waiting;
+  // Ops that stay waiting move down to `kept`, in their relative order;
+  // starting an op readies nothing, so the wait set does not grow here.
+  std::size_t kept = 0;
   std::size_t started = 0;
   const LatencyModel& lat = cloud_.config().latency;
 #ifndef NDEBUG
@@ -301,12 +302,14 @@ std::size_t NetworkSimulator::run_allocation_round() {
   const std::vector<int> free_before = free_comm_;
   std::vector<int> started_spend(free_comm_.size(), 0);
 #endif
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [job_id, gate] = waiting_remote_[i];
-    if (pairs[i] == 0) {
-      still_waiting.emplace_back(job_id, gate);
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    const WaitingOp waiting = waiting_remote_[i];
+    if (pairs_[i] == 0) {
+      waiting_remote_[kept++] = waiting;
       continue;
     }
+    const int job_id = waiting.job;
+    const int gate = waiting.gate;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
     const RemoteOp& op = job.part->remote_ops[job.part->remote_index(gate)];
 
@@ -316,7 +319,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
     std::vector<QpuId>& reserved_on =
         reserved_on_[static_cast<std::size_t>(reserved)];
     reserved_on.assign({op.qpu_a, op.qpu_b});
-    int x = pairs[i];
+    int x = pairs_[i];
     if (router_ != nullptr) {
       const auto path = router_->route(cloud_, op.qpu_a, op.qpu_b, free_comm_);
       if (!path.has_value() || !path->valid()) {
@@ -325,7 +328,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
         // point instead of executing it over the stale static hop count
         // with endpoint-only reservation (which would bypass the very
         // intermediates the router reported as exhausted).
-        still_waiting.emplace_back(job_id, gate);
+        waiting_remote_[kept++] = waiting;
         free_reserved_.push_back(reserved);
         continue;
       }
@@ -343,7 +346,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
       if (x <= 0) {
         // A saturated swap node blocks this op for now; retry at the next
         // decision point (endpoint qubits were never deducted).
-        still_waiting.emplace_back(job_id, gate);
+        waiting_remote_[kept++] = waiting;
         free_reserved_.push_back(reserved);
         continue;
       }
@@ -387,7 +390,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
                       "requeued op did not return its full grant");
   }
 #endif
-  waiting_remote_ = std::move(still_waiting);
+  waiting_remote_.resize(kept);
   return started;
 }
 

@@ -33,9 +33,11 @@
 // thread, but it only *reads* the cloud and the allocator and owns its RNG
 // by value, so any number of instances may run in parallel over the same
 // QuantumCloud/CommAllocator (run_independent's job-level parallelism).
-// Each instance owns its placed-part cache; the programs it shares with
-// other owners are immutable. Callers must not mutate the cloud's reservations from another thread
-// while a simulation is running on it.
+// A congestion-aware router fills its path memo inside route(), so
+// instances that run in parallel each need their own. Each instance owns
+// its placed-part cache; the programs it shares with other owners are
+// immutable. Callers must not mutate the cloud's reservations from
+// another thread while a simulation is running on it.
 #pragma once
 
 #include <array>
@@ -265,7 +267,7 @@ class NetworkSimulator {
   /// allocator is called once and offered only the waiting ops with a
   /// free communication qubit at both endpoints (exact: it could fund no
   /// other; see allocators.hpp). Unoffered and unfunded ops stay in the
-  /// wait set in their original relative order.
+  /// wait set in their original relative order (compacted in place).
   std::size_t run_allocation_round();
   /// Invoke allocate_and_start() only when the resource state changed
   /// since the last round.
@@ -302,8 +304,25 @@ class NetworkSimulator {
   /// Completed slots awaiting reuse, LIFO for locality.
   std::vector<int> free_slots_;
   int jobs_admitted_ = 0;
-  /// Waiting remote ops as (job, gate).
-  std::vector<std::pair<int, int>> waiting_remote_;
+  /// A waiting remote op with what an allocation round reads of it,
+  /// copied from the placed part at on_ready, so the fundability filter
+  /// is one pass over contiguous records.
+  struct WaitingOp {
+    int job;
+    int gate;
+    QpuId qpu_a;
+    QpuId qpu_b;
+    int priority;  // remote-DAG priority (PlacedPart::remote_prio)
+  };
+  /// The wait set, in the order the ops became ready. A round compacts it
+  /// in place, keeping that order.
+  std::vector<WaitingOp> waiting_remote_;
+  /// Per-round scratch, reused so that a round allocates nothing of its
+  /// own: the offered requests, each QPU's granted qubits, and each
+  /// waiting op's grant.
+  std::vector<CommRequest> requests_;
+  std::vector<int> spend_;
+  std::vector<int> pairs_;
   /// Free communication qubits per QPU (simulator-owned view).
   std::vector<int> free_comm_;
   /// Communication qubits fenced off per offline QPU (maintenance).

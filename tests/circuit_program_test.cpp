@@ -17,6 +17,7 @@
 #include "circuit/generators.hpp"
 #include "common/bounded_lru.hpp"
 #include "graph/topology.hpp"
+#include "pin_hash.hpp"
 #include "placement/incremental_cost.hpp"
 #include "schedule/routing.hpp"
 #include "sim/network_sim.hpp"
@@ -326,6 +327,50 @@ TEST(SharedProgram, SimulatorMatchesFreshCompileBitForBit) {
         }
       }
     }
+  }
+}
+
+// The churn leg above with the congestion-aware router: cancelled slots
+// are recycled and re-admitted while one router instance, and its memo of
+// static paths, serves every run. The digests of the completion records
+// (job, time and log-fidelity bits, in completion order) were recorded
+// from the reference implementation, which computed every path afresh.
+TEST(SharedProgram, CancelAndReadmitUnderCongestionAwareRouterIsPinned) {
+  const std::vector<testing::Pin> pins = {
+      {"CloudQC", "0xd2c55acfb1384e18"},
+      {"Greedy", "0x1e219fc5a74f2e2e"},
+      {"Average", "0xda92be796bb76144"},
+      {"Random", "0x267123688f8a572a"},
+  };
+  const QuantumCloud cloud = contended_cloud();
+  std::vector<Circuit> circuits;
+  std::vector<std::shared_ptr<const CircuitProgram>> programs;
+  for (int t = 0; t < kTenants; ++t) {
+    circuits.push_back(make_tenant(t));
+    programs.push_back(std::make_shared<const CircuitProgram>(circuits.back()));
+  }
+  const auto router = make_congestion_aware_router();
+  for (int a = 0; a < 4; ++a) {
+    const auto alloc = make_allocator(a);
+    SCOPED_TRACE(alloc->name());
+    const SimRun fresh =
+        run(cloud, *alloc, router.get(), true, &circuits, nullptr);
+    const SimRun shared =
+        run(cloud, *alloc, router.get(), true, nullptr, &programs);
+    EXPECT_GT(shared.readmitted, 0u);
+    ASSERT_EQ(shared.done.size(), 2u * kTenants);
+    std::vector<std::string> digests;
+    for (const SimRun* r : {&fresh, &shared}) {
+      testing::Fnv h;
+      for (const JobCompletion& c : r->done) {
+        h.add(static_cast<std::uint64_t>(c.job));
+        h.add_double(c.time);
+        h.add_double(c.log_fidelity);
+      }
+      digests.push_back(testing::hex(h.value()));
+    }
+    EXPECT_EQ(digests[0], pins[static_cast<std::size_t>(a)].hash);
+    EXPECT_EQ(digests[1], pins[static_cast<std::size_t>(a)].hash);
   }
 }
 

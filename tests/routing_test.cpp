@@ -289,6 +289,20 @@ int iters() {
   return static_cast<int>(env_int_or("CLOUDQC_PROPERTY_ITERS", 12));
 }
 
+/// A connected random topology on `n` nodes with a random edge density.
+Graph random_graph(NodeId n, Rng& rng) {
+  const double edge_prob = 0.12 + rng.uniform() * 0.4;
+  return random_topology(n, edge_prob, rng);
+}
+
+QuantumCloud cloud_of(Graph topo) {
+  CloudConfig cfg;
+  cfg.num_qpus = static_cast<int>(topo.num_nodes());
+  cfg.computing_qubits_per_qpu = 50;
+  cfg.comm_qubits_per_qpu = 3;
+  return QuantumCloud(cfg, std::move(topo));
+}
+
 /// One fuzz round: route a random op batch through `router`, checking
 /// every invariant the routing contract promises, draining budgets as
 /// grants land. Returns the paths (nullopt included) for rerun
@@ -353,13 +367,8 @@ TEST(MaskedRoutingProperty, RandomTopologiesRandomBatches) {
     const std::uint64_t seed = stream_seed(0xF0117E6, static_cast<std::uint64_t>(iter));
     Rng topo_rng(seed);
     const auto n = static_cast<NodeId>(6 + topo_rng.below(20));
-    const double edge_prob = 0.12 + topo_rng.uniform() * 0.4;
-    Graph topo = random_topology(n, edge_prob, topo_rng);
-    CloudConfig cfg;
-    cfg.num_qpus = static_cast<int>(n);
-    cfg.computing_qubits_per_qpu = 50;
-    cfg.comm_qubits_per_qpu = 3;
-    const QuantumCloud cloud(cfg, std::move(topo));
+    const QuantumCloud cloud =
+        property::cloud_of(property::random_graph(n, topo_rng));
 
     const auto router = make_masked_shortest_router();
     const auto got = property::run_batch(*router, cloud, seed);
@@ -373,6 +382,42 @@ TEST(MaskedRoutingProperty, RandomTopologiesRandomBatches) {
       ASSERT_EQ(again[i].has_value(), got[i].has_value()) << "op " << i;
       if (got[i].has_value()) {
         EXPECT_EQ(again[i]->nodes, got[i]->nodes) << "op " << i;
+      }
+    }
+  }
+}
+
+// The congestion-aware router memoizes its static paths per topology. One
+// long-lived instance must answer exactly as a fresh router per call does,
+// for every ordered pair under random saturation, while the topology it
+// is handed alternates between two graphs with the same node count. The
+// two clouds are built in turn in one storage slot, so an instance that
+// recognised a topology by its address would serve stale paths.
+TEST(CongestionAwareMemo, LongLivedRouterMatchesFreshRouterPerCall) {
+  for (int iter = 0; iter < property::iters(); ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    Rng rng(stream_seed(0x3E3C, static_cast<std::uint64_t>(iter)));
+    const auto n = static_cast<NodeId>(6 + rng.below(20));
+    const Graph graphs[2] = {property::random_graph(n, rng),
+                             property::random_graph(n, rng)};
+    const auto memo = make_congestion_aware_router();
+    std::optional<QuantumCloud> cloud;
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      cloud.emplace(property::cloud_of(graphs[round % 2]));
+      std::vector<int> free_comm(static_cast<std::size_t>(n));
+      for (auto& f : free_comm) f = static_cast<int>(rng.below(4));  // 0..3
+      for (QpuId s = 0; s < n; ++s) {
+        for (QpuId d = 0; d < n; ++d) {
+          if (s == d) continue;
+          const auto got = memo->route(*cloud, s, d, free_comm);
+          const auto want =
+              make_congestion_aware_router()->route(*cloud, s, d, free_comm);
+          ASSERT_EQ(got.has_value(), want.has_value()) << s << "→" << d;
+          if (want.has_value()) {
+            ASSERT_EQ(got->nodes, want->nodes) << s << "→" << d;
+          }
+        }
       }
     }
   }
