@@ -38,6 +38,27 @@ Graph partition_interaction_graph(const Graph& interaction,
   return pg;
 }
 
+double ScoreBound::ceiling(double est_time, double cut) const {
+  return placement_score(alpha, beta, est_time, cut);
+}
+
+ScoreBound score_bound(const Circuit& circuit, const CircuitDag& dag,
+                       const Graph& interaction, const QuantumCloud& cloud,
+                       double alpha, double beta) {
+  ScoreBound bound;
+  bound.alpha = alpha;
+  bound.beta = beta;
+  bound.time_floor = execution_time_floor(circuit, dag, cloud);
+  for (const int c : connected_components(interaction)) {
+    bound.components = std::max(bound.components, c + 1);
+  }
+  bound.lightest_edge = std::numeric_limits<double>::infinity();
+  interaction.for_each_edge([&](NodeId, NodeId, double w) {
+    bound.lightest_edge = std::min(bound.lightest_edge, w);
+  });
+  return bound;
+}
+
 std::optional<std::vector<QpuId>> select_qpus_by_community(
     const QuantumCloud& cloud, const Graph& weighted, int needed_qubits,
     std::uint64_t seed, int min_qpus) {
@@ -253,7 +274,17 @@ enum class QpuSelect { kCommunity, kBfs };
 class CloudQcFamilyPlacer final : public Placer {
  public:
   CloudQcFamilyPlacer(PlacerOptions opts, QpuSelect select)
-      : opts_(std::move(opts)), select_(select) {}
+      : opts_(std::move(opts)), select_(select) {
+    // A negative weight would make the score reward cost, and a negative
+    // or non-finite one breaks the monotonicity the sweep's bound needs.
+    const auto weight_ok = [](double w) { return std::isfinite(w) && w >= 0.0; };
+    CLOUDQC_CHECK_MSG(weight_ok(opts_.alpha) && weight_ok(opts_.beta),
+                      "scoring weights must be finite and >= 0");
+    for (const double alpha : opts_.imbalance_factors) {
+      CLOUDQC_CHECK_MSG(weight_ok(alpha),
+                        "imbalance factors must be finite and >= 0");
+    }
+  }
 
   std::string name() const override {
     return select_ == QpuSelect::kCommunity ? "CloudQC" : "CloudQC-BFS";
@@ -307,13 +338,35 @@ class CloudQcFamilyPlacer final : public Placer {
     };
     std::optional<Placement> best;
 
+    // A candidate replaces the best only with a strictly higher score, so
+    // a grid point whose score ceiling is <= the best score so far cannot
+    // win. It is skipped on the call's floors before partitioning, or on
+    // the partition's exact cut and remote-gate set after it. A skipped
+    // point still draws its seeds, so the caller's stream and every later
+    // point are unchanged.
+    const detail::ScoreBound bound = detail::score_bound(
+        circuit, dag, interaction, cloud, opts_.alpha, opts_.beta);
+    const auto skip = [&](double time_floor, double cut) {
+      if (!best.has_value() || bound.ceiling(time_floor, cut) > best->score) {
+        return false;
+      }
+      if (select_ == QpuSelect::kCommunity) rng();  // the Louvain seed
+      return true;
+    };
+
     for (const double alpha : opts_.imbalance_factors) {
       for (int k = std::max(2, k_min); k <= k_max; ++k) {
         PartitionOptions popt;
         popt.num_parts = k;
         popt.imbalance = alpha;
         popt.seed = rng();
+        if (skip(bound.time_floor, bound.cut_floor(k))) continue;
         const PartitionResult pres = partition_graph(interaction, popt);
+        CLOUDQC_CHECK(pres.edge_cut >= bound.cut_floor(k));
+        if (skip(bound.time_floor, pres.edge_cut)) continue;
+        const double time_floor =
+            execution_time_floor(circuit, dag, cloud, pres.part);
+        if (skip(time_floor, pres.edge_cut)) continue;
 
         const Graph part_graph =
             detail::partition_interaction_graph(interaction, pres.part, k);
@@ -358,6 +411,7 @@ class CloudQcFamilyPlacer final : public Placer {
         Placement cand = finalize_placement(circuit, dag, cloud,
                                             std::move(qubit_to_qpu),
                                             opts_.alpha, opts_.beta);
+        CLOUDQC_CHECK(cand.score <= bound.ceiling(time_floor, pres.edge_cut));
         if (!best.has_value() || cand.score > best->score) {
           best = std::move(cand);
         }

@@ -72,15 +72,21 @@ std::vector<std::size_t> remote_ops_per_qpu(
   return count;
 }
 
-double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
-                               const QuantumCloud& cloud,
-                               const std::vector<QpuId>& qubit_to_qpu) {
-  const LatencyModel& lat = cloud.config().latency;
-  const EprModel epr(cloud.config().epr_success_prob);
-  // A remote gate's cost depends only on the hop distance; each distinct
-  // distance is priced once (NaN = not priced yet).
-  std::vector<double> remote_cost(static_cast<std::size_t>(cloud.num_qpus()),
-                                  std::numeric_limits<double>::quiet_NaN());
+namespace {
+
+/// Expected latency of one remote gate across `hops` links with one
+/// allocated pair: EPR generation plus the remote-gate pipeline.
+double remote_gate_cost(const EprModel& epr, const LatencyModel& lat,
+                        int hops) {
+  return epr.expected_rounds(hops, 1) * lat.t_epr + lat.remote_gate_overhead();
+}
+
+/// Critical path of the gate DAG with every 2-qubit gate priced by
+/// `two_qubit_cost(gate)` and every other gate by its fixed latency.
+template <typename TwoQubitCost>
+double critical_path_with(const Circuit& circuit, const CircuitDag& dag,
+                          const LatencyModel& lat,
+                          TwoQubitCost&& two_qubit_cost) {
   std::vector<double> node_cost(circuit.num_gates());
   for (std::size_t i = 0; i < circuit.num_gates(); ++i) {
     const Gate& g = circuit.gates()[i];
@@ -91,23 +97,61 @@ double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
     } else if (!g.two_qubit()) {
       node_cost[i] = lat.t_1q;
     } else {
-      const QpuId a = qubit_to_qpu[static_cast<std::size_t>(g.qubits[0])];
-      const QpuId b = qubit_to_qpu[static_cast<std::size_t>(g.qubits[1])];
-      if (a == b) {
-        node_cost[i] = lat.t_2q;
-      } else {
-        const int hops = cloud.distance(a, b);
-        CLOUDQC_CHECK(hops >= 1);  // a connected topology; a != b
-        double& cost = remote_cost[static_cast<std::size_t>(hops)];
-        if (std::isnan(cost)) {
-          cost = epr.expected_rounds(hops, 1) * lat.t_epr +
-                 lat.remote_gate_overhead();
-        }
-        node_cost[i] = cost;
-      }
+      node_cost[i] = two_qubit_cost(g);
     }
   }
   return dag.critical_path(node_cost);
+}
+
+}  // namespace
+
+double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
+                               const QuantumCloud& cloud,
+                               const std::vector<QpuId>& qubit_to_qpu) {
+  const LatencyModel& lat = cloud.config().latency;
+  const EprModel epr(cloud.config().epr_success_prob);
+  // A remote gate's cost depends only on the hop distance; each distinct
+  // distance is priced once (NaN = not priced yet).
+  std::vector<double> remote_cost(static_cast<std::size_t>(cloud.num_qpus()),
+                                  std::numeric_limits<double>::quiet_NaN());
+  return critical_path_with(circuit, dag, lat, [&](const Gate& g) {
+    const QpuId a = qubit_to_qpu[static_cast<std::size_t>(g.qubits[0])];
+    const QpuId b = qubit_to_qpu[static_cast<std::size_t>(g.qubits[1])];
+    if (a == b) return lat.t_2q;
+    const int hops = cloud.distance(a, b);
+    CLOUDQC_CHECK(hops >= 1);  // a connected topology; a != b
+    double& cost = remote_cost[static_cast<std::size_t>(hops)];
+    if (std::isnan(cost)) cost = remote_gate_cost(epr, lat, hops);
+    return cost;
+  });
+}
+
+double execution_time_floor(const Circuit& circuit, const CircuitDag& dag,
+                            const QuantumCloud& cloud,
+                            const std::vector<int>& part) {
+  CLOUDQC_CHECK(part.empty() ||
+                part.size() == static_cast<std::size_t>(circuit.num_qubits()));
+  const LatencyModel& lat = cloud.config().latency;
+  const EprModel epr(cloud.config().epr_success_prob);
+  // Hop distances in a connected cloud lie in [1, num_qpus); pricing every
+  // one of them covers whatever distances the mapping uses.
+  double remote = std::numeric_limits<double>::infinity();
+  for (int hops = 1; hops < cloud.num_qpus(); ++hops) {
+    remote = std::min(remote, remote_gate_cost(epr, lat, hops));
+  }
+  const double open = std::min(lat.t_2q, remote);
+  return critical_path_with(circuit, dag, lat, [&](const Gate& g) {
+    if (part.empty()) return open;
+    return part[static_cast<std::size_t>(g.qubits[0])] ==
+                   part[static_cast<std::size_t>(g.qubits[1])]
+               ? lat.t_2q
+               : remote;
+  });
+}
+
+double placement_score(double alpha, double beta, double est_time,
+                       double comm_cost) {
+  return alpha / (est_time + 1.0) + beta / (comm_cost + 1.0);
 }
 
 std::vector<int> qubits_per_qpu(const QuantumCloud& cloud,
@@ -149,10 +193,7 @@ Placement finalize_placement(const Circuit& circuit, const CircuitDag& dag,
   p.comm_cost = placement_comm_cost(circuit, cloud, p.qubit_to_qpu);
   p.remote_ops = placement_remote_ops(circuit, p.qubit_to_qpu);
   p.est_time = estimate_execution_time(circuit, dag, cloud, p.qubit_to_qpu);
-  // S = α/T + β/C; a zero-cost (single-QPU) placement is the best possible
-  // for the C-term, represented by treating 1/C as 1/(C+1) shifted — we use
-  // C+1 and T+1 to keep the score finite and monotone.
-  p.score = alpha / (p.est_time + 1.0) + beta / (p.comm_cost + 1.0);
+  p.score = placement_score(alpha, beta, p.est_time, p.comm_cost);
   return p;
 }
 

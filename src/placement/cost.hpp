@@ -32,6 +32,26 @@ double estimate_execution_time(const Circuit& circuit, const CircuitDag& dag,
                                const QuantumCloud& cloud,
                                const std::vector<QpuId>& qubit_to_qpu);
 
+/// Floor on estimate_execution_time over every mapping that puts qubits q
+/// and r on one QPU exactly when part[q] == part[r]: the same critical
+/// path with each 2-qubit gate across parts priced at the cheapest remote
+/// gate over any hop distance. An empty `part` leaves every gate's side
+/// open and prices each 2-qubit gate at the cheaper of a local and that
+/// remote gate. Every other gate costs what it costs in the estimate, and
+/// the critical path only adds and takes maxima, which IEEE rounding keeps
+/// monotone, so the floor is exact: never above such a mapping's estimate.
+double execution_time_floor(const Circuit& circuit, const CircuitDag& dag,
+                            const QuantumCloud& cloud,
+                            const std::vector<int>& part = {});
+
+/// Algorithm 1's scoring function S = α/(T+1) + β/(C+1), for estimated
+/// time T and communication cost C (the +1 keeps a zero-cost, single-QPU
+/// placement finite). With α, β >= 0 it never rises when T or C does,
+/// also under IEEE rounding, so floors on T and C give an exact ceiling
+/// on S.
+double placement_score(double alpha, double beta, double est_time,
+                       double comm_cost);
+
 /// Count of computing qubits used per QPU.
 std::vector<int> qubits_per_qpu(const QuantumCloud& cloud,
                                 const std::vector<QpuId>& qubit_to_qpu);

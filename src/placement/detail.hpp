@@ -7,6 +7,8 @@
 #include <optional>
 #include <vector>
 
+#include "circuit/circuit.hpp"
+#include "circuit/dag.hpp"
 #include "cloud/cloud.hpp"
 #include "graph/graph.hpp"
 #include "placement/placement.hpp"
@@ -18,6 +20,42 @@ namespace cloudqc::detail {
 /// weight crossing the two partitions.
 Graph partition_interaction_graph(const Graph& interaction,
                                   const std::vector<int>& part, int k);
+
+/// Exact ceiling on the score of any (α, k) grid point of one placement
+/// call, which lets Algorithm 1's sweep skip points that cannot win.
+///
+/// A grid point maps k non-empty parts (partition_graph guarantees them
+/// for k <= n) injectively onto QPUs at hop distance >= 1 from each other.
+/// So its communication cost C is at least the partition's edge cut (the
+/// interaction weights are gate counts, so every sum is integer-exact),
+/// and its time estimate T is at least execution_time_floor over its part
+/// labels. Before partitioning, the cut is at least cut_floor(k): cutting
+/// a graph of c components into k non-empty parts cuts at least k - c
+/// edges, each of weight >= the lightest edge; and T is at least
+/// time_floor, the floor with every gate's side open. placement_score
+/// never rises with T or C, also under IEEE rounding, when α, β >= 0, so
+/// ceiling(T floor, C floor) is never below the point's real score.
+struct ScoreBound {
+  double alpha = 0.0;
+  double beta = 0.0;
+  double time_floor = 0.0;
+  /// Connected components of the interaction graph (isolated qubits
+  /// count) and its lightest edge weight (+inf without edges).
+  int components = 0;
+  double lightest_edge = 0.0;
+
+  /// Floor on the edge cut of any partition into k non-empty parts.
+  double cut_floor(int k) const {
+    return k > components ? (k - components) * lightest_edge : 0.0;
+  }
+  /// Ceiling on the score of a placement whose estimated time is at least
+  /// `est_time` and whose communication cost is at least `cut`.
+  double ceiling(double est_time, double cut) const;
+};
+
+ScoreBound score_bound(const Circuit& circuit, const CircuitDag& dag,
+                       const Graph& interaction, const QuantumCloud& cloud,
+                       double alpha, double beta);
 
 /// Community-detection QPU selection (CloudQC proper): detect communities
 /// on `weighted` (the cloud's resource_weighted_topology(), built once per

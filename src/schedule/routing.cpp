@@ -10,28 +10,54 @@
 namespace cloudqc {
 namespace {
 
+/// A topology's neighbour rows in ascending id, the order every BFS here
+/// visits them in: row u is ids[at[u], at[u + 1]).
+struct SortedRows {
+  std::vector<std::size_t> at;
+  std::vector<NodeId> ids;
+
+  explicit SortedRows(const Graph& topo) {
+    at.reserve(static_cast<std::size_t>(topo.num_nodes()) + 1);
+    at.push_back(0);
+    for (NodeId u = 0; u < topo.num_nodes(); ++u) {
+      for (const auto& e : topo.neighbors(u)) ids.push_back(e.to);
+      std::sort(ids.begin() + static_cast<std::ptrdiff_t>(at.back()),
+                ids.end());
+      at.push_back(ids.size());
+    }
+  }
+  NodeId num_nodes() const { return static_cast<NodeId>(at.size() - 1); }
+};
+
+/// bfs_path's buffers, reused across searches.
+struct BfsScratch {
+  std::vector<NodeId> parent;
+  std::vector<char> seen;
+  std::vector<NodeId> queue;
+};
+
 /// Hop-shortest path with deterministic (lowest-id) tie-breaking via BFS
 /// parent tracking. `blocked` nodes (no free comm qubits) may be skipped.
-/// One flat queue and one neighbour buffer serve the whole search, so it
-/// allocates nothing per visited node.
-std::optional<EprPath> bfs_path(const Graph& topo, QpuId src, QpuId dst,
-                                const std::vector<char>* blocked) {
-  const auto n = static_cast<std::size_t>(topo.num_nodes());
-  std::vector<NodeId> parent(n, kInvalidNode);
-  std::vector<char> seen(n, 0);
-  std::vector<NodeId> queue;
-  queue.reserve(n);
-  std::vector<NodeId> nbrs;
+/// Allocates nothing but the path once `scratch` has grown to the
+/// topology's size.
+std::optional<EprPath> bfs_path(const SortedRows& rows, QpuId src, QpuId dst,
+                                const std::vector<char>* blocked,
+                                BfsScratch& scratch) {
+  const auto n = static_cast<std::size_t>(rows.num_nodes());
+  std::vector<NodeId>& parent = scratch.parent;
+  std::vector<char>& seen = scratch.seen;
+  std::vector<NodeId>& queue = scratch.queue;
+  parent.assign(n, kInvalidNode);
+  seen.assign(n, 0);
+  queue.clear();
   seen[static_cast<std::size_t>(src)] = 1;
   queue.push_back(src);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
     if (u == dst) break;
-    // Visit neighbours in ascending id for determinism.
-    nbrs.clear();
-    for (const auto& e : topo.neighbors(u)) nbrs.push_back(e.to);
-    std::sort(nbrs.begin(), nbrs.end());
-    for (const NodeId v : nbrs) {
+    const auto row = static_cast<std::size_t>(u);
+    for (std::size_t i = rows.at[row]; i < rows.at[row + 1]; ++i) {
+      const NodeId v = rows.ids[i];
       if (seen[static_cast<std::size_t>(v)]) continue;
       // Intermediate nodes may be blocked; the destination never is (its
       // qubits are accounted by the endpoint allocation).
@@ -65,7 +91,8 @@ class ShortestPathRouter final : public EprRouter {
       const override {
     check_route_endpoints(cloud.topology(), src, dst);
     (void)free_comm;
-    return bfs_path(cloud.topology(), src, dst, nullptr);
+    BfsScratch scratch;
+    return bfs_path(SortedRows(cloud.topology()), src, dst, nullptr, scratch);
   }
 };
 
@@ -91,17 +118,20 @@ class CongestionAwareRouter final : public EprRouter {
     const int direct_hops = cloud.distance(src, dst);
     if (direct_hops < 0) return std::nullopt;  // disconnected
 
+    // The memo first: it also holds the sorted rows the masked BFS reads.
+    const std::vector<EprPath>& candidates = static_paths(topo, src, dst);
+
     // Saturated intermediates are unusable (no qubit left to swap with);
     // find the shortest path avoiding them.
-    std::vector<char> blocked(static_cast<std::size_t>(topo.num_nodes()), 0);
+    std::vector<char>& blocked = blocked_;
+    blocked.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
     for (NodeId v = 0; v < topo.num_nodes(); ++v) {
       if (v != src && v != dst &&
           free_comm[static_cast<std::size_t>(v)] <= 0) {
         blocked[static_cast<std::size_t>(v)] = 1;
       }
     }
-    const auto unblocked = bfs_path(topo, src, dst, &blocked);
-    const std::vector<EprPath>& candidates = static_paths(topo, src, dst);
+    const auto unblocked = bfs_path(rows_, src, dst, &blocked, scratch_);
     if (!unblocked.has_value() ||
         unblocked->hops() > direct_hops + max_extra_hops_) {
       // Every viable detour is too long: queue on the plain shortest path
@@ -150,6 +180,7 @@ class CongestionAwareRouter final : public EprRouter {
     if (!memo_topology_matches(topo)) {
       paths_.clear();
       memo_topology_ = CsrAdjacency(topo);
+      rows_ = SortedRows(topo);
     }
     const std::uint64_t key =
         static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(
@@ -180,8 +211,12 @@ class CongestionAwareRouter final : public EprRouter {
   int max_extra_hops_;
   // The memo, filled on first use, and the topology it belongs to.
   mutable CsrAdjacency memo_topology_{Graph(0)};
+  mutable SortedRows rows_{Graph(0)};
   /// Candidates by src * num_nodes + dst; looked up, never iterated.
   mutable std::unordered_map<std::uint64_t, std::vector<EprPath>> paths_;
+  // Per-call buffers of the masked search, reused across calls.
+  mutable std::vector<char> blocked_;
+  mutable BfsScratch scratch_;
 };
 
 // The masked-shortest-path policy, computed fresh per call with a
@@ -260,7 +295,9 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
   CLOUDQC_CHECK(k >= 1);
   check_route_endpoints(topology, src, dst);
   std::vector<EprPath> result;
-  const auto first = bfs_path(topology, src, dst, nullptr);
+  const SortedRows rows(topology);
+  BfsScratch scratch;
+  const auto first = bfs_path(rows, src, dst, nullptr, scratch);
   if (!first.has_value()) return result;
   result.push_back(*first);
 
@@ -299,7 +336,7 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
         }
       }
       if (blocked[static_cast<std::size_t>(dst)]) continue;
-      const auto spur_path = bfs_path(topology, spur, dst, &blocked);
+      const auto spur_path = bfs_path(rows, spur, dst, &blocked, scratch);
       if (!spur_path.has_value()) continue;
       EprPath total;
       total.nodes.assign(prev.nodes.begin(),

@@ -65,9 +65,11 @@ std::unique_ptr<EprRouter> make_shortest_path_router();
 /// Both are pure functions of the topology, so the memo changes no path.
 /// It is dropped when route() sees a topology whose content (node count
 /// and adjacency rows) differs from the one it was filled for; the
-/// saturation-masked search still runs on every call. Because route()
-/// fills the memo, a congestion-aware router is confined to one thread,
-/// unlike the other routers, which are stateless.
+/// saturation-masked search still runs on every call, over neighbour rows
+/// sorted once with the memo and in search buffers reused across calls.
+/// Because route() fills the memo and the buffers, a congestion-aware
+/// router is confined to one thread, unlike the other routers, which are
+/// stateless.
 std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
 
 /// Masked shortest path. The path is the hop-shortest one that never
