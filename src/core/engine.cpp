@@ -54,6 +54,7 @@ struct InFlight {
   std::vector<int> reservation;
   SimTime placed_time = 0.0;
   std::size_t remote_ops = 0;
+  double comm_cost = 0.0;
   int qpus_used = 0;
 };
 
@@ -66,7 +67,7 @@ class Engine {
         config_(config),
         shards_(static_cast<std::uint64_t>(config.intake_shards)),
         rng_(config.seed),
-        sim_(cloud, allocator, rng_.fork()),
+        sim_(cloud, allocator, rng_.fork(), config.router),
         gate_(config.max_pending),
         fenced_(static_cast<std::size_t>(cloud.num_qpus()), 0) {
     CLOUDQC_CHECK(config.max_pending >= 1);
@@ -130,6 +131,9 @@ class Engine {
                   metrics_.completed + metrics_.rejected);
     metrics_.programs_compiled = interner_.programs_compiled();
     metrics_.placed_parts_compiled = sim_.num_placed_parts_compiled();
+    metrics_.events = sim_.num_events_processed();
+    metrics_.allocation_rounds = sim_.num_allocation_rounds();
+    if (config_.metrics != nullptr) config_.metrics->merge(metrics_);
     return metrics_;
   }
 
@@ -200,7 +204,7 @@ class Engine {
         next_seq_++,
         InFlight{std::move(job), sim_id,
                  std::move(placement->qubits_per_qpu), sim_.now(),
-                 placement->remote_ops, qpus_used});
+                 placement->remote_ops, placement->comm_cost, qpus_used});
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pos));
     metrics_.peak_in_flight = std::max<std::uint64_t>(metrics_.peak_in_flight,
                                                       in_flight_.size());
@@ -324,7 +328,7 @@ class Engine {
                            /*placed=*/true,
                            flight.job.arrival, flight.placed_time,
                            completion.time, flight.remote_ops,
-                           /*comm_cost=*/0.0, flight.qpus_used,
+                           flight.comm_cost, flight.qpus_used,
                            completion.est_fidelity, flight.job.restarts});
     }
     in_flight_.erase(entry);

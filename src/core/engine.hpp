@@ -19,8 +19,6 @@ struct EngineConfig : StreamingOptions {
   /// Tenant class per submit id; null keeps every job at priority 0
   /// without preemption.
   const std::vector<JobClass>* classes = nullptr;
-  /// Optional maintenance/churn timeline (not owned).
-  const ChurnPlan* churn = nullptr;
   /// Called once per completed job with its submit id and record.
   std::function<void(std::uint64_t, IncomingJobStats&&)> on_complete;
 };
@@ -44,9 +42,9 @@ class IndexedSource final : public JobSource {
   std::size_t next_ = 0;
 };
 
-/// Drain `source` through the engine and return the folded metrics. At
-/// return, submitted == completed + rejected and `cloud` holds no
-/// reservation the run made.
+/// Drain `source` through the engine and return the folded metrics (also
+/// merged into `config.metrics` when set). At return, submitted ==
+/// completed + rejected and `cloud` holds no reservation the run made.
 StreamingMetrics run_engine(JobSource& source, QuantumCloud& cloud,
                             const Placer& placer,
                             const CommAllocator& allocator,

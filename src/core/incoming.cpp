@@ -28,17 +28,13 @@ std::vector<IncomingJobStats> run_incoming(const std::vector<ArrivingJob>& jobs,
   static_cast<EngineOptions&>(config) = options;
   config.max_pending = std::numeric_limits<std::size_t>::max();
   config.intake_shards = 1;
-  config.churn = options.churn;
   if (!options.classes.empty()) config.classes = &options.classes;
   std::vector<IncomingJobStats> stats(jobs.size());
   config.on_complete = [&](std::uint64_t idx, IncomingJobStats&& record) {
     stats[idx] = std::move(record);
   };
   IndexedSource source(jobs.size(), [&](std::size_t idx) { return jobs[idx]; });
-  const StreamingMetrics metrics =
-      run_engine(source, cloud, placer, allocator, config);
-  if (options.metrics != nullptr) options.metrics->merge(metrics);
-  throw_on_deadlock(metrics);
+  throw_on_deadlock(run_engine(source, cloud, placer, allocator, config));
   return stats;
 }
 

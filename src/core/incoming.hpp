@@ -21,12 +21,12 @@
 
 namespace cloudqc {
 
+class EprRouter;
 class PlacementCache;
 struct ChurnPlan;
 
-/// Tenant-class attributes of one job in a shared-cloud engine run
-/// (batch and incoming modes). Default-constructed = the classless
-/// engine: priority 0, no preemption.
+/// Tenant-class attributes of one job in a run_batch or run_incoming call.
+/// Default-constructed = the classless engine: priority 0, no preemption.
 struct JobClass {
   /// Higher-priority jobs are attempted first at every admission round.
   int priority = 0;
@@ -47,8 +47,9 @@ struct ArrivingJob {
 struct IncomingJobStats {
   std::string name;
   /// False when no feasible mapping was found. run_batch and run_incoming
-  /// place every job they return (a job they cannot place throws); the
-  /// scenario layer's batch and network-sim engines skip unplaceable jobs.
+  /// place every job they return (a job they cannot place throws); only
+  /// the scenario layer's batch mode (run_independent) skips unplaceable
+  /// jobs.
   bool placed = true;
   SimTime arrival = 0.0;
   SimTime placed_time = 0.0;
@@ -56,9 +57,7 @@ struct IncomingJobStats {
   /// JCT measured from arrival (queueing + execution).
   double jct() const { return completion_time - arrival; }
   std::size_t remote_ops = 0;
-  /// Placement communication cost (paper Obj. 1). The admission engine
-  /// leaves it 0; the scenario layer's batch and network-sim engines fill
-  /// it in.
+  /// Placement communication cost (paper Obj. 1) of the final run.
   double comm_cost = 0.0;
   int qpus_used = 0;
   /// First-order output-fidelity estimate (see FidelityModel).
@@ -80,6 +79,22 @@ struct EngineOptions {
   /// owns the cache so it can persist across runs and read stats; it must
   /// only be shared across *serial* runs against the same cloud topology.
   PlacementCache* cache = nullptr;
+  /// Optional EPR-path router (not owned; see schedule/routing.hpp),
+  /// handed to the engine's NetworkSimulator. Null keeps the static hop
+  /// model. Not supported together with a churn plan: a routed path could
+  /// cross an offline QPU (NetworkSimulator::set_qpu_offline).
+  const EprRouter* router = nullptr;
+  /// Optional maintenance/churn timeline (not owned; see
+  /// cloud/churn.hpp). Null — or a plan with no events and zero drift —
+  /// keeps the static cloud. Offline edges displace every in-flight job
+  /// holding qubits on the departing QPU (policy kRequeue re-queues at
+  /// the original position, kMigrate attempts an immediate re-placement
+  /// first) and fence the QPU's computing and communication capacity
+  /// until the matching online edge.
+  const ChurnPlan* churn = nullptr;
+  /// Optional aggregates sink: the run's StreamingMetrics are merged into
+  /// it before returning (or throwing on deadlock).
+  StreamingMetrics* metrics = nullptr;
 };
 
 /// Throws std::logic_error when `circuit` cannot fit the cloud even when it
@@ -89,9 +104,6 @@ void check_fits_cloud(const Circuit& circuit, const QuantumCloud& cloud);
 
 /// Knobs of run_incoming.
 struct IncomingOptions : EngineOptions {
-  /// Optional streaming-aggregates sink: the run's StreamingMetrics are
-  /// merged into it before returning.
-  StreamingMetrics* metrics = nullptr;
   /// Optional per-job tenant classes, indexed like the trace. Empty keeps
   /// the classless FIFO queue bit-identical; non-empty must match
   /// jobs.size(). Arrivals enter the queue before any strictly
@@ -99,14 +111,6 @@ struct IncomingOptions : EngineOptions {
   /// classes reproduce plain FIFO exactly), and preempt-enabled jobs may
   /// evict strictly-lower-priority in-flight work when placement fails.
   std::vector<JobClass> classes;
-  /// Optional maintenance/churn timeline (not owned; see
-  /// cloud/churn.hpp). Null — or a plan with no events and zero drift —
-  /// keeps the static cloud. Offline edges displace every in-flight job
-  /// holding qubits on the departing QPU (policy kRequeue re-queues at
-  /// the original position, kMigrate attempts an immediate re-placement
-  /// first) and fence the QPU's computing and communication capacity
-  /// until the matching online edge.
-  const ChurnPlan* churn = nullptr;
 };
 
 /// Run an arrival trace to completion. Jobs must be sorted by

@@ -35,7 +35,6 @@ std::vector<IncomingJobStats> run_batch(const std::vector<Circuit>& jobs,
   static_cast<EngineOptions&>(config) = options;
   config.max_pending = std::numeric_limits<std::size_t>::max();
   config.intake_shards = 1;
-  config.churn = options.churn;
   std::vector<JobClass> ranked_classes;
   if (!classes.empty()) {
     for (const std::size_t idx : order) ranked_classes.push_back(classes[idx]);

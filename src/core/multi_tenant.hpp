@@ -25,9 +25,6 @@ struct MultiTenantOptions : EngineOptions {
   /// priority order (stable within a priority level, so uniform classes
   /// reproduce the classless order exactly).
   std::vector<JobClass> classes;
-  /// Optional maintenance/churn timeline (not owned); same semantics as
-  /// IncomingOptions::churn.
-  const ChurnPlan* churn = nullptr;
 };
 
 /// Run one batch to completion: every job arrives at t = 0 in batch-manager

@@ -1,7 +1,6 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -9,13 +8,11 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <type_traits>
 #include <utility>
 
-#include "circuit/circuit_program.hpp"
 #include "circuit/qasm.hpp"
 #include "circuit/workloads.hpp"
 #include "cloud/churn.hpp"
@@ -36,7 +33,6 @@
 #include "schedule/allocators.hpp"
 #include "schedule/routing.hpp"
 #include "sim/epr.hpp"
-#include "sim/network_sim.hpp"
 
 namespace cloudqc {
 
@@ -599,30 +595,25 @@ void validate(const ScenarioSpec& spec) {
       reject("trace_burst_size < 1");
     }
   }
-  if (spec.engine.router != RouterKind::kNone &&
-      spec.engine.mode != EngineMode::kNetworkSim) {
-    // Loud rather than silently ignored: only the network-sim engine
-    // threads a router into the simulator.
-    reject("router requires mode = network_sim");
-  }
-  if (spec.engine.cache && spec.engine.mode == EngineMode::kBatch) {
-    // Loud rather than silently ignored: the batch engine runs jobs
-    // concurrently, and a cache shared across concurrent requests would
-    // make results depend on worker scheduling.
-    reject(
-        "cache requires a serial engine (multi_tenant, incoming, "
-        "network_sim or streaming)");
-  }
-
-  // Dynamic-cloud and tenant features run through the serial queue engines
-  // only: they are the ones with a pending queue to displace jobs into.
-  const bool queue_engine = spec.engine.mode == EngineMode::kMultiTenant ||
-                            spec.engine.mode == EngineMode::kIncoming;
   const ChurnSpec& churn = spec.churn;
+  const bool routed = spec.engine.router != RouterKind::kNone;
+  if (spec.engine.mode == EngineMode::kBatch &&
+      (spec.engine.cache || routed || churn.enabled() ||
+       !spec.tenants.empty())) {
+    reject(
+        "mode = batch rejects cache, router, [churn] and [tenant.*]: its "
+        "jobs run concurrently on private cloud copies, with no shared "
+        "queue");
+  }
+  if (spec.engine.mode == EngineMode::kStreaming && !spec.tenants.empty()) {
+    reject("mode = streaming rejects [tenant.*]: it keeps no per-job table");
+  }
+  if (routed && churn.enabled()) {
+    reject(
+        "router together with [churn] is not supported: a routed EPR path "
+        "could cross an offline QPU");
+  }
   if (churn.enabled()) {
-    if (!queue_engine) {
-      reject("[churn] requires mode = multi_tenant or incoming");
-    }
     if (churn.random_windows > 0 &&
         (churn.horizon <= 0.0 || churn.mean_duration <= 0.0)) {
       reject("random windows need horizon > 0 and mean_duration > 0");
@@ -636,9 +627,6 @@ void validate(const ScenarioSpec& spec) {
             "maintenance window needs qpu >= 0, start >= 0 and end > start");
       }
     }
-  }
-  if (!spec.tenants.empty() && !queue_engine) {
-    reject("[tenant.*] requires mode = multi_tenant or incoming");
   }
   for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
     const TenantSpec& t = spec.tenants[i];
@@ -669,8 +657,9 @@ void validate(const ScenarioSpec& spec) {
 
 // ----------------------------------------------------- engine execution
 
-/// Thread-safe placement-call counter: forwards both entry points
-/// unchanged, so engine trajectories are bit-identical to the bare placer.
+/// Placement-call counter for the serial engines: forwards both entry
+/// points unchanged, so engine trajectories are bit-identical to the bare
+/// placer.
 class CountingPlacer final : public Placer {
  public:
   explicit CountingPlacer(const Placer& inner) : inner_(inner) {}
@@ -678,24 +667,20 @@ class CountingPlacer final : public Placer {
   std::optional<Placement> place(const Circuit& circuit,
                                  const QuantumCloud& cloud,
                                  Rng& rng) const override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
+    ++calls_;
     return inner_.place(circuit, cloud, rng);
   }
   std::optional<Placement> place_with_context(
       const Circuit& circuit, const QuantumCloud& cloud, Rng& rng,
       const PlacementContext& ctx) const override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
+    ++calls_;
     return inner_.place_with_context(circuit, cloud, rng, ctx);
   }
-  std::size_t calls() const {
-    return calls_.load(std::memory_order_relaxed);
-  }
+  std::size_t calls() const { return calls_; }
 
  private:
   const Placer& inner_;
-  // det-lint: allow(shared-state) batch mode calls the placer from pool
-  // workers; the count is order-independent.
-  mutable std::atomic<std::size_t> calls_{0};
+  mutable std::size_t calls_ = 0;
 };
 
 std::unique_ptr<Placer> make_placer(PlacerKind kind, ThreadPool* pool) {
@@ -883,49 +868,6 @@ void finalize_metrics(ScenarioResult& result) {
   }
 }
 
-/// Shared-simulator engine: place everything up front against the idle
-/// cloud, admit all placed jobs at t = 0, drain. The only engine that
-/// consults a router. RNG discipline (documented for hand-wiring parity):
-///   Rng rng(seed); NetworkSimulator sim(cloud, alloc, rng.fork(), router);
-///   then one placer.place(job, cloud, rng) per job in list order.
-void run_network_sim(const ScenarioSpec& spec,
-                     const std::vector<Circuit>& jobs, QuantumCloud& cloud,
-                     const Placer& placer, const CommAllocator& allocator,
-                     PlacementCache* cache, ScenarioResult& result) {
-  const ScenarioEngine& eng = spec.engine;
-  const std::unique_ptr<EprRouter> router = make_router(eng.router);
-  Rng rng(eng.seed);
-  NetworkSimulator sim(cloud, allocator, rng.fork(), router.get());
-  std::map<int, std::size_t> sim_to_job;
-  CircuitInterner interner;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    IncomingJobStats& job = result.jobs[i];
-    job.name = jobs[i].name();
-    // Serial admission loop: consulting the cache here is deterministic
-    // (cache == nullptr is one placer call, bit-identical to place()).
-    const auto program = interner.intern(jobs[i]);
-    const auto placement = cached_place(cache, program, cloud, placer, rng);
-    if (!placement.has_value()) {
-      job.placed = false;
-      continue;
-    }
-    CLOUDQC_CHECK(cloud.try_reserve(placement->qubits_per_qpu));
-    sim_to_job[sim.add_job(*program, placement->qubit_to_qpu)] = i;
-    job.remote_ops = placement->remote_ops;
-    job.comm_cost = placement->comm_cost;
-    job.qpus_used = placement->num_qpus_used();
-  }
-  for (const JobCompletion& completion : sim.run_to_completion()) {
-    const auto entry = sim_to_job.find(completion.job);
-    CLOUDQC_CHECK(entry != sim_to_job.end());
-    IncomingJobStats& job = result.jobs[entry->second];
-    job.completion_time = completion.time;
-    job.est_fidelity = completion.est_fidelity;
-  }
-  result.events_processed = sim.num_events_processed();
-  result.allocation_rounds = sim.num_allocation_rounds();
-}
-
 }  // namespace
 
 ScenarioSpec parse_scenario(std::string_view text, const std::string& name) {
@@ -1048,8 +990,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // Expand [churn] against the built cloud (only now is the QPU count
   // known for grid/tree topologies); plan errors become spec errors.
   ChurnPlan churn_plan;
-  const bool churn_on = spec.churn.enabled();
-  if (churn_on) {
+  if (spec.churn.enabled()) {
     try {
       churn_plan = build_churn_plan(spec.churn, cloud.num_qpus());
     } catch (const std::invalid_argument& e) {
@@ -1078,15 +1019,21 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         static_cast<std::size_t>(spec.engine.cache_capacity);
     cache = std::make_unique<PlacementCache>(cache_options);
   }
+  const std::unique_ptr<EprRouter> router = make_router(spec.engine.router);
+  // Every mode but batch is one admission-engine run; this is its sink.
+  StreamingMetrics metrics;
   EngineOptions shared;
   shared.seed = spec.engine.seed;
   shared.cache = cache.get();
+  shared.router = router.get();
+  shared.churn = spec.churn.enabled() ? &churn_plan : nullptr;
+  shared.metrics = &metrics;
 
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
           strip_arrivals(build_trace(spec.workload));
-      const auto stats = run_independent(jobs, cloud, counting, *allocator,
+      const auto stats = run_independent(jobs, cloud, *placer, *allocator,
                                          spec.engine.seed, pool.get());
       result.jobs.resize(stats.size());
       for (std::size_t i = 0; i < stats.size(); ++i) {
@@ -1102,6 +1049,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       break;
     }
     case EngineMode::kMultiTenant:
+    case EngineMode::kNetworkSim:
     case EngineMode::kIncoming: {
       std::vector<ArrivingJob> trace = build_trace(spec.workload);
       std::vector<JobClass> classes;
@@ -1110,30 +1058,22 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
                                           spec.workload.trace_seed);
         classes = classes_for(spec.tenants, result.tenant_of);
       }
-      const ChurnPlan* churn = churn_on ? &churn_plan : nullptr;
-      if (spec.engine.mode == EngineMode::kMultiTenant) {
-        MultiTenantOptions options;
-        static_cast<EngineOptions&>(options) = shared;
-        options.fifo = spec.engine.fifo;
-        options.classes = std::move(classes);
-        options.churn = churn;
-        result.jobs = run_batch(strip_arrivals(std::move(trace)), cloud,
-                                counting, *allocator, options);
-      } else {
+      if (spec.engine.mode == EngineMode::kIncoming) {
         IncomingOptions options;
         static_cast<EngineOptions&>(options) = shared;
         options.classes = std::move(classes);
-        options.churn = churn;
-        result.jobs = run_incoming(trace, cloud, counting, *allocator, options);
+        result.jobs =
+            run_incoming(trace, cloud, counting, *allocator, options);
+      } else {
+        // network_sim is multi_tenant in submission order.
+        MultiTenantOptions options;
+        static_cast<EngineOptions&>(options) = shared;
+        options.fifo =
+            spec.engine.fifo || spec.engine.mode == EngineMode::kNetworkSim;
+        options.classes = std::move(classes);
+        result.jobs = run_batch(strip_arrivals(std::move(trace)), cloud,
+                                counting, *allocator, options);
       }
-      break;
-    }
-    case EngineMode::kNetworkSim: {
-      const std::vector<Circuit> jobs =
-          strip_arrivals(build_trace(spec.workload));
-      result.jobs.resize(jobs.size());
-      run_network_sim(spec, jobs, cloud, counting, *allocator, cache.get(),
-                      result);
       break;
     }
     case EngineMode::kStreaming: {
@@ -1144,8 +1084,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
           static_cast<std::size_t>(spec.engine.max_pending);
       options.backpressure = spec.engine.backpressure;
       options.intake_shards = spec.engine.intake_shards;
-      const StreamingMetrics metrics =
-          run_streaming(*source, cloud, counting, *allocator, options);
+      run_streaming(*source, cloud, counting, *allocator, options);
       // result.jobs stays empty by design: the engine freed per-job state
       // as jobs completed, so the aggregates below ARE the run's record
       // (finalize_metrics() is a no-op on an empty job table).
@@ -1167,7 +1106,13 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  result.placement_calls = counting.calls();
+  // Batch mode bypasses the counter: its pool workers call the placer
+  // concurrently, exactly once per job.
+  result.placement_calls = spec.engine.mode == EngineMode::kBatch
+                               ? result.jobs.size()
+                               : counting.calls();
+  result.events_processed = metrics.events;
+  result.allocation_rounds = metrics.allocation_rounds;
   if (cache != nullptr) {
     const PlacementCacheStats cache_stats = cache->stats();
     result.cache_exact_hits = cache_stats.exact_hits;

@@ -51,7 +51,7 @@ enum class EngineMode {
   kBatch,        ///< run_independent: private clouds, one job per task
   kMultiTenant,  ///< run_batch: shared cloud, batch-manager admission
   kIncoming,     ///< run_incoming: arrival trace, FIFO + HoL skipping
-  kNetworkSim,   ///< place all jobs up front, one shared NetworkSimulator
+  kNetworkSim,   ///< run_batch in submission order (multi_tenant + fifo)
   kStreaming,    ///< run_streaming: bounded-memory stream, aggregates only
 };
 
@@ -61,8 +61,8 @@ enum class PlacerKind { kCloudQC, kBfs, kRandom, kAnnealing, kGenetic, kRace };
 /// Communication-qubit allocator selector (schedule/allocators.hpp).
 enum class AllocatorKind { kCloudQC, kGreedy, kAverage, kRandom };
 
-/// EPR-path router selector (schedule/routing.hpp). Only the network-sim
-/// engine consults it; kNone uses the static hop model.
+/// EPR-path router selector (schedule/routing.hpp), consulted by every
+/// shared-cloud mode's simulator; kNone uses the static hop model.
 enum class RouterKind { kNone, kShortest, kCongestion, kMasked };
 
 /// Workload half of a scenario: either an explicit circuit list
@@ -91,7 +91,8 @@ struct ScenarioEngine {
   AllocatorKind allocator = AllocatorKind::kCloudQC;
   RouterKind router = RouterKind::kNone;
   std::uint64_t seed = 1;
-  /// Multi-tenant only: submission order instead of importance order.
+  /// Multi-tenant only: submission order instead of importance order
+  /// (network_sim always uses submission order).
   bool fifo = false;
   /// Worker threads: fan-out width of the batch engine and the racing
   /// placer's pool. Metrics are worker-count-invariant by the library's
@@ -100,10 +101,9 @@ struct ScenarioEngine {
   /// Cross-request placement cache (placement/placement_cache.hpp): exact
   /// repeats of a circuit under identical free capacities reuse the cached
   /// placement; repeats under changed capacities warm-start the placer.
-  /// Serial engines only (multi_tenant / incoming / network_sim /
-  /// streaming) — the batch engine runs jobs concurrently, where a shared
-  /// cache would make results depend on worker scheduling (validate()
-  /// rejects it loudly).
+  /// Every mode but batch: the batch engine runs jobs concurrently, where a
+  /// shared cache would make results depend on worker scheduling
+  /// (validate() rejects it loudly).
   bool cache = false;
   /// Entry bound of the cache (circuits, not bytes). Must be >= 1.
   int cache_capacity = 4096;
@@ -124,7 +124,8 @@ struct TenantSpec {
   /// Section suffix; [A-Za-z0-9_-]+ so to_ini round-trips.
   std::string name;
   /// Higher priority admits first; strictly lower priorities are
-  /// preemptible by `preempt` tenants. Multi-tenant/incoming modes only.
+  /// preemptible by `preempt` tenants. Every mode but batch and
+  /// streaming.
   int priority = 0;
   /// JCT deadline for SLO attainment (fraction of the tenant's completed
   /// jobs with JCT <= slo_jct). 0 = no SLO (attainment reported as 1).
@@ -152,7 +153,8 @@ struct ScenarioSpec {
   ScenarioWorkload workload;
   ScenarioEngine engine;
   /// [churn] section: QPU maintenance windows + calibration drift.
-  /// Multi-tenant/incoming modes only; default = disabled (static cloud).
+  /// Every mode but batch, and never together with a router; default =
+  /// disabled (static cloud).
   ChurnSpec churn;
   /// [tenant.NAME] sections in file order; empty = tenantless.
   std::vector<TenantSpec> tenants;
@@ -179,8 +181,8 @@ ScenarioSpec load_scenario_file(const std::string& path);
 /// to_ini(parse_scenario(to_ini(s))) == to_ini(s) for any valid spec.
 std::string to_ini(const ScenarioSpec& spec);
 
-/// Per-tenant aggregates of one scenario run (multi-tenant/incoming
-/// modes with [tenant.*] sections). Quantiles come from a deterministic
+/// Per-tenant aggregates of one scenario run (runs with [tenant.*]
+/// sections). Quantiles come from a deterministic
 /// QuantileSketch over the tenant's JCTs (metrics/quantile_sketch.hpp).
 struct ScenarioTenantResult {
   std::string name;
@@ -216,7 +218,8 @@ struct ScenarioResult {
   double mean_fidelity = 0.0;
   /// Placer invocations issued by the engine (admission retries included).
   std::size_t placement_calls = 0;
-  /// Simulator counters; populated by the network-sim engine only.
+  /// Simulator counters of the admission engine; 0 in batch mode, whose
+  /// jobs run on private simulators.
   std::uint64_t events_processed = 0;
   std::uint64_t allocation_rounds = 0;
   /// Placement-cache counters (all 0 when engine.cache is off). Fully

@@ -109,8 +109,9 @@ struct StreamingProgress {
 /// Knobs of run_streaming. At streaming traffic the placement cache is what
 /// keeps placement off the critical path.
 struct StreamingOptions : EngineOptions {
-  /// Bound on the pending set (arrived, not yet placed). The engine's
-  /// memory residual is O(max_pending + in-flight + sketches).
+  /// Bound on intake into the pending set (arrived, not yet placed);
+  /// jobs displaced by churn re-enter above it. The engine's memory
+  /// residual is O(max_pending + in-flight + sketches).
   std::size_t max_pending = 4096;
   StreamingBackpressure backpressure = StreamingBackpressure::kDefer;
   /// Intake shard count (>= 1). A *fixed* partition of the admission

@@ -31,8 +31,9 @@ struct StreamingMetrics {
   /// CHECK would).
   std::uint64_t rejected_oversize = 0;
   /// High-water marks of the bounded job lifecycle (diagnostics for the
-  /// backpressure policy; both are bounded by the engine's max_pending and
-  /// the cloud's capacity respectively).
+  /// backpressure policy). Intake stops at the engine's max_pending, but
+  /// jobs that churn displaces re-enter the queue above it; in-flight jobs
+  /// are bounded by the cloud's capacity.
   std::uint64_t peak_pending = 0;
   std::uint64_t peak_in_flight = 0;
   /// Latest completion time (simulation units).
@@ -45,6 +46,9 @@ struct StreamingMetrics {
   /// Placed parts the simulator compiled (placed-part cache misses): one
   /// per distinct (circuit, placement) pair while they fit its cache.
   std::uint64_t placed_parts_compiled = 0;
+  /// Simulator events processed and allocation rounds run.
+  std::uint64_t events = 0;
+  std::uint64_t allocation_rounds = 0;
 
   /// JCT (completion - arrival) of every completed job.
   QuantileSketch jct;
@@ -82,6 +86,8 @@ struct StreamingMetrics {
     if (other.makespan > makespan) makespan = other.makespan;
     programs_compiled += other.programs_compiled;
     placed_parts_compiled += other.placed_parts_compiled;
+    events += other.events;
+    allocation_rounds += other.allocation_rounds;
     jct.merge(other.jct);
     fidelity.merge(other.fidelity);
   }

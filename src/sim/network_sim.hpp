@@ -167,7 +167,7 @@ class NetworkSimulator {
   /// on the QPU first (cancel_job) and for fencing computing capacity in
   /// the placement layer — the simulator only fences communication
   /// resources. Not supported together with a router (a path could
-  /// transit the offline QPU); the churn engines run router-free.
+  /// transit the offline QPU); the scenario layer rejects that pairing.
   /// set_qpu_online returns every impounded qubit to the free pool and
   /// marks a decision point dirty.
   void set_qpu_offline(QpuId q);

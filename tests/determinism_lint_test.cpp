@@ -1,7 +1,8 @@
 // Fixture-driven tests for tools/determinism_lint: each rule fires exactly
-// once on its committed fixture, det-lint: allow(...) comments suppress,
-// clean files exit 0, and the traversal skips fixtures/ directories so the
-// deliberate violations never trip the repo-wide CI run.
+// once on its committed fixture, det-lint: allow(...) comments suppress
+// every rule but shared-state, clean files exit 0, and the traversal skips
+// fixtures/ directories so the deliberate violations never trip the
+// repo-wide CI run.
 //
 // The binary under test and the fixture directory are injected by CMake as
 // CLOUDQC_DETLINT_BIN / CLOUDQC_DETLINT_FIXTURES.
@@ -84,7 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RuleCase{"pointer_key.cpp", "pointer-key"},
                       RuleCase{"raw_rng.cpp", "raw-rng"},
                       RuleCase{"src/raw_rng_src.cpp", "raw-rng"},
-                      RuleCase{"src/shared_state_src.cpp", "shared-state"}),
+                      RuleCase{"src/shared_state_src.cpp", "shared-state"},
+                      // An allow comment does not suppress shared-state.
+                      RuleCase{"src/shared_state_allowed.cpp",
+                               "shared-state"}),
     [](const ::testing::TestParamInfo<RuleCase>& info) {
       std::string name = info.param.file;
       for (char& c : name) {

@@ -52,8 +52,9 @@ class NeverPlacer final : public Placer {
 };
 
 // run_batch(fifo) is run_incoming with every job arriving at t = 0, down to
-// the last bit of every per-job record — under churn displacement (both
-// policies), calibration drift and a preempting tenant.
+// the last bit of every per-job record and of the aggregates both feed into
+// their sinks — under churn displacement (both policies), calibration drift
+// and a preempting tenant.
 TEST(Engine, BatchFifoEqualsIncomingAtTimeZero) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
@@ -83,19 +84,23 @@ TEST(Engine, BatchFifoEqualsIncomingAtTimeZero) {
 
     QuantumCloud batch_cloud = ten_qpu_cloud(2);
     const ChurnPlan plan = build_churn_plan(spec, batch_cloud.num_qpus());
+    StreamingMetrics batch_metrics;
     MultiTenantOptions batch_options;
     batch_options.seed = 11;
     batch_options.fifo = true;
     batch_options.classes = classes;
     batch_options.churn = &plan;
+    batch_options.metrics = &batch_metrics;
     const auto batch =
         run_batch(jobs, batch_cloud, *placer, *alloc, batch_options);
 
     QuantumCloud incoming_cloud = ten_qpu_cloud(2);
+    StreamingMetrics incoming_metrics;
     IncomingOptions incoming_options;
     incoming_options.seed = 11;
     incoming_options.classes = classes;
     incoming_options.churn = &plan;
+    incoming_options.metrics = &incoming_metrics;
     const auto incoming =
         run_incoming(trace, incoming_cloud, *placer, *alloc, incoming_options);
 
@@ -105,10 +110,19 @@ TEST(Engine, BatchFifoEqualsIncomingAtTimeZero) {
       EXPECT_EQ(batch[i].name, incoming[i].name);
       EXPECT_EQ(batch[i].placed_time, incoming[i].placed_time);
       EXPECT_EQ(batch[i].completion_time, incoming[i].completion_time);
+      EXPECT_EQ(batch[i].remote_ops, incoming[i].remote_ops);
+      EXPECT_EQ(batch[i].comm_cost, incoming[i].comm_cost);
+      EXPECT_EQ(batch[i].qpus_used, incoming[i].qpus_used);
       EXPECT_EQ(batch[i].est_fidelity, incoming[i].est_fidelity);
       EXPECT_EQ(batch[i].restarts, incoming[i].restarts);
+      EXPECT_GT(batch[i].comm_cost, 0.0);  // every job here is distributed
       total_restarts += batch[i].restarts;
     }
+    EXPECT_EQ(batch_metrics.completed, jobs.size());
+    EXPECT_TRUE(batch_metrics == incoming_metrics);
+    EXPECT_EQ(batch_metrics.events, incoming_metrics.events);
+    EXPECT_EQ(batch_metrics.allocation_rounds,
+              incoming_metrics.allocation_rounds);
   }
   EXPECT_GT(total_restarts, 0);  // churn and preemption actually fired
 }
@@ -160,7 +174,7 @@ TEST(Engine, DeadlockEndsTheSameWayEverywhere) {
 }
 
 // An outage still open when the run finishes must not leave its capacity
-// fence reserved on the caller's cloud.
+// fence reserved on the caller's cloud, whichever adapter ran it.
 TEST(Engine, OpenOutageFenceReleasedAtEnd) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
@@ -168,19 +182,26 @@ TEST(Engine, OpenOutageFenceReleasedAtEnd) {
   ChurnSpec spec;
   spec.windows.push_back({0, 5.0, 1e9});
 
-  for (const bool batch : {true, false}) {
-    SCOPED_TRACE(batch ? "batch" : "incoming");
+  for (const char* adapter : {"batch", "incoming", "streaming"}) {
+    SCOPED_TRACE(adapter);
     QuantumCloud cloud = small_ring();
     ASSERT_EQ(cloud.total_free_computing(), 80);
     const ChurnPlan plan = build_churn_plan(spec, cloud.num_qpus());
-    if (batch) {
+    if (std::string(adapter) == "batch") {
       MultiTenantOptions options;
       options.churn = &plan;
       run_batch(jobs, cloud, *placer, *alloc, options);
-    } else {
+    } else if (std::string(adapter) == "incoming") {
       IncomingOptions options;
       options.churn = &plan;
       run_incoming(at_time_zero(jobs), cloud, *placer, *alloc, options);
+    } else {
+      StreamingOptions options;
+      options.churn = &plan;
+      const auto source = make_vector_source(at_time_zero(jobs));
+      EXPECT_EQ(run_streaming(*source, cloud, *placer, *alloc, options)
+                    .completed,
+                jobs.size());
     }
     EXPECT_EQ(cloud.total_free_computing(), 80);
   }

@@ -25,72 +25,16 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/scenario.hpp"
+#include "scenario_expect.hpp"
 
 namespace cloudqc {
 namespace {
 
+using testing::expect_identical;
+using testing::expect_same_core;
+
 int property_iters() {
   return static_cast<int>(env_int_or("CLOUDQC_PROPERTY_ITERS", 12));
-}
-
-/// Per-job fields that must match between two runs of the same engine
-/// trajectory (everything except the tenant label, which is metadata the
-/// scenario layer attaches after the fact).
-void expect_same_jobs(const ScenarioResult& a, const ScenarioResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    SCOPED_TRACE("job " + std::to_string(i));
-    EXPECT_EQ(a.jobs[i].name, b.jobs[i].name);
-    EXPECT_EQ(a.jobs[i].placed, b.jobs[i].placed);
-    EXPECT_EQ(a.jobs[i].arrival, b.jobs[i].arrival);
-    EXPECT_EQ(a.jobs[i].placed_time, b.jobs[i].placed_time);
-    EXPECT_EQ(a.jobs[i].completion_time, b.jobs[i].completion_time);
-    EXPECT_EQ(a.jobs[i].remote_ops, b.jobs[i].remote_ops);
-    EXPECT_EQ(a.jobs[i].comm_cost, b.jobs[i].comm_cost);
-    EXPECT_EQ(a.jobs[i].qpus_used, b.jobs[i].qpus_used);
-    EXPECT_EQ(a.jobs[i].est_fidelity, b.jobs[i].est_fidelity);
-    EXPECT_EQ(a.jobs[i].restarts, b.jobs[i].restarts);
-  }
-}
-
-/// Engine-trajectory equality: every deterministic field the golden
-/// writer records, except tenant labels/aggregates (see expect_same_jobs).
-void expect_same_core(const ScenarioResult& a, const ScenarioResult& b) {
-  EXPECT_EQ(a.engine, b.engine);
-  expect_same_jobs(a, b);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.mean_jct, b.mean_jct);
-  EXPECT_EQ(a.mean_fidelity, b.mean_fidelity);
-  EXPECT_EQ(a.placement_calls, b.placement_calls);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.allocation_rounds, b.allocation_rounds);
-  EXPECT_EQ(a.cache_exact_hits, b.cache_exact_hits);
-  EXPECT_EQ(a.cache_warm_hits, b.cache_warm_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.stream_submitted, b.stream_submitted);
-  EXPECT_EQ(a.stream_completed, b.stream_completed);
-  EXPECT_EQ(a.jct_p50, b.jct_p50);
-  EXPECT_EQ(a.jct_p95, b.jct_p95);
-  EXPECT_EQ(a.jct_p99, b.jct_p99);
-}
-
-/// Full equality: core trajectory plus tenant labels and aggregates.
-void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
-  expect_same_core(a, b);
-  EXPECT_EQ(a.tenant_of, b.tenant_of);
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-    SCOPED_TRACE("tenant " + a.tenants[t].name);
-    EXPECT_EQ(a.tenants[t].name, b.tenants[t].name);
-    EXPECT_EQ(a.tenants[t].jobs, b.tenants[t].jobs);
-    EXPECT_EQ(a.tenants[t].completed, b.tenants[t].completed);
-    EXPECT_EQ(a.tenants[t].slo_attainment, b.tenants[t].slo_attainment);
-    EXPECT_EQ(a.tenants[t].mean_jct, b.tenants[t].mean_jct);
-    EXPECT_EQ(a.tenants[t].jct_p50, b.tenants[t].jct_p50);
-    EXPECT_EQ(a.tenants[t].jct_p95, b.tenants[t].jct_p95);
-    EXPECT_EQ(a.tenants[t].jct_p99, b.tenants[t].jct_p99);
-  }
-  EXPECT_EQ(a.jain_fairness, b.jain_fairness);
 }
 
 /// Circuits small enough for every generated cloud (>= 8 uniform QPUs of

@@ -1,7 +1,8 @@
 // Scenario engine (core/scenario.hpp): parser round-trip and rejection
 // behaviour, and the central equivalence contract — run_scenario() on a
 // committed spec file is bit-identical to hand-wiring the same engine
-// calls in C++ (one multi-tenant batch spec, one network-sim spec).
+// calls in C++ (batch, network-sim, incoming and streaming specs), and a
+// network_sim spec is exactly its multi_tenant + fifo twin.
 //
 // CLOUDQC_SCENARIO_DIR and CLOUDQC_DOCS_DIR (compile definitions set in
 // CMakeLists.txt) point at the repo's scenarios/ and docs/ directories.
@@ -28,9 +29,13 @@
 #include "schedule/allocators.hpp"
 #include "schedule/routing.hpp"
 #include "sim/network_sim.hpp"
+#include "scenario_expect.hpp"
 
 namespace cloudqc {
 namespace {
+
+using testing::expect_same_core;
+using testing::expect_same_jobs;
 
 std::string scenario_path(const std::string& file) {
   return std::string(CLOUDQC_SCENARIO_DIR) + "/" + file;
@@ -127,11 +132,6 @@ TEST(ScenarioParserTest, RejectsInconsistentSpecs) {
   // generator source with no circuits (the default list is empty).
   EXPECT_THROW(parse_scenario("[workload]\nsource = generator\n"),
                ScenarioError);
-  // A router outside the network-sim engine is loud, not ignored.
-  EXPECT_THROW(
-      parse_scenario("[workload]\ncircuits = ising_n34\n"
-                     "[engine]\nmode = multi_tenant\nrouter = shortest\n"),
-      ScenarioError);
   EXPECT_THROW(
       parse_scenario("[workload]\ncircuits = ising_n34\n"
                      "[engine]\nworkers = 0\n"),
@@ -158,12 +158,61 @@ TEST(ScenarioParserTest, RouterKindsRoundTrip) {
         << ini;
     EXPECT_EQ(parse_scenario(ini, "r").engine.router, kind) << name;
   }
-  // A router outside network_sim is an error in every other mode.
-  for (const char* mode : {"batch", "multi_tenant", "streaming"}) {
-    EXPECT_THROW(parse_scenario(std::string("[workload]\ncircuits = "
-                                            "ising_n34\n[engine]\nmode = ") +
-                                mode + "\nrouter = masked\n"),
-                 ScenarioError)
+  // Every shared-cloud mode routes; batch mode's private clouds do not.
+  const auto routed = [](const std::string& mode) {
+    return parse_scenario(
+        "[workload]\ncircuits = ising_n34\n[engine]\nmode = " + mode +
+        "\nrouter = masked\n");
+  };
+  for (const char* mode : {"multi_tenant", "incoming", "streaming"}) {
+    EXPECT_EQ(routed(mode).engine.router, RouterKind::kMasked) << mode;
+  }
+  EXPECT_THROW(routed("batch"), ScenarioError);
+}
+
+/// Expects parse_scenario(text) to throw a ScenarioError whose message
+/// contains `why`.
+void expect_rejected(const std::string& text, const std::string& why) {
+  SCOPED_TRACE(text);
+  try {
+    parse_scenario(text);
+    ADD_FAILURE() << "accepted";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+// validate()'s cross-mode rules: each combination the engines cannot run
+// is a typed error that says why, and every other combination parses.
+TEST(ScenarioParserTest, ModeRulesAreTypedErrors) {
+  const std::string base = "[workload]\ncircuits = ising_n34\n";
+  const std::string batch = base + "[engine]\nmode = batch\n";
+  const std::string shared_queue = "its jobs run concurrently on private "
+                                   "cloud copies, with no shared queue";
+  expect_rejected(batch + "cache = true\n", shared_queue);
+  expect_rejected(batch + "router = shortest\n", shared_queue);
+  expect_rejected(batch + "[churn]\nwindow = 0:1:2\n", shared_queue);
+  expect_rejected(batch + "[tenant.a]\n", shared_queue);
+  expect_rejected(base + "[engine]\nmode = streaming\n[tenant.a]\n",
+                  "mode = streaming rejects [tenant.*]");
+  // Without this rule the pairing reaches NetworkSimulator's offline CHECK.
+  for (const char* mode : {"multi_tenant", "network_sim", "incoming",
+                           "streaming"}) {
+    expect_rejected(base + "[engine]\nmode = " + mode +
+                        "\nrouter = masked\n[churn]\nwindow = 0:1:2\n",
+                    "router together with [churn]");
+  }
+  // Churn reaches every engine-backed mode, tenants every one but
+  // streaming.
+  for (const char* mode : {"multi_tenant", "network_sim", "incoming",
+                           "streaming"}) {
+    EXPECT_NO_THROW(parse_scenario(base + "[engine]\nmode = " + mode +
+                                   "\n[churn]\nwindow = 0:1:2\n"))
+        << mode;
+  }
+  for (const char* mode : {"multi_tenant", "network_sim", "incoming"}) {
+    EXPECT_NO_THROW(parse_scenario(base + "[engine]\nmode = " + mode +
+                                   "\n[tenant.a]\n"))
         << mode;
   }
 }
@@ -514,8 +563,10 @@ TEST(ScenarioTest, GridMultitenantSpecMatchesHandWiredBatch) {
 }
 
 // Same contract for the shared-simulator engine with routing and a
-// heterogeneous (bimodal torus) cloud, following the RNG discipline
-// documented in core/scenario.cpp's run_network_sim.
+// heterogeneous (bimodal torus) cloud. network_sim runs every job through
+// the admission engine at t = 0 in list order, which draws exactly like
+// this loop: Rng rng(seed); NetworkSimulator sim(cloud, alloc, rng.fork(),
+// router); then one placer.place(job, cloud, rng) per job in list order.
 TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   const ScenarioSpec spec =
       load_scenario_file(scenario_path("torus_bimodal_netsim.ini"));
@@ -559,18 +610,63 @@ TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   EXPECT_EQ(result.placement_calls, result.jobs.size());
 }
 
-// Same contract for the streaming engine: the mode=streaming smoke spec
-// is bit-identical to hand-wiring make_poisson_source + run_streaming
-// with the spec's knobs. Streaming results carry no per-job table, so the
-// comparison is over the aggregate record (counters, makespan, means and
-// sketch quantiles) — which is exactly what the golden file freezes.
-TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
-  const ScenarioSpec spec =
-      load_scenario_file(scenario_path("streaming_smoke.ini"));
-  ASSERT_EQ(spec.engine.mode, EngineMode::kStreaming);
-  const ScenarioResult result = run_scenario(spec);
-  EXPECT_TRUE(result.jobs.empty());  // per-job state was freed in flight
+// network_sim is multi_tenant in submission order: each committed
+// network_sim spec equals its multi_tenant + fifo twin in every field.
+TEST(ScenarioTest, NetworkSimSpecsEqualFifoMultiTenantTwins) {
+  for (const char* file : {"star_congestion.ini", "torus_bimodal_netsim.ini",
+                           "fattree_frontier_netsim.ini"}) {
+    SCOPED_TRACE(file);
+    const ScenarioSpec spec = load_scenario_file(scenario_path(file));
+    ASSERT_EQ(spec.engine.mode, EngineMode::kNetworkSim);
+    ScenarioSpec twin = spec;
+    twin.engine.mode = EngineMode::kMultiTenant;
+    twin.engine.fifo = true;
+    const ScenarioResult netsim = run_scenario(spec);
+    const ScenarioResult multi = run_scenario(twin);
+    EXPECT_EQ(netsim.engine, "network_sim");
+    EXPECT_EQ(multi.engine, "multi_tenant");
+    expect_same_core(netsim, multi);
+    EXPECT_GT(netsim.events_processed, 0u);
+  }
+}
 
+// A router reaches run_incoming through the scenario layer: the fat-tree
+// incoming spec with router = masked bit-matches a hand-wired run_incoming
+// with options.router set, simulator counters included.
+TEST(ScenarioTest, RoutedIncomingSpecMatchesHandWiredRun) {
+  ScenarioSpec spec =
+      load_scenario_file(scenario_path("fat_tree_incoming.ini"));
+  ASSERT_EQ(spec.engine.mode, EngineMode::kIncoming);
+  spec.engine.router = RouterKind::kMasked;
+  const ScenarioResult result = run_scenario(spec);
+
+  QuantumCloud cloud = build_cloud(spec.cloud);
+  const auto placer = make_cloudqc_placer();
+  const auto alloc = make_cloudqc_allocator();
+  const auto router = make_masked_shortest_router();
+  const std::vector<ArrivingJob> trace = drain(*make_poisson_source(
+      spec.workload.circuits, spec.workload.trace_jobs,
+      spec.workload.trace_mean_gap, spec.workload.trace_seed));
+  StreamingMetrics metrics;
+  IncomingOptions options;
+  options.seed = spec.engine.seed;
+  options.router = router.get();
+  options.metrics = &metrics;
+  const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
+
+  expect_same_jobs(result.jobs, stats);
+  EXPECT_EQ(result.events_processed, metrics.events);
+  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
+  EXPECT_GT(metrics.events, 0u);
+  // The router is consulted: the unrouted spec runs another trajectory.
+  spec.engine.router = RouterKind::kNone;
+  EXPECT_NE(run_scenario(spec).allocation_rounds, result.allocation_rounds);
+}
+
+/// run_streaming hand-wired from a Poisson streaming spec's knobs, with the
+/// CloudQC placer and allocator and an optional router.
+StreamingMetrics hand_wired_streaming(const ScenarioSpec& spec,
+                                      const EprRouter* router) {
   QuantumCloud cloud = build_cloud(spec.cloud);
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
@@ -583,9 +679,14 @@ TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
   options.max_pending = static_cast<std::size_t>(spec.engine.max_pending);
   options.backpressure = spec.engine.backpressure;
   options.intake_shards = spec.engine.intake_shards;
-  const StreamingMetrics metrics =
-      run_streaming(*source, cloud, *placer, *alloc, options);
+  options.router = router;
+  return run_streaming(*source, cloud, *placer, *alloc, options);
+}
 
+/// A streaming result's aggregate record against the engine's metrics.
+void expect_streaming_record(const ScenarioResult& result,
+                             const StreamingMetrics& metrics) {
+  EXPECT_TRUE(result.jobs.empty());  // per-job state was freed in flight
   EXPECT_EQ(result.stream_submitted, metrics.submitted);
   EXPECT_EQ(result.stream_completed, metrics.completed);
   EXPECT_EQ(result.stream_rejected, metrics.rejected);
@@ -600,6 +701,33 @@ TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
   EXPECT_EQ(result.fidelity_p50, metrics.fidelity_p50());
   EXPECT_EQ(result.fidelity_p95, metrics.fidelity_p95());
   EXPECT_EQ(result.fidelity_p99, metrics.fidelity_p99());
+  EXPECT_EQ(result.events_processed, metrics.events);
+  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
+}
+
+// Same contract for the streaming engine: the mode=streaming smoke spec
+// is bit-identical to hand-wiring make_poisson_source + run_streaming
+// with the spec's knobs. Streaming results carry no per-job table, so the
+// comparison is over the aggregate record (counters, makespan, means and
+// sketch quantiles) — which is exactly what the golden file freezes.
+TEST(ScenarioTest, StreamingSmokeSpecMatchesHandWiredRun) {
+  const ScenarioSpec spec =
+      load_scenario_file(scenario_path("streaming_smoke.ini"));
+  ASSERT_EQ(spec.engine.mode, EngineMode::kStreaming);
+  const StreamingMetrics metrics = hand_wired_streaming(spec, nullptr);
+  expect_streaming_record(run_scenario(spec), metrics);
+  EXPECT_EQ(metrics.completed, static_cast<std::uint64_t>(
+                                   spec.workload.trace_jobs));
+}
+
+// ...and with router = masked, which reaches run_streaming's simulator.
+TEST(ScenarioTest, RoutedStreamingSpecMatchesHandWiredRun) {
+  ScenarioSpec spec =
+      load_scenario_file(scenario_path("streaming_smoke.ini"));
+  spec.engine.router = RouterKind::kMasked;
+  const auto router = make_masked_shortest_router();
+  const StreamingMetrics metrics = hand_wired_streaming(spec, router.get());
+  expect_streaming_record(run_scenario(spec), metrics);
   EXPECT_EQ(metrics.completed, static_cast<std::uint64_t>(
                                    spec.workload.trace_jobs));
 }
@@ -746,7 +874,7 @@ TEST(ScenarioParserTest, ParsesChurnTenantAndSweepSections) {
 
 TEST(ScenarioParserTest, RejectsInvalidChurnTenantSweep) {
   const std::string base = "[workload]\ncircuits = ising_n34\n";
-  // Churn and tenants are queue-engine concepts; batch mode has neither a
+  // Churn and tenants are shared-cloud concepts; batch mode has neither a
   // shared cloud to maintain nor an admission order to prioritise.
   EXPECT_THROW(parse_scenario(base +
                               "[engine]\nmode = batch\n"

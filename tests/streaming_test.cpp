@@ -6,6 +6,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
+#include "cloud/churn.hpp"
 #include "common/thread_pool.hpp"
 #include "core/incoming.hpp"
 #include "core/streaming.hpp"
@@ -34,41 +35,58 @@ std::vector<ArrivingJob> ghz_trace(int jobs, double gap, int width = 30) {
 // With one intake shard and an effectively unbounded pending set, the
 // streaming engine IS run_incoming minus the O(jobs) state: same RNG
 // discipline, same FIFO + HoL admission, same simulator trajectory (the
-// recycled job slots never influence allocator decisions). run_incoming's
-// own aggregate sink (satellite of the same lifecycle work) provides the
+// recycled job slots never influence allocator decisions), on a static
+// cloud and under churn alike. run_incoming's aggregate sink provides the
 // reference fold, so the whole StreamingMetrics must compare equal.
 TEST(Streaming, VectorSourceMatchesRunIncoming) {
   const auto placer = make_cloudqc_placer();
   const auto alloc = make_cloudqc_allocator();
   const auto trace = drain(
       *make_poisson_source({"ising_n34", "vqe_uccsd_n28"}, 25, 120.0, 7));
+  ChurnSpec churn_spec;
+  churn_spec.policy = ChurnPolicy::kMigrate;
+  churn_spec.random_windows = 12;
+  churn_spec.horizon = 3000.0;
+  churn_spec.mean_duration = 300.0;
+  churn_spec.drift_amplitude = 0.2;
+  churn_spec.drift_period = 2000.0;
+  const ChurnPlan plan =
+      build_churn_plan(churn_spec, paper_cloud().num_qpus());
 
-  QuantumCloud incoming_cloud = paper_cloud();
-  StreamingMetrics reference;
-  IncomingOptions incoming_options;
-  incoming_options.seed = 3;
-  incoming_options.metrics = &reference;
-  const auto stats = run_incoming(trace, incoming_cloud, *placer, *alloc,
-                                  incoming_options);
-  ASSERT_EQ(stats.size(), trace.size());
+  std::vector<double> makespans;
+  for (const ChurnPlan* churn : {static_cast<const ChurnPlan*>(nullptr),
+                                 &plan}) {
+    SCOPED_TRACE(churn == nullptr ? "static cloud" : "churn");
+    QuantumCloud incoming_cloud = paper_cloud();
+    StreamingMetrics reference;
+    IncomingOptions incoming_options;
+    incoming_options.seed = 3;
+    incoming_options.churn = churn;
+    incoming_options.metrics = &reference;
+    const auto stats = run_incoming(trace, incoming_cloud, *placer, *alloc,
+                                    incoming_options);
+    ASSERT_EQ(stats.size(), trace.size());
 
-  QuantumCloud streaming_cloud = paper_cloud();
-  const auto source = make_vector_source(trace);
-  StreamingOptions options;
-  options.seed = 3;
-  options.intake_shards = 1;
-  options.max_pending = 1u << 20;  // never defer: run_incoming never does
-  const StreamingMetrics metrics =
-      run_streaming(*source, streaming_cloud, *placer, *alloc, options);
+    QuantumCloud streaming_cloud = paper_cloud();
+    const auto source = make_vector_source(trace);
+    StreamingOptions options;
+    options.seed = 3;
+    options.churn = churn;
+    options.intake_shards = 1;
+    options.max_pending = 1u << 20;  // never defer: run_incoming never does
+    const StreamingMetrics metrics =
+        run_streaming(*source, streaming_cloud, *placer, *alloc, options);
 
-  EXPECT_EQ(metrics.completed, trace.size());
-  EXPECT_EQ(metrics.rejected, 0u);
-  // run_incoming's sink does not observe queue depths; align the
-  // high-water marks so operator== compares everything else bit-exactly
-  // (counters, makespan, min/max and every sketch bucket).
-  reference.peak_pending = metrics.peak_pending;
-  reference.peak_in_flight = metrics.peak_in_flight;
-  EXPECT_TRUE(metrics == reference);
+    EXPECT_EQ(metrics.completed, trace.size());
+    EXPECT_EQ(metrics.rejected, 0u);
+    EXPECT_TRUE(metrics == reference);
+    // operator== skips the work counters; the trajectories match there too.
+    EXPECT_EQ(metrics.events, reference.events);
+    EXPECT_EQ(metrics.allocation_rounds, reference.allocation_rounds);
+    EXPECT_GT(metrics.events, 0u);
+    makespans.push_back(metrics.makespan);
+  }
+  EXPECT_NE(makespans[0], makespans[1]);  // the churn plan took effect
 }
 
 TEST(Streaming, DeferBackpressureBoundsPendingAndCompletesEverything) {

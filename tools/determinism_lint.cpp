@@ -27,11 +27,12 @@
 //                   std::condition_variable in src/ outside
 //                   common/thread_pool.* (the one concurrency primitive;
 //                   every other library object is confined to one thread
-//                   or shared read-only, so new cross-thread state must be
-//                   justified in a visible allow comment)
+//                   or shared read-only). Not suppressible: new
+//                   cross-thread state belongs in the pool, not beside an
+//                   allow comment
 //
-// A finding is suppressed — visibly, in the diff — by a comment on the same
-// line or the line directly above:
+// A finding of any other rule is suppressed — visibly, in the diff — by a
+// comment on the same line or the line directly above:
 //
 //   // det-lint: allow(wall-clock) wall time is reported, never a decision
 //
@@ -260,10 +261,11 @@ class Linter {
   // A det-lint: allow(rule) comment suppresses findings on its own line
   // (trailing style) and on the first code line after it (preceding style
   // — possibly several comment/blank lines later, so multi-line
-  // justifications work).
+  // justifications work). shared-state findings ignore it.
   void report(const std::string& rule, int line, const std::string& message) {
     Finding f{file_, line, rule, message, false};
-    auto it = scan_->allow_lines.find(rule);
+    auto it = rule == "shared-state" ? scan_->allow_lines.end()
+                                     : scan_->allow_lines.find(rule);
     if (it != scan_->allow_lines.end()) {
       for (int allow_line : it->second) {
         if (allow_line == line) {
