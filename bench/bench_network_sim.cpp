@@ -16,8 +16,8 @@
 // capacity-signature admission gate lets through.
 //
 // At quick scale (the default, and what CI runs) every scenario A row's
-// events, allocation rounds and EPR rounds, and scenario B's placement
-// calls, must equal the constants below, recorded from the reference
+// events, allocation rounds, EPR rounds and waiting ops examined by the
+// rounds, and scenario B's placement calls, must equal the constants below, recorded from the reference
 // implementation. The counts are machine-independent and repeat exactly,
 // so a change that makes gating skip less work moves a count and FAILS
 // the binary on any machine. EPR rounds also see the routes: a path of a
@@ -64,17 +64,18 @@ struct ExpectedRow {
   std::uint64_t events;
   std::uint64_t alloc_rounds;
   std::uint64_t epr_rounds;
+  std::uint64_t ops_examined;
 };
 
 constexpr ExpectedRow kQuickRows[] = {
-    {"cloudqc", false, 221200, 28885, 859065},
-    {"cloudqc", true, 221200, 41883, 3562082},
-    {"greedy", false, 221200, 28951, 779300},
-    {"greedy", true, 221200, 41745, 1766624},
-    {"average", false, 221200, 28865, 893823},
-    {"average", true, 221200, 41796, 2633291},
-    {"random", false, 221200, 28880, 810644},
-    {"random", true, 221200, 41737, 2454964},
+    {"cloudqc", false, 221200, 28885, 859065, 129702},
+    {"cloudqc", true, 221200, 41883, 3562082, 913406},
+    {"greedy", false, 221200, 28951, 779300, 103047},
+    {"greedy", true, 221200, 41745, 1766624, 825046},
+    {"average", false, 221200, 28865, 893823, 106225},
+    {"average", true, 221200, 41796, 2633291, 1005670},
+    {"random", false, 221200, 28880, 810644, 85683},
+    {"random", true, 221200, 41737, 2454964, 241842},
 };
 constexpr std::uint64_t kQuickTracePlacementCalls = 389;
 
@@ -132,6 +133,7 @@ struct SimRun {
   std::uint64_t events = 0;
   std::uint64_t alloc_rounds = 0;
   std::uint64_t epr_rounds = 0;
+  std::uint64_t ops_examined = 0;
 };
 
 SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
@@ -147,6 +149,7 @@ SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
   out.events = sim.num_events_processed();
   out.alloc_rounds = sim.num_allocation_rounds();
   out.epr_rounds = sim.total_epr_rounds();
+  out.ops_examined = sim.num_ops_examined();
   return out;
 }
 
@@ -245,8 +248,8 @@ int main() {
   allocators.emplace_back("average", make_average_allocator());
   allocators.emplace_back("random", make_random_allocator());
 
-  TextTable table(
-      {"allocator", "router", "events", "alloc rounds", "EPR rounds", "ev/s"});
+  TextTable table({"allocator", "router", "events", "alloc rounds",
+                   "EPR rounds", "ops examined", "ev/s"});
   for (const auto& [name, alloc] : allocators) {
     for (const bool use_router : {false, true}) {
       const EprRouter* r = use_router ? router.get() : nullptr;
@@ -268,6 +271,8 @@ int main() {
                                         run.alloc_rounds, want.alloc_rounds);
         counts_failed |=
             !count_matches(row + " EPR rounds", run.epr_rounds, want.epr_rounds);
+        counts_failed |= !count_matches(row + " ops examined",
+                                        run.ops_examined, want.ops_examined);
       }
 
       const double ev_per_s = static_cast<double>(run.events) / run.seconds;
@@ -275,11 +280,13 @@ int main() {
       json.add(key + "_events", static_cast<long>(run.events));
       json.add(key + "_alloc_rounds", static_cast<long>(run.alloc_rounds));
       json.add(key + "_epr_rounds", static_cast<long>(run.epr_rounds));
+      json.add(key + "_ops_examined", static_cast<long>(run.ops_examined));
       json.add(key + "_events_per_sec", ev_per_s);
       table.add_row({name, use_router ? "on" : "off",
                      std::to_string(run.events),
                      std::to_string(run.alloc_rounds),
                      std::to_string(run.epr_rounds),
+                     std::to_string(run.ops_examined),
                      fmt_double(ev_per_s, 0)});
     }
   }

@@ -1,12 +1,24 @@
-// Minimal discrete-event queue: (time, sequence, payload) min-heap. The
-// sequence number makes simultaneous events FIFO-stable so simulations are
-// deterministic for a fixed seed. Payloads are trivially copyable.
+// Discrete-event queue ordered by (time, sequence). The sequence number
+// makes simultaneous events FIFO-stable, so simulations are deterministic
+// for a fixed seed. Payloads are trivially copyable.
+//
+// An event goes either to a binary min-heap (push) or to one of kLanes
+// FIFO lanes (push_lane). A lane takes events whose times arrive in
+// non-decreasing order. The simulator gives each local-gate class a lane:
+// a gate of class c always finishes at now + duration[c], and the clock
+// never runs backwards, so each lane is already sorted by (time, seq) and
+// costs O(1) per push and pop instead of O(log n). pop() takes the least
+// (time, seq) among the lane heads and the heap top. Keys are unique, so
+// the pop sequence is exactly that of one heap fed the same pushes.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -15,48 +27,82 @@ namespace cloudqc {
 
 using SimTime = double;
 
-template <typename Payload>
+template <typename Payload, std::size_t kLanes = 0>
 class EventQueue {
  public:
+  /// Schedule an event on the heap, at any time >= 0.
   void push(SimTime time, Payload payload) {
     CLOUDQC_DCHECK(time >= 0.0);
     heap_.push_back(Entry{time, next_seq_++, payload});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
-  SimTime next_time() const {
-    CLOUDQC_CHECK(!heap_.empty());
-    return heap_.front().time;
+  /// Schedule an event on FIFO lane `lane`. Over the queue's life, the
+  /// pushes to one lane must come in non-decreasing time order. This is
+  /// always checked: a violation would reorder pops silently.
+  void push_lane(std::size_t lane, SimTime time, Payload payload) {
+    Lane& l = lanes_[lane];
+    CLOUDQC_CHECK_MSG(time >= l.last_time,
+                      "lane events must be pushed in time order");
+    l.last_time = time;
+    l.entries.push_back(Entry{time, next_seq_++, payload});
+    ++lane_size_;
   }
+
+  bool empty() const { return heap_.empty() && lane_size_ == 0; }
+  std::size_t size() const { return heap_.size() + lane_size_; }
+
+  SimTime next_time() const { return front().first->time; }
 
   /// Pop the earliest event; returns (time, payload).
   std::pair<SimTime, Payload> pop() {
-    CLOUDQC_CHECK(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
+    const auto [first, from] = front();
+    const Entry e = *first;
+    if (from == kLanes) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.pop_back();
+    } else {
+      Lane& l = lanes_[from];
+      --lane_size_;
+      if (++l.head == l.entries.size()) {
+        l.entries.clear();
+        l.head = 0;
+      } else if (2 * l.head > l.entries.size()) {
+        // Compact once the head passes half the lane: O(1) amortized.
+        l.entries.erase(l.entries.begin(),
+                        l.entries.begin() +
+                            static_cast<std::ptrdiff_t>(l.head));
+        l.head = 0;
+      }
+    }
     return {e.time, e.payload};
   }
 
   /// Remove every event whose payload satisfies `pred` (called once per
-  /// entry, in storage order). Survivors keep their (time, seq) keys, so
-  /// their relative pop order is unchanged after the heap is rebuilt.
-  /// Returns the number of events removed. O(n).
+  /// entry: the lanes in order, each front to back, then the heap in
+  /// storage order). Survivors keep their (time, seq) keys and each lane
+  /// keeps its order, so their relative pop order is unchanged. Returns
+  /// the number of events removed. O(n).
   template <typename Pred>
   std::size_t remove_if(Pred pred) {
-    const auto keep_end =
-        std::remove_if(heap_.begin(), heap_.end(),
-                       [&](const Entry& e) { return pred(e.payload); });
-    const std::size_t removed =
+    const auto matches = [&](const Entry& e) { return pred(e.payload); };
+    std::size_t removed = 0;
+    for (Lane& l : lanes_) {
+      const auto keep_end = std::remove_if(
+          l.entries.begin() + static_cast<std::ptrdiff_t>(l.head),
+          l.entries.end(), matches);
+      removed += static_cast<std::size_t>(l.entries.end() - keep_end);
+      l.entries.erase(keep_end, l.entries.end());
+    }
+    lane_size_ -= removed;
+    const auto keep_end = std::remove_if(heap_.begin(), heap_.end(), matches);
+    const std::size_t from_heap =
         static_cast<std::size_t>(heap_.end() - keep_end);
-    if (removed > 0) {
+    if (from_heap > 0) {
       heap_.erase(keep_end, heap_.end());
       std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
-    return removed;
+    return removed + from_heap;
   }
 
  private:
@@ -73,8 +119,37 @@ class EventQueue {
   // that owns memory belongs in a side table the payload indexes.
   static_assert(std::is_trivially_copyable_v<Entry>,
                 "event payloads must be trivially copyable");
+
+  /// A FIFO of events in (time, seq) order: the live ones are
+  /// entries[head..].
+  struct Lane {
+    std::vector<Entry> entries;
+    std::size_t head = 0;
+    SimTime last_time = std::numeric_limits<SimTime>::lowest();
+  };
+
+  /// The entry pop() returns, and where it sits: a lane index, or kLanes
+  /// for the heap top.
+  std::pair<const Entry*, std::size_t> front() const {
+    CLOUDQC_CHECK(!empty());
+    const Entry* first = heap_.empty() ? nullptr : &heap_.front();
+    std::size_t from = kLanes;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const Lane& l = lanes_[i];
+      if (l.head == l.entries.size()) continue;
+      const Entry& head = l.entries[l.head];
+      if (first == nullptr || *first > head) {
+        first = &head;
+        from = i;
+      }
+    }
+    return {first, from};
+  }
+
   /// Min-heap over (time, seq) maintained with the std heap algorithms.
   std::vector<Entry> heap_;
+  std::array<Lane, kLanes> lanes_{};
+  std::size_t lane_size_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -24,6 +24,7 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
   }
   impounded_.assign(free_comm_.size(), 0);
   offline_.assign(free_comm_.size(), 0);
+  waiting_at_.resize(free_comm_.size());
   const LatencyModel& lat = cloud.config().latency;
   const FidelityModel& fid = cloud.config().fidelity;
   gate_duration_[kOneQubitGate] = lat.t_1q;
@@ -117,10 +118,11 @@ void NetworkSimulator::cancel_job(int job_id) {
     release_reserved(done);
     return true;
   });
-  waiting_remote_.erase(
-      std::remove_if(waiting_remote_.begin(), waiting_remote_.end(),
-                     [&](const WaitingOp& w) { return w.job == job_id; }),
-      waiting_remote_.end());
+  for (std::size_t slot = 0; slot < waiting_remote_.size(); ++slot) {
+    if (waiting_remote_[slot].job == job_id) {
+      remove_waiting(static_cast<int>(slot));
+    }
+  }
   release_job(job_id);
 }
 
@@ -140,7 +142,7 @@ void NetworkSimulator::set_qpu_offline(QpuId q) {
   offline_[static_cast<std::size_t>(q)] = 1;
   impounded_[static_cast<std::size_t>(q)] +=
       free_comm_[static_cast<std::size_t>(q)];
-  free_comm_[static_cast<std::size_t>(q)] = 0;
+  set_free_comm(q, 0);
 }
 
 void NetworkSimulator::set_qpu_online(QpuId q) {
@@ -149,8 +151,8 @@ void NetworkSimulator::set_qpu_online(QpuId q) {
                     "QPU is not offline");
   offline_[static_cast<std::size_t>(q)] = 0;
   if (impounded_[static_cast<std::size_t>(q)] > 0) {
-    free_comm_[static_cast<std::size_t>(q)] +=
-        impounded_[static_cast<std::size_t>(q)];
+    set_free_comm(q, free_comm_[static_cast<std::size_t>(q)] +
+                         impounded_[static_cast<std::size_t>(q)]);
     impounded_[static_cast<std::size_t>(q)] = 0;
     alloc_dirty_ = true;  // returned pairs may fund a waiting op
   }
@@ -175,8 +177,104 @@ void NetworkSimulator::release_comm(QpuId q, int pairs) {
   if (offline_[static_cast<std::size_t>(q)]) {
     impounded_[static_cast<std::size_t>(q)] += pairs;
   } else {
-    free_comm_[static_cast<std::size_t>(q)] += pairs;
+    set_free_comm(q, free_comm_[static_cast<std::size_t>(q)] + pairs);
   }
+}
+
+void NetworkSimulator::set_free_comm(QpuId q, int value) {
+  int& free = free_comm_[static_cast<std::size_t>(q)];
+  const bool was_free = free >= 1;
+  free = value;
+  if ((free >= 1) == was_free) return;
+  // q crossed between 0 and >= 1: only the ops waiting at q change
+  // fundability. Going up, an op is fundable iff its other endpoint is
+  // free too; going down, none is. Tombstones leave the list here.
+  std::vector<int>& at = waiting_at_[static_cast<std::size_t>(q)];
+  for (std::size_t i = 0; i < at.size();) {
+    const auto slot = static_cast<std::size_t>(at[i]);
+    const WaitingOp& w = waiting_remote_[slot];
+    if (w.job < 0) {
+      at[i] = at.back();
+      at.pop_back();
+      continue;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    const QpuId other = w.qpu_a == q ? w.qpu_b : w.qpu_a;
+    if (!was_free && free_comm_[static_cast<std::size_t>(other)] >= 1) {
+      fundable_[slot / 64] |= bit;
+    } else {
+      fundable_[slot / 64] &= ~bit;
+    }
+    ++i;
+  }
+}
+
+void NetworkSimulator::add_waiting(const WaitingOp& op) {
+  const int slot = static_cast<int>(waiting_remote_.size());
+  waiting_remote_.push_back(op);
+  if (fundable_.size() * 64 < waiting_remote_.size()) fundable_.push_back(0);
+  ++num_waiting_;
+  index_waiting(slot);
+}
+
+void NetworkSimulator::index_waiting(int slot) {
+  const WaitingOp& w = waiting_remote_[static_cast<std::size_t>(slot)];
+  waiting_at_[static_cast<std::size_t>(w.qpu_a)].push_back(slot);
+  waiting_at_[static_cast<std::size_t>(w.qpu_b)].push_back(slot);
+  if (free_comm_[static_cast<std::size_t>(w.qpu_a)] >= 1 &&
+      free_comm_[static_cast<std::size_t>(w.qpu_b)] >= 1) {
+    const auto s = static_cast<std::size_t>(slot);
+    fundable_[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+}
+
+void NetworkSimulator::remove_waiting(int slot) {
+  const auto s = static_cast<std::size_t>(slot);
+  CLOUDQC_DCHECK(waiting_remote_[s].job >= 0);
+  waiting_remote_[s].job = -1;
+  fundable_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+  --num_waiting_;
+}
+
+void NetworkSimulator::compact_waiting_if_sparse() {
+  if (2 * num_waiting_ >= waiting_remote_.size()) return;
+  // Clear the list of every QPU a slot names (tombstones keep their
+  // QPUs), then re-index the live ops in their order.
+  for (const WaitingOp& w : waiting_remote_) {
+    waiting_at_[static_cast<std::size_t>(w.qpu_a)].clear();
+    waiting_at_[static_cast<std::size_t>(w.qpu_b)].clear();
+  }
+  std::size_t kept = 0;
+  for (const WaitingOp& w : waiting_remote_) {
+    if (w.job >= 0) waiting_remote_[kept++] = w;
+  }
+  waiting_remote_.resize(kept);
+  fundable_.assign((kept + 63) / 64, 0);
+  for (std::size_t slot = 0; slot < kept; ++slot) {
+    index_waiting(static_cast<int>(slot));
+  }
+}
+
+void NetworkSimulator::audit_fundable_index() const {
+#ifndef NDEBUG
+  // Bits past the last slot must be clear too: a round would read them.
+  CLOUDQC_CHECK(fundable_.size() * 64 >= waiting_remote_.size());
+  std::size_t live = 0;
+  for (std::size_t slot = 0; slot < fundable_.size() * 64; ++slot) {
+    bool fundable = false;
+    if (slot < waiting_remote_.size()) {
+      const WaitingOp& w = waiting_remote_[slot];
+      live += w.job >= 0 ? 1 : 0;
+      fundable = w.job >= 0 &&
+                 free_comm_[static_cast<std::size_t>(w.qpu_a)] >= 1 &&
+                 free_comm_[static_cast<std::size_t>(w.qpu_b)] >= 1;
+    }
+    const bool indexed = (fundable_[slot / 64] >> (slot % 64)) & 1;
+    CLOUDQC_CHECK_MSG(indexed == fundable,
+                      "fundable index disagrees with the wait set");
+  }
+  CLOUDQC_CHECK(live == num_waiting_);
+#endif
 }
 
 int NetworkSimulator::acquire_reserved() {
@@ -213,8 +311,7 @@ void NetworkSimulator::on_ready(int job_id, int gate) {
   if (remote >= 0) {
     const auto r = static_cast<std::size_t>(remote);
     const RemoteOp& op = job.part->remote_ops[r];
-    waiting_remote_.push_back(
-        {job_id, gate, op.qpu_a, op.qpu_b, job.part->remote_prio[r]});
+    add_waiting({job_id, gate, op.qpu_a, op.qpu_b, job.part->remote_prio[r]});
     alloc_dirty_ = true;  // the waiting set grew: a new decision is due
   } else {
     start_local(job_id, gate);
@@ -225,7 +322,8 @@ void NetworkSimulator::start_local(int job_id, int gate) {
   Job& job = jobs_[static_cast<std::size_t>(job_id)];
   const GateClass cls = job.gate_class[gate];
   job.log_fidelity += gate_log_fidelity_[cls];
-  events_.push(now_ + gate_duration_[cls], GateDone{job_id, gate, 0, -1});
+  events_.push_lane(cls, now_ + gate_duration_[cls],
+                    GateDone{job_id, gate, 0, -1});
 }
 
 void NetworkSimulator::maybe_allocate() {
@@ -234,7 +332,7 @@ void NetworkSimulator::maybe_allocate() {
 
 void NetworkSimulator::allocate_and_start() {
   alloc_dirty_ = false;
-  while (!waiting_remote_.empty()) {
+  while (num_waiting_ > 0) {
     const std::size_t started = run_allocation_round();
     // Without a router the round is terminal: every grant was consumed in
     // full, so the allocator's residual budget equals free_comm_ and a
@@ -250,47 +348,45 @@ std::size_t NetworkSimulator::run_allocation_round() {
   // Offer only the fundable ops: those with a free communication qubit at
   // both endpoints. Within allocate() free_comm only decreases, so any
   // other op would get 0 pairs from every allocator, and dropping it
-  // changes no grant and no Random draw (see allocators.hpp). The handle
-  // is the op's position in the wait set.
+  // changes no grant and no Random draw (see allocators.hpp). The index
+  // marks exactly those; its set bits are walked in slot order, which is
+  // the order the ops became ready. The handle is the op's slot.
+  audit_fundable_index();
   requests_.clear();
-  for (std::size_t w = 0; w < waiting_remote_.size(); ++w) {
-    const WaitingOp& op = waiting_remote_[w];
-    if (free_comm_[static_cast<std::size_t>(op.qpu_a)] < 1 ||
-        free_comm_[static_cast<std::size_t>(op.qpu_b)] < 1) {
-      continue;
+  for (std::size_t word = 0; word < fundable_.size(); ++word) {
+    for (std::uint64_t bits = fundable_[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      const WaitingOp& op = waiting_remote_[slot];
+      CommRequest req;
+      req.handle = static_cast<int>(slot);
+      req.priority = static_cast<double>(op.priority);
+      req.qpu_a = op.qpu_a;
+      req.qpu_b = op.qpu_b;
+      requests_.push_back(req);
     }
-    CommRequest req;
-    req.handle = static_cast<int>(w);
-    req.priority = static_cast<double>(op.priority);
-    req.qpu_a = op.qpu_a;
-    req.qpu_b = op.qpu_b;
-    requests_.push_back(req);
   }
+  ops_examined_ += requests_.size();
 
   const std::vector<int> grants =
       allocator_.allocate(requests_, free_comm_, rng_);
   CLOUDQC_CHECK(grants.size() == requests_.size());
 
-  // Validate the allocator respected per-QPU budgets, then scatter the
-  // grants back over the wait set (unoffered ops get 0) and start funded
-  // operations.
+  // Validate the allocator respected per-QPU budgets, then start the
+  // funded operations in slot order.
   spend_.assign(free_comm_.size(), 0);
-  pairs_.assign(waiting_remote_.size(), 0);
   for (std::size_t i = 0; i < grants.size(); ++i) {
     CLOUDQC_CHECK(grants[i] >= 0);
-    if (grants[i] == 0) continue;
     spend_[static_cast<std::size_t>(requests_[i].qpu_a)] += grants[i];
     spend_[static_cast<std::size_t>(requests_[i].qpu_b)] += grants[i];
-    pairs_[static_cast<std::size_t>(requests_[i].handle)] = grants[i];
   }
   for (std::size_t q = 0; q < free_comm_.size(); ++q) {
     CLOUDQC_CHECK_MSG(spend_[q] <= free_comm_[q],
                       "allocator exceeded communication budget");
   }
 
-  // Ops that stay waiting move down to `kept`, in their relative order;
-  // starting an op readies nothing, so the wait set does not grow here.
-  std::size_t kept = 0;
+  // A started op leaves a tombstone; the others keep their slots. Starting
+  // an op readies nothing, so the wait set does not grow here.
   std::size_t started = 0;
   const LatencyModel& lat = cloud_.config().latency;
 #ifndef NDEBUG
@@ -302,12 +398,10 @@ std::size_t NetworkSimulator::run_allocation_round() {
   const std::vector<int> free_before = free_comm_;
   std::vector<int> started_spend(free_comm_.size(), 0);
 #endif
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    const WaitingOp waiting = waiting_remote_[i];
-    if (pairs_[i] == 0) {
-      waiting_remote_[kept++] = waiting;
-      continue;
-    }
+  for (std::size_t i = 0; i < grants.size(); ++i) {
+    if (grants[i] == 0) continue;
+    const int slot = requests_[i].handle;
+    const WaitingOp& waiting = waiting_remote_[static_cast<std::size_t>(slot)];
     const int job_id = waiting.job;
     const int gate = waiting.gate;
     Job& job = jobs_[static_cast<std::size_t>(job_id)];
@@ -319,7 +413,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
     std::vector<QpuId>& reserved_on =
         reserved_on_[static_cast<std::size_t>(reserved)];
     reserved_on.assign({op.qpu_a, op.qpu_b});
-    int x = pairs_[i];
+    int x = grants[i];
     if (router_ != nullptr) {
       const auto path = router_->route(cloud_, op.qpu_a, op.qpu_b, free_comm_);
       if (!path.has_value() || !path->valid()) {
@@ -328,7 +422,6 @@ std::size_t NetworkSimulator::run_allocation_round() {
         // point instead of executing it over the stale static hop count
         // with endpoint-only reservation (which would bypass the very
         // intermediates the router reported as exhausted).
-        waiting_remote_[kept++] = waiting;
         free_reserved_.push_back(reserved);
         continue;
       }
@@ -346,13 +439,13 @@ std::size_t NetworkSimulator::run_allocation_round() {
       if (x <= 0) {
         // A saturated swap node blocks this op for now; retry at the next
         // decision point (endpoint qubits were never deducted).
-        waiting_remote_[kept++] = waiting;
         free_reserved_.push_back(reserved);
         continue;
       }
     }
+    remove_waiting(slot);
     for (const QpuId q : reserved_on) {
-      free_comm_[static_cast<std::size_t>(q)] -= x;
+      set_free_comm(q, free_comm_[static_cast<std::size_t>(q)] - x);
       CLOUDQC_DCHECK(free_comm_[static_cast<std::size_t>(q)] >= 0);
 #ifndef NDEBUG
       started_spend[static_cast<std::size_t>(q)] += x;
@@ -390,7 +483,8 @@ std::size_t NetworkSimulator::run_allocation_round() {
                       "requeued op did not return its full grant");
   }
 #endif
-  waiting_remote_.resize(kept);
+  compact_waiting_if_sparse();
+  audit_fundable_index();
   return started;
 }
 
@@ -446,7 +540,7 @@ std::optional<JobCompletion> NetworkSimulator::run_until_next_completion() {
   while (!events_.empty()) {
     if (auto completion = step()) return completion;
   }
-  CLOUDQC_CHECK_MSG(waiting_remote_.empty(),
+  CLOUDQC_CHECK_MSG(num_waiting_ == 0,
                     "simulation stalled with waiting remote operations");
   return std::nullopt;
 }

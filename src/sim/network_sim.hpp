@@ -27,7 +27,15 @@
 // small bounded LRU keyed by (gate table, qubit_to_qpu), so jobs that run
 // one circuit under one placement share one placed part; the event loop
 // only walks those flat arrays and the job's small mutable state.
-// Event-heap entries are plain 32-byte records.
+// Events are plain 32-byte records. A local gate's finish event goes to its
+// gate class's FIFO lane of the event queue (sim/event_queue.hpp): it is
+// due at now + that class's fixed duration, so each lane is already in
+// time order. Only remote ops and zero-gate completions use the heap.
+//
+// An allocation round touches only the fundable waiting ops, those with a
+// free communication qubit at both endpoints. The simulator keeps a bitmap
+// of them over the wait set's slots, updated only when a QPU's free count
+// crosses between 0 and >= 1; num_ops_examined() counts what rounds read.
 //
 // Concurrency contract: a NetworkSimulator instance is confined to one
 // thread, but it only *reads* the cloud and the allocator and owns its RNG
@@ -194,6 +202,10 @@ class NetworkSimulator {
   /// completions for deterministic allocators.
   std::uint64_t num_allocation_rounds() const { return alloc_rounds_; }
 
+  /// Waiting remote ops that allocation rounds looked at, summed over
+  /// rounds: each round reads only the ops the fundable index marks.
+  std::uint64_t num_ops_examined() const { return ops_examined_; }
+
   /// Placed parts compiled so far (placed-part cache misses): a
   /// deterministic count of how often admission paid for remote-op
   /// extraction and priorities.
@@ -234,6 +246,16 @@ class NetworkSimulator {
     }
   };
 
+  /// A waiting remote op with what an allocation round reads of it,
+  /// copied from the placed part at on_ready.
+  struct WaitingOp {
+    int job;  // -1: a tombstone
+    int gate;
+    QpuId qpu_a;
+    QpuId qpu_b;
+    int priority;  // remote-DAG priority (PlacedPart::remote_prio)
+  };
+
   /// Distinct (program, placement) pairs kept; a fixed bound, not a knob.
   static constexpr std::size_t kPlacedPartCapacity = 32;
 
@@ -266,8 +288,9 @@ class NetworkSimulator {
   /// One allocator round; returns the number of operations started. The
   /// allocator is called once and offered only the waiting ops with a
   /// free communication qubit at both endpoints (exact: it could fund no
-  /// other; see allocators.hpp). Unoffered and unfunded ops stay in the
-  /// wait set in their original relative order (compacted in place).
+  /// other; see allocators.hpp), read from the fundable index in slot
+  /// order. Started ops leave tombstones; unoffered and unfunded ops keep
+  /// their slots, so the wait set keeps its original relative order.
   std::size_t run_allocation_round();
   /// Invoke allocate_and_start() only when the resource state changed
   /// since the last round.
@@ -281,6 +304,21 @@ class NetworkSimulator {
   /// Return released communication qubits to the free pool — or into the
   /// impound while the QPU is offline.
   void release_comm(QpuId q, int pairs);
+  /// Set QPU q's free communication qubits, updating the fundable bits of
+  /// the ops waiting at q when the count crosses between 0 and >= 1.
+  void set_free_comm(QpuId q, int value);
+  /// Append a newly ready remote op to the wait set and index it.
+  void add_waiting(const WaitingOp& op);
+  /// Put the op in `slot` into its QPUs' lists and mark it if fundable.
+  void index_waiting(int slot);
+  /// Turn the op in `slot` into a tombstone and clear its bit.
+  void remove_waiting(int slot);
+  /// Drop the tombstones once they outnumber the live ops, keeping the
+  /// live ops' order, and rebuild the index over the new slots.
+  void compact_waiting_if_sparse();
+  /// Debug builds: the indexed fundable slots equal a brute-force scan of
+  /// the wait set, in order.
+  void audit_fundable_index() const;
   /// Free a completed job's per-job state and queue its slot for reuse.
   void release_job(int job_id);
 
@@ -294,7 +332,9 @@ class NetworkSimulator {
   BoundedLru<std::shared_ptr<const PlacedPart>> placed_parts_{
       kPlacedPartCapacity};
   std::uint64_t placed_parts_compiled_ = 0;
-  EventQueue<GateDone> events_;
+  /// One FIFO lane per local-gate class (indexed by GateClass); the heap
+  /// holds remote ops and zero-gate completions.
+  EventQueue<GateDone, kNumGateClasses> events_;
   /// QPU lists of in-flight remote ops, indexed by GateDone::reserved.
   /// Released slots keep their capacity and are reused via
   /// free_reserved_, so steady-state starts allocate nothing.
@@ -304,25 +344,22 @@ class NetworkSimulator {
   /// Completed slots awaiting reuse, LIFO for locality.
   std::vector<int> free_slots_;
   int jobs_admitted_ = 0;
-  /// A waiting remote op with what an allocation round reads of it,
-  /// copied from the placed part at on_ready, so the fundability filter
-  /// is one pass over contiguous records.
-  struct WaitingOp {
-    int job;
-    int gate;
-    QpuId qpu_a;
-    QpuId qpu_b;
-    int priority;  // remote-DAG priority (PlacedPart::remote_prio)
-  };
-  /// The wait set, in the order the ops became ready. A round compacts it
-  /// in place, keeping that order.
+  /// The wait set: one slot per remote op, in the order the ops became
+  /// ready. A started or cancelled op leaves a tombstone (job = -1, its
+  /// QPUs kept); compact_waiting_if_sparse drops them in order.
   std::vector<WaitingOp> waiting_remote_;
+  /// Live (non-tombstone) ops in waiting_remote_.
+  std::size_t num_waiting_ = 0;
+  /// The fundable index: one bit per wait-set slot, set iff the op is live
+  /// and both its endpoints have a free communication qubit.
+  std::vector<std::uint64_t> fundable_;
+  /// Per QPU, the slots of the waiting ops with an endpoint there. May
+  /// hold tombstones, which a walk over the list drops.
+  std::vector<std::vector<int>> waiting_at_;
   /// Per-round scratch, reused so that a round allocates nothing of its
-  /// own: the offered requests, each QPU's granted qubits, and each
-  /// waiting op's grant.
+  /// own: the offered requests and each QPU's granted qubits.
   std::vector<CommRequest> requests_;
   std::vector<int> spend_;
-  std::vector<int> pairs_;
   /// Free communication qubits per QPU (simulator-owned view).
   std::vector<int> free_comm_;
   /// Communication qubits fenced off per offline QPU (maintenance).
@@ -338,6 +375,7 @@ class NetworkSimulator {
   bool alloc_dirty_ = false;
   std::uint64_t events_processed_ = 0;
   std::uint64_t alloc_rounds_ = 0;
+  std::uint64_t ops_examined_ = 0;
 };
 
 }  // namespace cloudqc

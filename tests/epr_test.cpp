@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "sim/epr.hpp"
-#include "sim/event_queue.hpp"
 
 namespace cloudqc {
 namespace {
@@ -132,25 +131,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EprProperty,
                          ::testing::Combine(::testing::Values(0.1, 0.3, 0.5),
                                             ::testing::Values(1, 2),
                                             ::testing::Values(1, 3, 5)));
-
-TEST(EventQueue, FifoForEqualTimes) {
-  EventQueue<int> q;
-  q.push(1.0, 10);
-  q.push(1.0, 20);
-  q.push(0.5, 30);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 0.5);
-  EXPECT_EQ(q.pop().second, 30);
-  EXPECT_EQ(q.pop().second, 10);  // FIFO among the 1.0 events
-  EXPECT_EQ(q.pop().second, 20);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, PopEmptyThrows) {
-  EventQueue<int> q;
-  EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW(q.next_time(), std::logic_error);
-}
 
 }  // namespace
 }  // namespace cloudqc

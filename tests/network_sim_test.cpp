@@ -137,6 +137,26 @@ TEST(NetworkSim, TwoJobsShareCommunicationQubits) {
   EXPECT_DOUBLE_EQ(done[1].time, 32.2);  // waited for the first
 }
 
+TEST(NetworkSim, RoundsExamineOnlyFundableOps) {
+  // One comm qubit per QPU. The first op starts at once; the second
+  // waits while both endpoints are busy, so the round at its arrival
+  // examines nothing, and the round after the first op finishes
+  // examines it alone.
+  const auto cloud = make_cloud(2, 1.0, /*comm=*/1);
+  const auto alloc = make_cloudqc_allocator();
+  Circuit c("t", 2);
+  c.cx(0, 1);
+  NetworkSimulator sim(cloud, *alloc, Rng(1));
+  sim.add_job(c, {0, 1});
+  EXPECT_EQ(sim.num_ops_examined(), 1u);
+  sim.add_job(c, {0, 1});
+  EXPECT_EQ(sim.num_allocation_rounds(), 2u);
+  EXPECT_EQ(sim.num_ops_examined(), 1u);
+  ASSERT_EQ(sim.run_to_completion().size(), 2u);
+  EXPECT_EQ(sim.num_allocation_rounds(), 3u);
+  EXPECT_EQ(sim.num_ops_examined(), 2u);
+}
+
 TEST(NetworkSim, ParallelJobsOnDisjointQpusDontInterfere) {
   const auto cloud = make_cloud(4, 1.0, 1);
   const auto alloc = make_cloudqc_allocator();
