@@ -30,7 +30,7 @@ int main() {
       Rng run_rng(99);
       for (int r = 0; r < runs; ++r) {
         const auto res = run_schedule(c, *p, cloud, *alloc, run_rng);
-        jct += res.completion_time;
+        jct += res.time;
         fid += res.est_fidelity;
       }
       table.add_row({std::to_string(level),

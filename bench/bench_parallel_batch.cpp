@@ -29,15 +29,6 @@ std::vector<Circuit> build_batch(int copies) {
   return jobs;
 }
 
-bool identical(const IndependentJobResult& a, const IndependentJobResult& b) {
-  return a.name == b.name && a.placed == b.placed &&
-         a.completion_time == b.completion_time &&
-         a.est_fidelity == b.est_fidelity &&
-         a.log_fidelity == b.log_fidelity && a.comm_cost == b.comm_cost &&
-         a.remote_ops == b.remote_ops && a.qpus_used == b.qpus_used &&
-         a.epr_rounds == b.epr_rounds;
-}
-
 }  // namespace
 
 int main() {
@@ -68,7 +59,7 @@ int main() {
     if (n > 0) thread_counts.push_back(n);
   }
 
-  std::vector<IndependentJobResult> reference;
+  std::vector<IncomingJobStats> reference;
   double serial_seconds = 0.0;
   TextTable table({"threads", "wall time (s)", "jobs/s", "speedup",
                    "bit-identical"});
@@ -89,7 +80,7 @@ int main() {
       serial_seconds = seconds;
     } else {
       for (std::size_t i = 0; i < results.size(); ++i) {
-        bitwise = bitwise && identical(results[i], reference[i]);
+        bitwise = bitwise && results[i] == reference[i];
       }
     }
     table.add_row({std::to_string(threads), fmt_double(seconds, 3),

@@ -245,7 +245,7 @@ int cmd_schedule(const Options& opt) {
   std::uint64_t rounds = 0;
   for (int r = 0; r < opt.runs; ++r) {
     const auto res = run_schedule(c, *p, cloud, *alloc, rng);
-    jct.push_back(res.completion_time);
+    jct.push_back(res.time);
     fid.push_back(res.est_fidelity);
     rounds += res.epr_rounds;
   }

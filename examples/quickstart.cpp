@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   const auto allocator = make_cloudqc_allocator();
   const auto result = run_schedule(circuit, *placement, cloud, *allocator, rng);
   std::printf("executed: JCT = %.1f CX-units, %llu EPR attempt rounds\n",
-              result.completion_time,
-              static_cast<unsigned long long>(result.epr_rounds));
+              result.time, static_cast<unsigned long long>(result.epr_rounds));
   return 0;
 }

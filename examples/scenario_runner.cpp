@@ -146,35 +146,36 @@ int main(int argc, char** argv) {
         "jobs: %zu | makespan: %.1f | mean JCT: %.1f | mean fidelity: %.4f\n",
         result.jobs.size(), result.makespan, result.mean_jct,
         result.mean_fidelity);
+    const StreamingMetrics& m = result.metrics;
     if (result.engine == "streaming") {
       std::printf(
           "stream: %llu submitted | %llu completed | %llu rejected | "
           "peak pending %llu | peak in-flight %llu\n",
-          static_cast<unsigned long long>(result.stream_submitted),
-          static_cast<unsigned long long>(result.stream_completed),
-          static_cast<unsigned long long>(result.stream_rejected),
-          static_cast<unsigned long long>(result.stream_peak_pending),
-          static_cast<unsigned long long>(result.stream_peak_in_flight));
+          static_cast<unsigned long long>(m.submitted),
+          static_cast<unsigned long long>(m.completed),
+          static_cast<unsigned long long>(m.rejected),
+          static_cast<unsigned long long>(m.peak_pending),
+          static_cast<unsigned long long>(m.peak_in_flight));
       std::printf(
           "JCT p50/p95/p99: %.1f / %.1f / %.1f | "
           "fidelity p50/p95/p99: %.4f / %.4f / %.4f\n",
-          result.jct_p50, result.jct_p95, result.jct_p99,
-          result.fidelity_p50, result.fidelity_p95, result.fidelity_p99);
+          m.jct_p50(), m.jct_p95(), m.jct_p99(), m.fidelity_p50(),
+          m.fidelity_p95(), m.fidelity_p99());
     }
     std::printf("placement calls: %zu | wall: %.3fs", result.placement_calls,
                 result.wall_seconds);
-    if (result.events_processed > 0) {
+    if (m.events > 0) {
       std::printf(" | events: %llu | allocation rounds: %llu",
-                  static_cast<unsigned long long>(result.events_processed),
-                  static_cast<unsigned long long>(result.allocation_rounds));
+                  static_cast<unsigned long long>(m.events),
+                  static_cast<unsigned long long>(m.allocation_rounds));
     }
     std::printf("\n");
     if (spec.engine.cache) {
       std::printf(
           "cache: %llu exact hits | %llu warm hits | %llu misses\n",
-          static_cast<unsigned long long>(result.cache_exact_hits),
-          static_cast<unsigned long long>(result.cache_warm_hits),
-          static_cast<unsigned long long>(result.cache_misses));
+          static_cast<unsigned long long>(result.cache.exact_hits),
+          static_cast<unsigned long long>(result.cache.warm_hits),
+          static_cast<unsigned long long>(result.cache.misses));
     }
     if (!result.tenants.empty()) {
       for (const auto& t : result.tenants) {

@@ -329,7 +329,8 @@ class Engine {
                            flight.job.arrival, flight.placed_time,
                            completion.time, flight.remote_ops,
                            flight.comm_cost, flight.qpus_used,
-                           completion.est_fidelity, flight.job.restarts});
+                           completion.est_fidelity, completion.log_fidelity,
+                           completion.epr_rounds, flight.job.restarts});
     }
     in_flight_.erase(entry);
     if (config_.checkpoint_interval != 0 && config_.on_checkpoint &&

@@ -41,15 +41,16 @@ struct ArrivingJob {
   SimTime arrival = 0.0;
 };
 
-/// Per-job outcome of one run_batch or run_incoming call, indexed like the
-/// caller's input (batch jobs arrive at t = 0). It is also the row type of
-/// the scenario layer's ScenarioResult::jobs table.
+/// Per-job outcome of one run_batch, run_incoming or run_independent call,
+/// indexed like the caller's input (batch jobs arrive at t = 0). It is the
+/// library's one per-job record, and the row type of the scenario layer's
+/// ScenarioResult::jobs table.
 struct IncomingJobStats {
   std::string name;
-  /// False when no feasible mapping was found. run_batch and run_incoming
-  /// place every job they return (a job they cannot place throws); only
-  /// the scenario layer's batch mode (run_independent) skips unplaceable
-  /// jobs.
+  /// False when no feasible mapping was found; every other field then
+  /// keeps its default. run_batch and run_incoming place every job they
+  /// return (a job they cannot place throws); only run_independent returns
+  /// unplaced jobs.
   bool placed = true;
   SimTime arrival = 0.0;
   SimTime placed_time = 0.0;
@@ -60,11 +61,29 @@ struct IncomingJobStats {
   /// Placement communication cost (paper Obj. 1) of the final run.
   double comm_cost = 0.0;
   int qpus_used = 0;
-  /// First-order output-fidelity estimate (see FidelityModel).
+  /// First-order output-fidelity estimate (see FidelityModel); may
+  /// underflow to 0 for very large circuits.
   double est_fidelity = 1.0;
+  /// ln(est_fidelity), exact even when the product underflows.
+  double log_fidelity = 0.0;
+  /// EPR generation rounds the job's remote operations took.
+  std::uint64_t epr_rounds = 0;
   /// Times the job was displaced (churn) or preempted and re-run from
-  /// scratch; placed_time/remote_ops/qpus_used describe the final run.
+  /// scratch; placed_time, remote_ops, comm_cost, qpus_used, the fidelity
+  /// and epr_rounds describe the final run.
   int restarts = 0;
+
+  /// Bit-identity over every field (doubles compared with ==).
+  bool operator==(const IncomingJobStats& other) const {
+    return name == other.name && placed == other.placed &&
+           arrival == other.arrival && placed_time == other.placed_time &&
+           completion_time == other.completion_time &&
+           remote_ops == other.remote_ops && comm_cost == other.comm_cost &&
+           qpus_used == other.qpus_used &&
+           est_fidelity == other.est_fidelity &&
+           log_fidelity == other.log_fidelity &&
+           epr_rounds == other.epr_rounds && restarts == other.restarts;
+  }
 };
 
 /// Knobs shared by run_batch, run_incoming and run_streaming. Both of the

@@ -16,43 +16,29 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "cloud/cloud.hpp"
 #include "common/thread_pool.hpp"
+#include "core/incoming.hpp"
 #include "placement/placement.hpp"
 #include "schedule/allocators.hpp"
 
 namespace cloudqc {
 
-/// Outcome of one independently executed job (run_independent).
-struct IndependentJobResult {
-  std::string name;
-  /// False when the placer found no feasible mapping on an empty cloud.
-  bool placed = false;
-  double completion_time = 0.0;
-  double est_fidelity = 1.0;
-  double log_fidelity = 0.0;
-  double comm_cost = 0.0;
-  std::size_t remote_ops = 0;
-  int qpus_used = 0;
-  std::uint64_t epr_rounds = 0;
-};
-
 /// Place and simulate every job independently, each against a private
 /// copy of `cloud` with its full resources (jobs of different tenants on
 /// disjoint hardware slices). Job i uses RNG stream stream_seed(seed, i);
-/// results are returned in submission order. Jobs run across `pool`'s
-/// workers, or inline when it is null. A racing placer may share `pool`:
-/// fired from inside a job task, its parallel_for runs inline on that
-/// worker, so the jobs keep the pool saturated and no deadlock is
-/// possible. Jobs that can never fit the cloud throw std::logic_error up
-/// front (check_fits_cloud, as in run_batch/run_incoming);
-/// `placed == false` marks jobs that fit in principle but found no
-/// feasible mapping.
-std::vector<IndependentJobResult> run_independent(
+/// results are returned in submission order, every job arriving and
+/// placed at t = 0. Jobs run across `pool`'s workers, or inline when it
+/// is null. A racing placer may share `pool`: fired from inside a job
+/// task, its parallel_for runs inline on that worker, so the jobs keep
+/// the pool saturated and no deadlock is possible. Jobs that can never
+/// fit the cloud throw std::logic_error up front (check_fits_cloud, as in
+/// run_batch/run_incoming); `placed == false` marks jobs that fit in
+/// principle but found no feasible mapping (only their name is set).
+std::vector<IncomingJobStats> run_independent(
     const std::vector<Circuit>& jobs, const QuantumCloud& cloud,
     const Placer& placer, const CommAllocator& allocator,
     std::uint64_t seed = 1, ThreadPool* pool = nullptr);

@@ -1020,32 +1020,21 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     cache = std::make_unique<PlacementCache>(cache_options);
   }
   const std::unique_ptr<EprRouter> router = make_router(spec.engine.router);
-  // Every mode but batch is one admission-engine run; this is its sink.
-  StreamingMetrics metrics;
+  // Every mode but batch is one admission-engine run, which folds its
+  // aggregates into result.metrics.
   EngineOptions shared;
   shared.seed = spec.engine.seed;
   shared.cache = cache.get();
   shared.router = router.get();
   shared.churn = spec.churn.enabled() ? &churn_plan : nullptr;
-  shared.metrics = &metrics;
+  shared.metrics = &result.metrics;
 
   switch (spec.engine.mode) {
     case EngineMode::kBatch: {
       const std::vector<Circuit> jobs =
           strip_arrivals(build_trace(spec.workload));
-      const auto stats = run_independent(jobs, cloud, *placer, *allocator,
-                                         spec.engine.seed, pool.get());
-      result.jobs.resize(stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        IncomingJobStats& job = result.jobs[i];
-        job.name = stats[i].name;
-        job.placed = stats[i].placed;
-        job.completion_time = stats[i].completion_time;
-        job.remote_ops = stats[i].remote_ops;
-        job.comm_cost = stats[i].comm_cost;
-        job.qpus_used = stats[i].qpus_used;
-        job.est_fidelity = stats[i].est_fidelity;
-      }
+      result.jobs = run_independent(jobs, cloud, *placer, *allocator,
+                                    spec.engine.seed, pool.get());
       break;
     }
     case EngineMode::kMultiTenant:
@@ -1086,22 +1075,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       options.intake_shards = spec.engine.intake_shards;
       run_streaming(*source, cloud, counting, *allocator, options);
       // result.jobs stays empty by design: the engine freed per-job state
-      // as jobs completed, so the aggregates below ARE the run's record
-      // (finalize_metrics() is a no-op on an empty job table).
-      result.makespan = metrics.makespan;
-      result.mean_jct = metrics.jct.mean();
-      result.mean_fidelity = metrics.fidelity.mean();
-      result.stream_submitted = metrics.submitted;
-      result.stream_completed = metrics.completed;
-      result.stream_rejected = metrics.rejected;
-      result.stream_peak_pending = metrics.peak_pending;
-      result.stream_peak_in_flight = metrics.peak_in_flight;
-      result.jct_p50 = metrics.jct_p50();
-      result.jct_p95 = metrics.jct_p95();
-      result.jct_p99 = metrics.jct_p99();
-      result.fidelity_p50 = metrics.fidelity_p50();
-      result.fidelity_p95 = metrics.fidelity_p95();
-      result.fidelity_p99 = metrics.fidelity_p99();
+      // as jobs completed, so result.metrics IS the run's record and the
+      // headline aggregates come from it (finalize_metrics() is a no-op on
+      // an empty job table).
+      result.makespan = result.metrics.makespan;
+      result.mean_jct = result.metrics.jct.mean();
+      result.mean_fidelity = result.metrics.fidelity.mean();
       break;
     }
   }
@@ -1111,14 +1090,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   result.placement_calls = spec.engine.mode == EngineMode::kBatch
                                ? result.jobs.size()
                                : counting.calls();
-  result.events_processed = metrics.events;
-  result.allocation_rounds = metrics.allocation_rounds;
-  if (cache != nullptr) {
-    const PlacementCacheStats cache_stats = cache->stats();
-    result.cache_exact_hits = cache_stats.exact_hits;
-    result.cache_warm_hits = cache_stats.warm_hits;
-    result.cache_misses = cache_stats.misses;
-  }
+  if (cache != nullptr) result.cache = cache->stats();
   finalize_metrics(result);
   finalize_tenant_metrics(spec.tenants, result);
   result.wall_seconds =
@@ -1135,6 +1107,26 @@ std::string num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+/// `text` as a quoted JSON string. Names reach the writers from user input
+/// (spec file stems, QASM file stems), so quotes, backslashes and control
+/// characters are escaped.
+std::string json_string(std::string_view text) {
+  std::string out = "\"";
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+  return out + "\"";
 }
 
 /// Conservative filename part: the scenario name may come from user input.
@@ -1159,32 +1151,33 @@ using Fields = std::vector<std::pair<const char*, std::string>>;
 /// predate either stay byte-identical.
 Fields aggregate_fields(const ScenarioResult& r) {
   Fields fields = {
-      {"engine", "\"" + r.engine + "\""},
+      {"engine", json_string(r.engine)},
       {"num_jobs", std::to_string(r.jobs.size())},
       {"placed_jobs", std::to_string(placed_jobs(r))},
       {"makespan", num(r.makespan)},
       {"mean_jct", num(r.mean_jct)},
       {"mean_fidelity", num(r.mean_fidelity)},
       {"placement_calls", std::to_string(r.placement_calls)},
-      {"events_processed", std::to_string(r.events_processed)},
-      {"allocation_rounds", std::to_string(r.allocation_rounds)},
-      {"cache_exact_hits", std::to_string(r.cache_exact_hits)},
-      {"cache_warm_hits", std::to_string(r.cache_warm_hits)},
-      {"cache_misses", std::to_string(r.cache_misses)},
+      {"events_processed", std::to_string(r.metrics.events)},
+      {"allocation_rounds", std::to_string(r.metrics.allocation_rounds)},
+      {"cache_exact_hits", std::to_string(r.cache.exact_hits)},
+      {"cache_warm_hits", std::to_string(r.cache.warm_hits)},
+      {"cache_misses", std::to_string(r.cache.misses)},
   };
   if (r.engine == "streaming") {
+    const StreamingMetrics& m = r.metrics;
     const Fields streaming = {
-        {"stream_submitted", std::to_string(r.stream_submitted)},
-        {"stream_completed", std::to_string(r.stream_completed)},
-        {"stream_rejected", std::to_string(r.stream_rejected)},
-        {"stream_peak_pending", std::to_string(r.stream_peak_pending)},
-        {"stream_peak_in_flight", std::to_string(r.stream_peak_in_flight)},
-        {"jct_p50", num(r.jct_p50)},
-        {"jct_p95", num(r.jct_p95)},
-        {"jct_p99", num(r.jct_p99)},
-        {"fidelity_p50", num(r.fidelity_p50)},
-        {"fidelity_p95", num(r.fidelity_p95)},
-        {"fidelity_p99", num(r.fidelity_p99)},
+        {"stream_submitted", std::to_string(m.submitted)},
+        {"stream_completed", std::to_string(m.completed)},
+        {"stream_rejected", std::to_string(m.rejected)},
+        {"stream_peak_pending", std::to_string(m.peak_pending)},
+        {"stream_peak_in_flight", std::to_string(m.peak_in_flight)},
+        {"jct_p50", num(m.jct_p50())},
+        {"jct_p95", num(m.jct_p95())},
+        {"jct_p99", num(m.jct_p99())},
+        {"fidelity_p50", num(m.fidelity_p50())},
+        {"fidelity_p95", num(m.fidelity_p95())},
+        {"fidelity_p99", num(m.fidelity_p99())},
     };
     fields.insert(fields.end(), streaming.begin(), streaming.end());
   }
@@ -1202,19 +1195,19 @@ void write_sweep_rows(std::ofstream& os, const SweepResult& sweep) {
     const ScenarioResult& r = point.result;
     os << (i > 0 ? "," : "") << "\n    {\"assignment\": {";
     for (std::size_t j = 0; j < point.assignment.size(); ++j) {
-      os << (j > 0 ? ", " : "") << "\"" << point.assignment[j].first
-         << "\": \"" << point.assignment[j].second << "\"";
+      os << (j > 0 ? ", " : "") << json_string(point.assignment[j].first)
+         << ": " << json_string(point.assignment[j].second);
     }
-    os << "}, \"engine\": \"" << r.engine << "\""
+    os << "}, \"engine\": " << json_string(r.engine)
        << ", \"num_jobs\": " << r.jobs.size()
        << ", \"placed_jobs\": " << placed_jobs(r)
        << ", \"makespan\": " << num(r.makespan)
        << ", \"mean_jct\": " << num(r.mean_jct)
        << ", \"mean_fidelity\": " << num(r.mean_fidelity)
        << ", \"placement_calls\": " << r.placement_calls
-       << ", \"cache_exact_hits\": " << r.cache_exact_hits
-       << ", \"cache_warm_hits\": " << r.cache_warm_hits
-       << ", \"cache_misses\": " << r.cache_misses;
+       << ", \"cache_exact_hits\": " << r.cache.exact_hits
+       << ", \"cache_warm_hits\": " << r.cache.warm_hits
+       << ", \"cache_misses\": " << r.cache.misses;
     if (!r.tenants.empty()) {
       os << ", \"jain_fairness\": " << num(r.jain_fairness);
     }
@@ -1235,10 +1228,12 @@ std::string write_bench_json(const ScenarioResult& result, std::string dir) {
     os << ",\n  \"" << key << "\": " << value;
   }
   for (const ScenarioTenantResult& t : result.tenants) {
-    os << ",\n  \"tenant_" << t.name << "_jobs\": " << t.jobs;
-    os << ",\n  \"tenant_" << t.name << "_mean_jct\": " << num(t.mean_jct);
-    os << ",\n  \"tenant_" << t.name
-       << "_slo_attainment\": " << num(t.slo_attainment);
+    const std::string key = "tenant_" + t.name;
+    os << ",\n  " << json_string(key + "_jobs") << ": " << t.jobs;
+    os << ",\n  " << json_string(key + "_mean_jct") << ": "
+       << num(t.mean_jct);
+    os << ",\n  " << json_string(key + "_slo_attainment") << ": "
+       << num(t.slo_attainment);
   }
   os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
   os << "\n}\n";
@@ -1251,7 +1246,7 @@ std::string write_golden_json(const ScenarioResult& result,
   std::ofstream os(path);
   if (!os) return "";
   os << "{\n";
-  os << "  \"scenario\": \"" << result.scenario << "\",\n";
+  os << "  \"scenario\": " << json_string(result.scenario) << ",\n";
   // Streaming runs have no per-job table; their deterministic record is
   // the aggregate block.
   for (const auto& [key, value] : aggregate_fields(result)) {
@@ -1263,7 +1258,7 @@ std::string write_golden_json(const ScenarioResult& result,
     os << "  \"tenants\": [";
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
       const ScenarioTenantResult& t = result.tenants[i];
-      os << (i > 0 ? "," : "") << "\n    {\"name\": \"" << t.name << "\""
+      os << (i > 0 ? "," : "") << "\n    {\"name\": " << json_string(t.name)
          << ", \"jobs\": " << t.jobs << ", \"completed\": " << t.completed
          << ", \"slo_target\": " << num(t.slo_target)
          << ", \"slo_attainment\": " << num(t.slo_attainment)
@@ -1277,7 +1272,7 @@ std::string write_golden_json(const ScenarioResult& result,
   os << "  \"jobs\": [";
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
     const IncomingJobStats& job = result.jobs[i];
-    os << (i > 0 ? "," : "") << "\n    {\"name\": \"" << job.name << "\""
+    os << (i > 0 ? "," : "") << "\n    {\"name\": " << json_string(job.name)
        << ", \"placed\": " << (job.placed ? "true" : "false")
        << ", \"arrival\": " << num(job.arrival)
        << ", \"placed_time\": " << num(job.placed_time)
@@ -1372,7 +1367,7 @@ std::string write_sweep_golden_json(const SweepResult& result,
   std::ofstream os(path);
   if (!os) return "";
   os << "{\n";
-  os << "  \"sweep\": \"" << result.name << "\",\n";
+  os << "  \"sweep\": " << json_string(result.name) << ",\n";
   os << "  \"num_points\": " << result.points.size() << ",\n";
   os << "  \"points\": [";
   write_sweep_rows(os, result);

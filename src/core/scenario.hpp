@@ -23,6 +23,7 @@
 #include "cloud/churn.hpp"
 #include "cloud/topologies.hpp"
 #include "core/streaming.hpp"
+#include "placement/placement_cache.hpp"
 
 namespace cloudqc {
 
@@ -206,7 +207,7 @@ struct ScenarioResult {
   /// mode). Unplaced jobs (placed == false) are excluded from the
   /// aggregate metrics below. The streaming engine frees per-job state as
   /// jobs complete and leaves this EMPTY by design — its run is summarised
-  /// by the stream_* / quantile aggregates below instead.
+  /// by `metrics` instead.
   std::vector<IncomingJobStats> jobs;
   /// Index into `tenants` per row of `jobs`; empty on tenantless runs.
   std::vector<int> tenant_of;
@@ -218,30 +219,14 @@ struct ScenarioResult {
   double mean_fidelity = 0.0;
   /// Placer invocations issued by the engine (admission retries included).
   std::size_t placement_calls = 0;
-  /// Simulator counters of the admission engine; 0 in batch mode, whose
-  /// jobs run on private simulators.
-  std::uint64_t events_processed = 0;
-  std::uint64_t allocation_rounds = 0;
+  /// The admission engine's own aggregates (its EngineOptions::metrics
+  /// sink): counters, high-water marks, deterministic JCT and fidelity
+  /// sketches, and the simulator's event and allocation-round counts. All
+  /// zero in batch mode, whose jobs run on private simulators.
+  StreamingMetrics metrics;
   /// Placement-cache counters (all 0 when engine.cache is off). Fully
   /// deterministic: the cache is only consulted from serial engines.
-  std::uint64_t cache_exact_hits = 0;
-  std::uint64_t cache_warm_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Streaming-engine aggregates (mode = streaming; all zero otherwise).
-  /// stream_submitted == stream_completed + stream_rejected at the end of
-  /// a run; quantiles come from the engine's deterministic sketches, so
-  /// they are bit-identical across machines and worker counts.
-  std::uint64_t stream_submitted = 0;
-  std::uint64_t stream_completed = 0;
-  std::uint64_t stream_rejected = 0;
-  std::uint64_t stream_peak_pending = 0;
-  std::uint64_t stream_peak_in_flight = 0;
-  double jct_p50 = 0.0;
-  double jct_p95 = 0.0;
-  double jct_p99 = 0.0;
-  double fidelity_p50 = 0.0;
-  double fidelity_p95 = 0.0;
-  double fidelity_p99 = 0.0;
+  PlacementCacheStats cache;
   /// Per-tenant aggregates, in [tenant.*] declaration order; empty on
   /// tenantless runs.
   std::vector<ScenarioTenantResult> tenants;

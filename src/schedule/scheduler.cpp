@@ -1,20 +1,17 @@
 #include "schedule/scheduler.hpp"
 
 #include "common/check.hpp"
-#include "sim/network_sim.hpp"
 
 namespace cloudqc {
 
-ScheduleRunResult run_schedule(const Circuit& circuit,
-                               const Placement& placement,
-                               const QuantumCloud& cloud,
-                               const CommAllocator& allocator, Rng& rng) {
+JobCompletion run_schedule(const Circuit& circuit, const Placement& placement,
+                           const QuantumCloud& cloud,
+                           const CommAllocator& allocator, Rng& rng) {
   NetworkSimulator sim(cloud, allocator, rng.fork());
   sim.add_job(circuit, placement.qubit_to_qpu);
   const auto completions = sim.run_to_completion();
   CLOUDQC_CHECK(completions.size() == 1);
-  return {completions.front().time, sim.total_epr_rounds(),
-          completions.front().est_fidelity, completions.front().log_fidelity};
+  return completions.front();
 }
 
 double mean_completion_time(const Circuit& circuit, const Placement& placement,
@@ -24,8 +21,7 @@ double mean_completion_time(const Circuit& circuit, const Placement& placement,
   CLOUDQC_CHECK(runs >= 1);
   double total = 0.0;
   for (int r = 0; r < runs; ++r) {
-    total += run_schedule(circuit, placement, cloud, allocator, rng)
-                 .completion_time;
+    total += run_schedule(circuit, placement, cloud, allocator, rng).time;
   }
   return total / runs;
 }

@@ -468,6 +468,7 @@ std::size_t NetworkSimulator::run_allocation_round() {
             : epr.rounds_until_k_successes(hops, x, raw_needed, rng_);
     const double path_fidelity = std::pow(fid.f_epr * d, hops);
     total_epr_rounds_ += static_cast<std::uint64_t>(rounds);
+    job.epr_rounds += static_cast<std::uint64_t>(rounds);
     const double duration =
         rounds * lat.t_epr + lat.remote_gate_overhead();
     const double pair_fidelity =
@@ -520,7 +521,7 @@ std::optional<JobCompletion> NetworkSimulator::step() {
   if (job.gates_left == 0) {
     CLOUDQC_DCHECK(job.live);
     const JobCompletion completion{done.job, now_, std::exp(job.log_fidelity),
-                                   job.log_fidelity};
+                                   job.log_fidelity, job.epr_rounds};
     release_job(done.job);
     return completion;
   }

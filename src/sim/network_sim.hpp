@@ -76,6 +76,10 @@ struct JobCompletion {
   double est_fidelity = 1.0;
   /// ln(est_fidelity), exact even when the product underflows.
   double log_fidelity = 0.0;
+  /// EPR generation rounds this job's remote operations took; the sum
+  /// over every completion plus the rounds of cancelled jobs is
+  /// total_epr_rounds().
+  std::uint64_t epr_rounds = 0;
 };
 
 class NetworkSimulator {
@@ -269,6 +273,7 @@ class NetworkSimulator {
     std::vector<int> pending_preds;  // per gate
     std::size_t gates_left = 0;
     double log_fidelity = 0.0;  // Σ log f per executed gate
+    std::uint64_t epr_rounds = 0;
     bool live = false;          // admitted, not yet completed or cancelled
   };
 

@@ -17,9 +17,13 @@
 #include "core/multi_tenant.hpp"
 #include "core/streaming.hpp"
 #include "graph/topology.hpp"
+#include "scenario_expect.hpp"
 
 namespace cloudqc {
 namespace {
+
+using testing::expect_same_jobs;
+using testing::expect_same_metrics;
 
 QuantumCloud ten_qpu_cloud(std::uint64_t seed) {
   CloudConfig cfg;
@@ -104,25 +108,13 @@ TEST(Engine, BatchFifoEqualsIncomingAtTimeZero) {
     const auto incoming =
         run_incoming(trace, incoming_cloud, *placer, *alloc, incoming_options);
 
-    ASSERT_EQ(batch.size(), incoming.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      SCOPED_TRACE("job " + std::to_string(i));
-      EXPECT_EQ(batch[i].name, incoming[i].name);
-      EXPECT_EQ(batch[i].placed_time, incoming[i].placed_time);
-      EXPECT_EQ(batch[i].completion_time, incoming[i].completion_time);
-      EXPECT_EQ(batch[i].remote_ops, incoming[i].remote_ops);
-      EXPECT_EQ(batch[i].comm_cost, incoming[i].comm_cost);
-      EXPECT_EQ(batch[i].qpus_used, incoming[i].qpus_used);
-      EXPECT_EQ(batch[i].est_fidelity, incoming[i].est_fidelity);
-      EXPECT_EQ(batch[i].restarts, incoming[i].restarts);
-      EXPECT_GT(batch[i].comm_cost, 0.0);  // every job here is distributed
-      total_restarts += batch[i].restarts;
+    expect_same_jobs(batch, incoming);
+    for (const IncomingJobStats& job : batch) {
+      EXPECT_GT(job.comm_cost, 0.0);  // every job here is distributed
+      total_restarts += job.restarts;
     }
     EXPECT_EQ(batch_metrics.completed, jobs.size());
-    EXPECT_TRUE(batch_metrics == incoming_metrics);
-    EXPECT_EQ(batch_metrics.events, incoming_metrics.events);
-    EXPECT_EQ(batch_metrics.allocation_rounds,
-              incoming_metrics.allocation_rounds);
+    expect_same_metrics(batch_metrics, incoming_metrics);
   }
   EXPECT_GT(total_restarts, 0);  // churn and preemption actually fired
 }

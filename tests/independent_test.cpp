@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cloudqc.hpp"
 #include "core/streaming.hpp"
+#include "scenario_expect.hpp"
 
 namespace cloudqc {
 namespace {
+
+using testing::expect_same_jobs;
 
 QuantumCloud test_cloud(std::uint64_t seed = 11) {
   CloudConfig cfg;
@@ -38,30 +43,6 @@ std::unique_ptr<ThreadPool> make_pool(int workers) {
   return std::make_unique<ThreadPool>(workers);
 }
 
-void expect_identical(const IndependentJobResult& a,
-                      const IndependentJobResult& b) {
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.placed, b.placed);
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.est_fidelity, b.est_fidelity);
-  EXPECT_EQ(a.log_fidelity, b.log_fidelity);
-  EXPECT_EQ(a.comm_cost, b.comm_cost);
-  EXPECT_EQ(a.remote_ops, b.remote_ops);
-  EXPECT_EQ(a.qpus_used, b.qpus_used);
-  EXPECT_EQ(a.epr_rounds, b.epr_rounds);
-}
-
-void expect_identical(const IncomingJobStats& a, const IncomingJobStats& b) {
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.arrival, b.arrival);
-  EXPECT_EQ(a.placed_time, b.placed_time);
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.remote_ops, b.remote_ops);
-  EXPECT_EQ(a.qpus_used, b.qpus_used);
-  EXPECT_EQ(a.est_fidelity, b.est_fidelity);
-  EXPECT_EQ(a.restarts, b.restarts);
-}
-
 TEST(RunIndependent, MatchesSerialAtAllWorkerCounts) {
   const auto jobs = test_jobs();
   const auto cloud = test_cloud();
@@ -78,15 +59,47 @@ TEST(RunIndependent, MatchesSerialAtAllWorkerCounts) {
 
   for (int workers : {2, 8}) {
     const auto pool = make_pool(workers);
-    const auto got =
-        run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5, pool.get());
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) + " job=" +
-                   std::to_string(i));
-      expect_identical(got[i], reference[i]);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    expect_same_jobs(
+        run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5, pool.get()),
+        reference);
   }
+}
+
+/// Finds no mapping for cat_n65, as if none were feasible, and forwards
+/// every other circuit to CloudQC.
+class DecliningPlacer final : public Placer {
+ public:
+  std::string name() const override { return "declining"; }
+  std::optional<Placement> place(const Circuit& circuit,
+                                 const QuantumCloud& cloud,
+                                 Rng& rng) const override {
+    if (circuit.name() == "cat_n65") return std::nullopt;
+    return inner_->place(circuit, cloud, rng);
+  }
+
+ private:
+  std::unique_ptr<Placer> inner_ = make_cloudqc_placer();
+};
+
+TEST(RunIndependent, UnplaceableJobKeepsOnlyItsName) {
+  // cat_n65 fits the cloud's 120 computing qubits; the placer declines it.
+  const std::vector<Circuit> jobs{make_workload("ising_n34"),
+                                  make_workload("cat_n65")};
+  const auto cloud = test_cloud();
+  const DecliningPlacer placer;
+  const auto alloc = make_cloudqc_allocator();
+  const auto results = run_independent(jobs, cloud, placer, *alloc, 5);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].placed);
+  EXPECT_GT(results[0].completion_time, 0.0);
+
+  // Only the name is set: completion, cost, remote ops, QPUs, EPR rounds
+  // and every other field keep their defaults.
+  IncomingJobStats unplaced;
+  unplaced.name = "cat_n65";
+  unplaced.placed = false;
+  expect_same_jobs({results[1]}, {unplaced});
 }
 
 TEST(RunIndependent, RejectsOverCapacityBatch) {
@@ -157,12 +170,9 @@ void expect_identical_runs(
     int workers) {
   ASSERT_EQ(got.size(), reference.size());
   for (std::size_t r = 0; r < got.size(); ++r) {
-    ASSERT_EQ(got[r].size(), reference[r].size());
-    for (std::size_t i = 0; i < got[r].size(); ++i) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) + " run=" +
-                   std::to_string(r) + " job=" + std::to_string(i));
-      expect_identical(got[r][i], reference[r][i]);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers) + " run=" +
+                 std::to_string(r));
+    expect_same_jobs(got[r], reference[r]);
   }
 }
 
@@ -274,11 +284,7 @@ TEST(RacingPlacer, WorksInsideMultiTenantBatchDeterministically) {
   auto cloud_b = test_cloud();
   const auto without_pool = run_batch(jobs, cloud_b, *serial_racer, *alloc,
                                       options);
-  ASSERT_EQ(with_pool.size(), without_pool.size());
-  for (std::size_t i = 0; i < with_pool.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(with_pool[i], without_pool[i]);
-  }
+  expect_same_jobs(with_pool, without_pool);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/multi_tenant.hpp"
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
+#include "scenario_expect.hpp"
 #include "test_doubles.hpp"
 
 namespace cloudqc {
@@ -17,6 +18,7 @@ namespace {
 
 using testing::CountingPlacer;
 using testing::expect_pinned;
+using testing::expect_same_jobs;
 using testing::PinnedJob;
 
 QuantumCloud paper_cloud(std::uint64_t seed = 1) {
@@ -109,12 +111,7 @@ TEST(MultiTenant, DeterministicForSeed) {
     QuantumCloud cloud = paper_cloud(7);
     return run_batch(jobs, cloud, *placer, *alloc, opt);
   };
-  const auto a = run_once();
-  const auto b = run_once();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].completion_time, b[i].completion_time);
-  }
+  expect_same_jobs(run_once(), run_once());
 }
 
 TEST(MultiTenant, AdmissionGateParityWithUngatedBaseline) {
@@ -172,21 +169,6 @@ std::vector<Circuit> medium_batch() {
   return jobs;
 }
 
-void expect_same_stats(const std::vector<IncomingJobStats>& a,
-                       const std::vector<IncomingJobStats>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("job " + std::to_string(i));
-    EXPECT_EQ(a[i].name, b[i].name);
-    EXPECT_EQ(a[i].placed_time, b[i].placed_time);
-    EXPECT_EQ(a[i].completion_time, b[i].completion_time);
-    EXPECT_EQ(a[i].remote_ops, b[i].remote_ops);
-    EXPECT_EQ(a[i].qpus_used, b[i].qpus_used);
-    EXPECT_EQ(a[i].est_fidelity, b[i].est_fidelity);
-    EXPECT_EQ(a[i].restarts, b[i].restarts);
-  }
-}
-
 TEST(MultiTenant, UniformClassesBitIdenticalToClassless) {
   const std::vector<Circuit> jobs = medium_batch();
   const auto placer = make_cloudqc_placer();
@@ -202,8 +184,8 @@ TEST(MultiTenant, UniformClassesBitIdenticalToClassless) {
   MultiTenantOptions classed = base;
   classed.classes.assign(jobs.size(), JobClass{3, false});
   QuantumCloud cloud_b = paper_cloud(2);
-  expect_same_stats(classless,
-                    run_batch(jobs, cloud_b, *placer, *alloc, classed));
+  expect_same_jobs(classless,
+                   run_batch(jobs, cloud_b, *placer, *alloc, classed));
 }
 
 TEST(MultiTenant, EventlessChurnPlanBitIdenticalToNoChurn) {
@@ -220,8 +202,8 @@ TEST(MultiTenant, EventlessChurnPlanBitIdenticalToNoChurn) {
   MultiTenantOptions churned = base;
   churned.churn = &empty_plan;
   QuantumCloud cloud_b = paper_cloud(2);
-  expect_same_stats(no_churn,
-                    run_batch(jobs, cloud_b, *placer, *alloc, churned));
+  expect_same_jobs(no_churn,
+                   run_batch(jobs, cloud_b, *placer, *alloc, churned));
 }
 
 TEST(MultiTenant, ChurnDisplacesAndEveryJobStillCompletes) {

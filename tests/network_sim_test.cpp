@@ -5,6 +5,7 @@
 
 #include "circuit/workloads.hpp"
 #include "graph/topology.hpp"
+#include "schedule/scheduler.hpp"
 #include "sim/network_sim.hpp"
 
 namespace cloudqc {
@@ -290,23 +291,58 @@ TEST(NetworkSim, ManyConcurrentJobsConserveCommQubits) {
   }
   const auto done = sim.run_to_completion();
   EXPECT_EQ(done.size(), 12u);
+  // Every EPR round the simulator counts belongs to exactly one job.
+  std::uint64_t rounds = 0;
+  for (const JobCompletion& d : done) {
+    EXPECT_GE(d.epr_rounds, 10u);  // ten remote cx, at least a round each
+    rounds += d.epr_rounds;
+  }
+  EXPECT_GT(rounds, 120u);  // p = 0.5: some attempts failed
+  EXPECT_EQ(rounds, sim.total_epr_rounds());
+}
+
+TEST(NetworkSim, CancelledJobRoundsStayInTheTotalOnly) {
+  const auto cloud = make_cloud(2, /*epr_prob=*/1.0);
+  const auto alloc = make_cloudqc_allocator();
+  Circuit c("t", 2);
+  for (int i = 0; i < 3; ++i) c.cx(0, 1);
+  NetworkSimulator sim(cloud, *alloc, Rng(1));
+  const int cancelled = sim.add_job(c, {0, 1});
+  // Its first remote cx started at admission.
+  const std::uint64_t spent = sim.total_epr_rounds();
+  ASSERT_EQ(spent, 1u);
+  sim.cancel_job(cancelled);
+  // The next job reuses the cancelled slot and starts from zero rounds.
+  EXPECT_EQ(sim.add_job(c, {0, 1}), cancelled);
+  const auto done = sim.run_to_completion();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].epr_rounds, 3u);  // p = 1: one round per remote cx
+  EXPECT_EQ(sim.total_epr_rounds(), spent + done[0].epr_rounds);
 }
 
 TEST(NetworkSim, AllSchedulersCompleteAMediumWorkload) {
   const auto cloud = make_cloud(4, 0.3, 5);
   const Circuit c = make_workload("knn_n67");
-  std::vector<QpuId> map(static_cast<std::size_t>(c.num_qubits()));
-  for (std::size_t q = 0; q < map.size(); ++q) {
-    map[q] = static_cast<QpuId>(q % 4);
+  Placement placement;
+  for (int q = 0; q < c.num_qubits(); ++q) {
+    placement.qubit_to_qpu.push_back(static_cast<QpuId>(q % 4));
   }
   for (const auto& alloc :
        {make_cloudqc_allocator(), make_greedy_allocator(),
         make_average_allocator(), make_random_allocator()}) {
-    NetworkSimulator sim(cloud, *alloc, Rng(5));
-    sim.add_job(c, map);
+    SCOPED_TRACE(alloc->name());
+    // The simulator run_schedule builds: its RNG forked from the caller's.
+    NetworkSimulator sim(cloud, *alloc, Rng(5).fork());
+    sim.add_job(c, placement.qubit_to_qpu);
     const auto done = sim.run_to_completion();
-    ASSERT_EQ(done.size(), 1u) << alloc->name();
-    EXPECT_GT(done[0].time, 0.0) << alloc->name();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_GT(done[0].time, 0.0);
+    EXPECT_GT(done[0].epr_rounds, 0u);
+    EXPECT_EQ(done[0].epr_rounds, sim.total_epr_rounds());
+    Rng rng(5);
+    const JobCompletion run = run_schedule(c, placement, cloud, *alloc, rng);
+    EXPECT_EQ(run.time, done[0].time);
+    EXPECT_EQ(run.epr_rounds, sim.total_epr_rounds());
   }
 }
 

@@ -17,10 +17,13 @@
 #include "placement/placement.hpp"
 #include "placement/placement_cache.hpp"
 #include "schedule/allocators.hpp"
+#include "scenario_expect.hpp"
 #include "test_doubles.hpp"
 
 namespace cloudqc {
 namespace {
+
+using testing::expect_same_jobs;
 
 QuantumCloud paper_cloud(std::uint64_t seed = 1) {
   CloudConfig cfg;  // paper defaults: 20 QPUs, 20 computing + 5 comm qubits
@@ -350,17 +353,9 @@ TEST(PlacementCacheTest, RunBatchWithCacheIsWorkerCountInvariant) {
   };
 
   const auto one = run_with_workers(1);
-  const auto two = run_with_workers(2);
-  const auto eight = run_with_workers(8);
   ASSERT_EQ(one.size(), jobs.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].completion_time, two[i].completion_time) << i;
-    EXPECT_EQ(one[i].completion_time, eight[i].completion_time) << i;
-    EXPECT_EQ(one[i].remote_ops, two[i].remote_ops) << i;
-    EXPECT_EQ(one[i].remote_ops, eight[i].remote_ops) << i;
-    EXPECT_EQ(one[i].est_fidelity, two[i].est_fidelity) << i;
-    EXPECT_EQ(one[i].est_fidelity, eight[i].est_fidelity) << i;
-  }
+  expect_same_jobs(run_with_workers(2), one);
+  expect_same_jobs(run_with_workers(8), one);
 }
 
 TEST(PlacementCacheTest, CacheOnRepeatedBatchSkipsPlacerRuns) {
@@ -424,15 +419,8 @@ TEST(ScenarioCacheTest, CachedScenarioReportsHitsAndStaysDeterministic) {
       "cache = true\n";
   const ScenarioSpec spec = parse_scenario(text, "cache_smoke");
   const ScenarioResult a = run_scenario(spec);
-  const ScenarioResult b = run_scenario(spec);
-  EXPECT_GT(a.cache_exact_hits + a.cache_warm_hits, 0u);
-  EXPECT_EQ(a.cache_exact_hits, b.cache_exact_hits);
-  EXPECT_EQ(a.cache_warm_hits, b.cache_warm_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.mean_jct, b.mean_jct);
-  EXPECT_EQ(a.mean_fidelity, b.mean_fidelity);
-  EXPECT_EQ(a.placement_calls, b.placement_calls);
+  EXPECT_GT(a.cache.exact_hits + a.cache.warm_hits, 0u);
+  testing::expect_identical(a, run_scenario(spec));
 }
 
 }  // namespace

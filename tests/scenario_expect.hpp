@@ -1,6 +1,6 @@
-// Field-by-field equality of scenario results, shared by the scenario
-// suites (not a ctest target: only tests/*_test.cpp files become test
-// binaries).
+// Field-by-field equality of per-job records and scenario results, shared
+// by every suite that compares runs (not a ctest target: only
+// tests/*_test.cpp files become test binaries).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 
 namespace cloudqc::testing {
 
-/// Per-job records, field by field.
+/// Per-job records, field by field (every field of IncomingJobStats).
 inline void expect_same_jobs(const std::vector<IncomingJobStats>& a,
                              const std::vector<IncomingJobStats>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -27,8 +27,19 @@ inline void expect_same_jobs(const std::vector<IncomingJobStats>& a,
     EXPECT_EQ(a[i].comm_cost, b[i].comm_cost);
     EXPECT_EQ(a[i].qpus_used, b[i].qpus_used);
     EXPECT_EQ(a[i].est_fidelity, b[i].est_fidelity);
+    EXPECT_EQ(a[i].log_fidelity, b[i].log_fidelity);
+    EXPECT_EQ(a[i].epr_rounds, b[i].epr_rounds);
     EXPECT_EQ(a[i].restarts, b[i].restarts);
   }
+}
+
+/// Engine aggregates: every result field (operator==) plus the event and
+/// allocation-round work counters, which operator== skips.
+inline void expect_same_metrics(const StreamingMetrics& a,
+                                const StreamingMetrics& b) {
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.allocation_rounds, b.allocation_rounds);
 }
 
 /// Engine-trajectory equality: every deterministic field the golden
@@ -40,22 +51,10 @@ inline void expect_same_core(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.mean_jct, b.mean_jct);
   EXPECT_EQ(a.mean_fidelity, b.mean_fidelity);
   EXPECT_EQ(a.placement_calls, b.placement_calls);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.allocation_rounds, b.allocation_rounds);
-  EXPECT_EQ(a.cache_exact_hits, b.cache_exact_hits);
-  EXPECT_EQ(a.cache_warm_hits, b.cache_warm_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.stream_submitted, b.stream_submitted);
-  EXPECT_EQ(a.stream_completed, b.stream_completed);
-  EXPECT_EQ(a.stream_rejected, b.stream_rejected);
-  EXPECT_EQ(a.stream_peak_pending, b.stream_peak_pending);
-  EXPECT_EQ(a.stream_peak_in_flight, b.stream_peak_in_flight);
-  EXPECT_EQ(a.jct_p50, b.jct_p50);
-  EXPECT_EQ(a.jct_p95, b.jct_p95);
-  EXPECT_EQ(a.jct_p99, b.jct_p99);
-  EXPECT_EQ(a.fidelity_p50, b.fidelity_p50);
-  EXPECT_EQ(a.fidelity_p95, b.fidelity_p95);
-  EXPECT_EQ(a.fidelity_p99, b.fidelity_p99);
+  expect_same_metrics(a.metrics, b.metrics);
+  EXPECT_EQ(a.cache.exact_hits, b.cache.exact_hits);
+  EXPECT_EQ(a.cache.warm_hits, b.cache.warm_hits);
+  EXPECT_EQ(a.cache.misses, b.cache.misses);
 }
 
 /// Full equality: mode name, core trajectory, tenant labels and

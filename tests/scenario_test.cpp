@@ -36,6 +36,7 @@ namespace {
 
 using testing::expect_same_core;
 using testing::expect_same_jobs;
+using testing::expect_same_metrics;
 
 std::string scenario_path(const std::string& file) {
   return std::string(CLOUDQC_SCENARIO_DIR) + "/" + file;
@@ -546,17 +547,11 @@ TEST(ScenarioTest, GridMultitenantSpecMatchesHandWiredBatch) {
   options.seed = 1;
   const auto stats = run_batch(jobs, cloud, *placer, *alloc, options);
 
-  ASSERT_EQ(result.jobs.size(), stats.size());
+  expect_same_jobs(result.jobs, stats);
   double makespan = 0.0;
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    EXPECT_TRUE(result.jobs[i].placed);
-    EXPECT_EQ(result.jobs[i].name, stats[i].name);
-    EXPECT_EQ(result.jobs[i].placed_time, stats[i].placed_time);
-    EXPECT_EQ(result.jobs[i].completion_time, stats[i].completion_time);
-    EXPECT_EQ(result.jobs[i].remote_ops, stats[i].remote_ops);
-    EXPECT_EQ(result.jobs[i].qpus_used, stats[i].qpus_used);
-    EXPECT_EQ(result.jobs[i].est_fidelity, stats[i].est_fidelity);
-    makespan = std::max(makespan, stats[i].completion_time);
+  for (const IncomingJobStats& job : stats) {
+    EXPECT_TRUE(job.placed);
+    makespan = std::max(makespan, job.completion_time);
   }
   EXPECT_EQ(result.makespan, makespan);
   EXPECT_GE(result.placement_calls, stats.size());
@@ -579,8 +574,7 @@ TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
   const auto router = make_shortest_path_router();
   Rng rng(spec.engine.seed);
   NetworkSimulator sim(cloud, *alloc, rng.fork(), router.get());
-  std::vector<double> completion(spec.workload.circuits.size(), 0.0);
-  std::vector<double> fidelity(spec.workload.circuits.size(), 1.0);
+  std::vector<JobCompletion> by_job(spec.workload.circuits.size());
   // The simulator keeps pointers to admitted circuits: they must outlive
   // the run, so materialise them before the admission loop.
   std::vector<Circuit> circuits;
@@ -594,19 +588,19 @@ TEST(ScenarioTest, TorusNetworkSimSpecMatchesHandWiredSimulator) {
     sim.add_job(circuit, placement->qubit_to_qpu);
   }
   for (const auto& done : sim.run_to_completion()) {
-    const auto idx = static_cast<std::size_t>(done.job);
-    completion[idx] = done.time;
-    fidelity[idx] = done.est_fidelity;
+    by_job[static_cast<std::size_t>(done.job)] = done;
   }
 
-  ASSERT_EQ(result.jobs.size(), completion.size());
-  for (std::size_t i = 0; i < completion.size(); ++i) {
+  ASSERT_EQ(result.jobs.size(), by_job.size());
+  for (std::size_t i = 0; i < by_job.size(); ++i) {
     EXPECT_TRUE(result.jobs[i].placed);
-    EXPECT_EQ(result.jobs[i].completion_time, completion[i]);
-    EXPECT_EQ(result.jobs[i].est_fidelity, fidelity[i]);
+    EXPECT_EQ(result.jobs[i].completion_time, by_job[i].time);
+    EXPECT_EQ(result.jobs[i].est_fidelity, by_job[i].est_fidelity);
+    EXPECT_EQ(result.jobs[i].log_fidelity, by_job[i].log_fidelity);
+    EXPECT_EQ(result.jobs[i].epr_rounds, by_job[i].epr_rounds);
   }
-  EXPECT_EQ(result.events_processed, sim.num_events_processed());
-  EXPECT_EQ(result.allocation_rounds, sim.num_allocation_rounds());
+  EXPECT_EQ(result.metrics.events, sim.num_events_processed());
+  EXPECT_EQ(result.metrics.allocation_rounds, sim.num_allocation_rounds());
   EXPECT_EQ(result.placement_calls, result.jobs.size());
 }
 
@@ -626,7 +620,7 @@ TEST(ScenarioTest, NetworkSimSpecsEqualFifoMultiTenantTwins) {
     EXPECT_EQ(netsim.engine, "network_sim");
     EXPECT_EQ(multi.engine, "multi_tenant");
     expect_same_core(netsim, multi);
-    EXPECT_GT(netsim.events_processed, 0u);
+    EXPECT_GT(netsim.metrics.events, 0u);
   }
 }
 
@@ -655,12 +649,12 @@ TEST(ScenarioTest, RoutedIncomingSpecMatchesHandWiredRun) {
   const auto stats = run_incoming(trace, cloud, *placer, *alloc, options);
 
   expect_same_jobs(result.jobs, stats);
-  EXPECT_EQ(result.events_processed, metrics.events);
-  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
+  expect_same_metrics(result.metrics, metrics);
   EXPECT_GT(metrics.events, 0u);
   // The router is consulted: the unrouted spec runs another trajectory.
   spec.engine.router = RouterKind::kNone;
-  EXPECT_NE(run_scenario(spec).allocation_rounds, result.allocation_rounds);
+  EXPECT_NE(run_scenario(spec).metrics.allocation_rounds,
+            result.metrics.allocation_rounds);
 }
 
 /// run_streaming hand-wired from a Poisson streaming spec's knobs, with the
@@ -687,22 +681,10 @@ StreamingMetrics hand_wired_streaming(const ScenarioSpec& spec,
 void expect_streaming_record(const ScenarioResult& result,
                              const StreamingMetrics& metrics) {
   EXPECT_TRUE(result.jobs.empty());  // per-job state was freed in flight
-  EXPECT_EQ(result.stream_submitted, metrics.submitted);
-  EXPECT_EQ(result.stream_completed, metrics.completed);
-  EXPECT_EQ(result.stream_rejected, metrics.rejected);
-  EXPECT_EQ(result.stream_peak_pending, metrics.peak_pending);
-  EXPECT_EQ(result.stream_peak_in_flight, metrics.peak_in_flight);
+  expect_same_metrics(result.metrics, metrics);
   EXPECT_EQ(result.makespan, metrics.makespan);
   EXPECT_EQ(result.mean_jct, metrics.jct.mean());
   EXPECT_EQ(result.mean_fidelity, metrics.fidelity.mean());
-  EXPECT_EQ(result.jct_p50, metrics.jct_p50());
-  EXPECT_EQ(result.jct_p95, metrics.jct_p95());
-  EXPECT_EQ(result.jct_p99, metrics.jct_p99());
-  EXPECT_EQ(result.fidelity_p50, metrics.fidelity_p50());
-  EXPECT_EQ(result.fidelity_p95, metrics.fidelity_p95());
-  EXPECT_EQ(result.fidelity_p99, metrics.fidelity_p99());
-  EXPECT_EQ(result.events_processed, metrics.events);
-  EXPECT_EQ(result.allocation_rounds, metrics.allocation_rounds);
 }
 
 // Same contract for the streaming engine: the mode=streaming smoke spec
@@ -743,16 +725,7 @@ TEST(ScenarioTest, BatchEngineMetricsAreWorkerCountInvariant) {
   spec.engine.workers = 1;
   const ScenarioResult serial = run_scenario(spec);
   spec.engine.workers = 4;
-  const ScenarioResult parallel = run_scenario(spec);
-  ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
-  for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(serial.jobs[i].completion_time,
-              parallel.jobs[i].completion_time);
-    EXPECT_EQ(serial.jobs[i].est_fidelity, parallel.jobs[i].est_fidelity);
-    EXPECT_EQ(serial.jobs[i].remote_ops, parallel.jobs[i].remote_ops);
-  }
-  EXPECT_EQ(serial.makespan, parallel.makespan);
-  EXPECT_EQ(serial.mean_jct, parallel.mean_jct);
+  expect_same_core(serial, run_scenario(spec));
 }
 
 TEST(ScenarioTest, QasmQuickstartResolvesRelativePaths) {
@@ -771,6 +744,21 @@ TEST(ScenarioTest, QasmQuickstartResolvesRelativePaths) {
   EXPECT_GT(result.makespan, 0.0);
 }
 
+/// Writes `text` to `dir`/`file` and returns the path.
+std::string write_temp_file(const std::string& dir, const std::string& file,
+                            const std::string& text) {
+  const std::string path = dir + "/" + file;
+  std::ofstream(path) << text;
+  return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
 TEST(ScenarioTest, WriteBenchJsonEmitsArtifactFormat) {
   ScenarioSpec spec;
   spec.name = "json check";  // exercises filename sanitisation
@@ -783,18 +771,15 @@ TEST(ScenarioTest, WriteBenchJsonEmitsArtifactFormat) {
   const std::string path = write_bench_json(result, ::testing::TempDir());
   ASSERT_FALSE(path.empty());
   EXPECT_NE(path.find("BENCH_scenario_json_check.json"), std::string::npos);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream content;
-  content << in.rdbuf();
-  EXPECT_NE(content.str().find("\"bench\": \"scenario_json_check\""),
+  const std::string content = read_file(path);
+  EXPECT_NE(content.find("\"bench\": \"scenario_json_check\""),
             std::string::npos);
-  EXPECT_NE(content.str().find("\"engine\": \"batch\""), std::string::npos);
-  EXPECT_NE(content.str().find("\"makespan\": "), std::string::npos);
-  EXPECT_NE(content.str().find("\"placement_calls\": "), std::string::npos);
+  EXPECT_NE(content.find("\"engine\": \"batch\""), std::string::npos);
+  EXPECT_NE(content.find("\"makespan\": "), std::string::npos);
+  EXPECT_NE(content.find("\"placement_calls\": "), std::string::npos);
   // Non-streaming artifacts carry no streaming block: existing goldens and
   // bench JSONs stay byte-identical to the pre-streaming format.
-  EXPECT_EQ(content.str().find("\"stream_submitted\""), std::string::npos);
+  EXPECT_EQ(content.find("\"stream_submitted\""), std::string::npos);
 }
 
 TEST(ScenarioTest, GoldenJsonRecordsStreamingAggregates) {
@@ -808,19 +793,59 @@ TEST(ScenarioTest, GoldenJsonRecordsStreamingAggregates) {
   const ScenarioResult result = run_scenario(spec);
   const std::string path = write_golden_json(result, ::testing::TempDir());
   ASSERT_FALSE(path.empty());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream content;
-  content << in.rdbuf();
-  EXPECT_NE(content.str().find("\"engine\": \"streaming\""),
-            std::string::npos);
-  EXPECT_NE(content.str().find("\"stream_submitted\": 2"),
-            std::string::npos);
-  EXPECT_NE(content.str().find("\"jct_p99\": "), std::string::npos);
-  EXPECT_NE(content.str().find("\"fidelity_p50\": "), std::string::npos);
+  const std::string content = read_file(path);
+  EXPECT_NE(content.find("\"engine\": \"streaming\""), std::string::npos);
+  EXPECT_NE(content.find("\"stream_submitted\": 2"), std::string::npos);
+  EXPECT_NE(content.find("\"jct_p99\": "), std::string::npos);
+  EXPECT_NE(content.find("\"fidelity_p50\": "), std::string::npos);
   // The per-job table is empty by design for streaming runs.
-  EXPECT_NE(content.str().find("\"jobs\": [\n  ]"), std::string::npos);
-  EXPECT_NE(content.str().find("\"num_jobs\": 0"), std::string::npos);
+  EXPECT_NE(content.find("\"jobs\": [\n  ]"), std::string::npos);
+  EXPECT_NE(content.find("\"num_jobs\": 0"), std::string::npos);
+}
+
+// A QASM file's stem becomes its job's name, so names may hold quotes and
+// backslashes; the golden writer escapes them and its file stays JSON.
+TEST(ScenarioTest, GoldenJsonEscapesJobNames) {
+  const std::string dir = ::testing::TempDir();
+  ScenarioSpec spec;
+  spec.name = "escaped_names";
+  spec.engine.mode = EngineMode::kMultiTenant;
+  spec.workload.source = WorkloadSource::kQasm;
+  spec.workload.qasm_files = {write_temp_file(
+      dir, "g\"h\\z.qasm",
+      "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0],q[1];\n")};
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].name, "g\"h\\z");
+  const std::string golden = read_file(write_golden_json(result, dir));
+  EXPECT_NE(golden.find("\"name\": \"g\\\"h\\\\z\""), std::string::npos);
+}
+
+// A batch job that the placer cannot map stays in the job table as an
+// unplaced row and out of every aggregate. A QASM file without qubits fits
+// any cloud, but no placer maps an empty register.
+TEST(ScenarioTest, BatchAggregatesSkipUnplacedJobs) {
+  const std::string dir = ::testing::TempDir();
+  ScenarioSpec spec;
+  spec.name = "batch_unplaced";
+  spec.engine.mode = EngineMode::kBatch;
+  spec.workload.source = WorkloadSource::kQasm;
+  spec.workload.qasm_files = {
+      write_temp_file(dir, "bell.qasm",
+                      "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"),
+      write_temp_file(dir, "no_qubits.qasm", "OPENQASM 2.0;\n")};
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.jobs.size(), 2u);
+  const IncomingJobStats& placed = result.jobs[0];
+  ASSERT_TRUE(placed.placed);
+  EXPECT_FALSE(result.jobs[1].placed);
+  EXPECT_EQ(result.jobs[1].name, "no_qubits");
+  EXPECT_EQ(result.makespan, placed.completion_time);
+  EXPECT_EQ(result.mean_jct, placed.jct());
+  EXPECT_EQ(result.mean_fidelity, placed.est_fidelity);
+  const std::string golden = read_file(write_golden_json(result, dir));
+  EXPECT_NE(golden.find("\"num_jobs\": 2,"), std::string::npos);
+  EXPECT_NE(golden.find("\"placed_jobs\": 1,"), std::string::npos);
 }
 
 TEST(ScenarioParserTest, ParsesChurnTenantAndSweepSections) {
@@ -1050,23 +1075,10 @@ TEST(ScenarioTest, SingleTenantSpecMatchesTenantlessRun) {
   plain.tenants.clear();
   const ScenarioResult tenantless = run_scenario(plain);
 
-  ASSERT_EQ(with_tenant.jobs.size(), tenantless.jobs.size());
-  for (std::size_t i = 0; i < with_tenant.jobs.size(); ++i) {
-    EXPECT_EQ(with_tenant.jobs[i].placed_time,
-              tenantless.jobs[i].placed_time);
-    EXPECT_EQ(with_tenant.jobs[i].completion_time,
-              tenantless.jobs[i].completion_time);
-    EXPECT_EQ(with_tenant.jobs[i].est_fidelity,
-              tenantless.jobs[i].est_fidelity);
-    EXPECT_EQ(with_tenant.jobs[i].remote_ops, tenantless.jobs[i].remote_ops);
-  }
+  expect_same_core(with_tenant, tenantless);
   EXPECT_EQ(with_tenant.tenant_of,
             std::vector<int>(with_tenant.jobs.size(), 0));
   EXPECT_TRUE(tenantless.tenant_of.empty());
-  EXPECT_EQ(with_tenant.makespan, tenantless.makespan);
-  EXPECT_EQ(with_tenant.mean_jct, tenantless.mean_jct);
-  EXPECT_EQ(with_tenant.mean_fidelity, tenantless.mean_fidelity);
-  EXPECT_EQ(with_tenant.placement_calls, tenantless.placement_calls);
   ASSERT_EQ(with_tenant.tenants.size(), 1u);
   EXPECT_EQ(with_tenant.tenants[0].jobs, with_tenant.jobs.size());
   EXPECT_EQ(with_tenant.jain_fairness, 1.0);
@@ -1112,17 +1124,7 @@ TEST(ScenarioTest, SweepOfOneEqualsPlainRunScenario) {
   ScenarioSpec plain = spec;
   plain.sweep.clear();
   plain.engine.fifo = true;
-  const ScenarioResult direct = run_scenario(plain);
-  const ScenarioResult& point = sweep.points[0].result;
-  ASSERT_EQ(point.jobs.size(), direct.jobs.size());
-  for (std::size_t i = 0; i < point.jobs.size(); ++i) {
-    EXPECT_EQ(point.jobs[i].completion_time, direct.jobs[i].completion_time);
-    EXPECT_EQ(point.jobs[i].est_fidelity, direct.jobs[i].est_fidelity);
-  }
-  EXPECT_EQ(point.makespan, direct.makespan);
-  EXPECT_EQ(point.mean_jct, direct.mean_jct);
-  EXPECT_EQ(point.mean_fidelity, direct.mean_fidelity);
-  EXPECT_EQ(point.placement_calls, direct.placement_calls);
+  expect_same_core(sweep.points[0].result, run_scenario(plain));
 }
 
 // End-to-end churn through the spec layer: maintenance over half the

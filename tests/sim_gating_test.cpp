@@ -17,10 +17,13 @@
 #include "core/independent.hpp"
 #include "graph/topology.hpp"
 #include "placement/placement.hpp"
+#include "scenario_expect.hpp"
 #include "sim/network_sim.hpp"
 
 namespace cloudqc {
 namespace {
+
+using testing::expect_same_jobs;
 
 QuantumCloud make_cloud(int qpus, double epr_prob = 1.0, int comm = 5,
                         Graph topology = Graph()) {
@@ -96,6 +99,7 @@ void expect_identical(const std::vector<JobCompletion>& a,
     EXPECT_EQ(a[i].time, b[i].time);                  // exact, not NEAR
     EXPECT_EQ(a[i].est_fidelity, b[i].est_fidelity);  // exact
     EXPECT_EQ(a[i].log_fidelity, b[i].log_fidelity);  // exact
+    EXPECT_EQ(a[i].epr_rounds, b[i].epr_rounds);
   }
 }
 
@@ -122,11 +126,11 @@ TEST(SimGating, NoAllocatorCallOnNoOpEvents) {
   // the same completions.
   EXPECT_EQ(alloc.calls(), 3u);
   expect_identical(done, {{2, 0.5, 0.99750249875031272,
-                           -0.0025006252084112143},
+                           -0.0025006252084112143, 0},
                           {0, 16.100000000000001, 0.87274341,
-                           -0.13611368387052949},
+                           -0.13611368387052949, 1},
                           {1, 32.200000000000003, 0.87274341,
-                           -0.13611368387052949}});
+                           -0.13611368387052949, 1}});
 }
 
 TEST(SimGating, RandomAllocatorDeterministicPerSeedWhenGated) {
@@ -162,20 +166,15 @@ TEST(SimGating, RandomAllocatorDeterministicAcrossWorkerCounts) {
   std::vector<Circuit> jobs;
   for (int i = 0; i < 6; ++i) jobs.push_back(make_workload("ising_n34"));
 
-  std::vector<std::vector<IndependentJobResult>> results;
-  for (const int workers : {1, 2, 8}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-    results.push_back(run_independent(jobs, cloud, *placer, *alloc,
-                                      /*seed=*/5, pool.get()));
-  }
-  for (std::size_t w = 1; w < results.size(); ++w) {
-    ASSERT_EQ(results[w].size(), results[0].size());
-    for (std::size_t i = 0; i < results[0].size(); ++i) {
-      EXPECT_EQ(results[w][i].completion_time, results[0][i].completion_time);
-      EXPECT_EQ(results[w][i].est_fidelity, results[0][i].est_fidelity);
-      EXPECT_EQ(results[w][i].epr_rounds, results[0][i].epr_rounds);
-    }
+  // One worker is the inline serial reference (null pool).
+  const auto reference =
+      run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5);
+  for (const int workers : {2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    expect_same_jobs(
+        run_independent(jobs, cloud, *placer, *alloc, /*seed=*/5, &pool),
+        reference);
   }
 }
 
