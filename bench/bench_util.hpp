@@ -1,7 +1,8 @@
-// Shared helpers for the experiment harnesses in bench/. Each binary
-// regenerates one table or figure of the paper (see DESIGN.md). Run sizes
-// default to a quick configuration; CLOUDQC_BENCH_SCALE=full switches to
-// paper-scale repetition counts.
+// Shared helpers for the binaries in bench/: the performance and gate
+// benches, and the two ablations whose knobs have no scenario key. The
+// paper's tables and figures are committed sweep specs
+// (scenarios/paper_*.ini) with goldens. Run sizes default to a quick
+// configuration; CLOUDQC_BENCH_SCALE=full switches to full-scale counts.
 #pragma once
 
 #include <cstdio>
@@ -19,16 +20,9 @@ namespace cloudqc::bench {
 
 /// The paper's default cloud drawn from `seed`: 20 QPUs, 20 computing + 5
 /// communication qubits, ER(0.3) topology, EPR success probability 0.3.
-inline QuantumCloud default_cloud(std::uint64_t seed,
-                                  int computing_per_qpu = 20,
-                                  int comm_per_qpu = 5,
-                                  double epr_prob = 0.3) {
-  CloudConfig cfg;
-  cfg.computing_qubits_per_qpu = computing_per_qpu;
-  cfg.comm_qubits_per_qpu = comm_per_qpu;
-  cfg.epr_success_prob = epr_prob;
+inline QuantumCloud default_cloud(std::uint64_t seed) {
   Rng rng(seed);
-  return QuantumCloud(cfg, rng);
+  return QuantumCloud(CloudConfig{}, rng);
 }
 
 /// Stochastic repetitions per data point (paper averages over many runs).

@@ -1,8 +1,8 @@
 // Programmatic generators for the QASMBench circuit families used by the
 // paper (Table II). Offline substitute for the QASMBench suite: each
 // generator emits the family's textbook structure; qubit counts match the
-// paper exactly and 2-qubit-gate counts / depths match closely (see
-// bench_table2_workloads for generated-vs-paper numbers).
+// paper exactly and 2-qubit-gate counts closely, depths often do not
+// (tests/generators_test.cpp pins the generated counts and depths).
 //
 // All generators end with measurement of every qubit, like the QASMBench
 // originals.

@@ -29,7 +29,7 @@ struct CloudConfig {
   /// Entanglement-purification rounds per delivered pair (0 = off). Each
   /// level doubles the raw pairs a remote gate must generate but boosts
   /// the delivered pair's fidelity (BBPSSW recurrence) — a latency-vs-
-  /// fidelity knob (see bench_ablation_purification).
+  /// fidelity knob (see scenarios/paper_ablation_purification.ini).
   int purification_level = 0;
 };
 

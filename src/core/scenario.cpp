@@ -1187,31 +1187,68 @@ Fields aggregate_fields(const ScenarioResult& r) {
   return fields;
 }
 
-/// Shared row format of the two sweep writers: per grid point, the axis
-/// assignment and the headline deterministic aggregates.
-void write_sweep_rows(std::ofstream& os, const SweepResult& sweep) {
+/// One run's golden body (aggregates, tenants, per-job table), each line
+/// prefixed by `indent`: write_golden_json writes it after the scenario
+/// name, and each sweep point after its assignment.
+void write_run_body(std::ostream& os, const ScenarioResult& result,
+                    const std::string& indent) {
+  // Streaming runs have no per-job table; their deterministic record is
+  // the aggregate block.
+  for (const auto& [key, value] : aggregate_fields(result)) {
+    os << indent << "\"" << key << "\": " << value << ",\n";
+  }
+  // Tenant block and per-job tenant/restart fields appear only on tenant
+  // runs, so goldens predating tenant classes stay byte-identical.
+  if (!result.tenants.empty()) {
+    os << indent << "\"tenants\": [";
+    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+      const ScenarioTenantResult& t = result.tenants[i];
+      os << (i > 0 ? "," : "") << "\n"
+         << indent << "  {\"name\": " << json_string(t.name)
+         << ", \"jobs\": " << t.jobs << ", \"completed\": " << t.completed
+         << ", \"slo_target\": " << num(t.slo_target)
+         << ", \"slo_attainment\": " << num(t.slo_attainment)
+         << ", \"mean_jct\": " << num(t.mean_jct)
+         << ", \"jct_p50\": " << num(t.jct_p50)
+         << ", \"jct_p95\": " << num(t.jct_p95)
+         << ", \"jct_p99\": " << num(t.jct_p99) << "}";
+    }
+    os << "\n" + indent + "],\n";
+  }
+  os << indent << "\"jobs\": [";
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    const IncomingJobStats& job = result.jobs[i];
+    os << (i > 0 ? "," : "") << "\n"
+       << indent << "  {\"name\": " << json_string(job.name)
+       << ", \"placed\": " << (job.placed ? "true" : "false")
+       << ", \"arrival\": " << num(job.arrival)
+       << ", \"placed_time\": " << num(job.placed_time)
+       << ", \"completion_time\": " << num(job.completion_time)
+       << ", \"remote_ops\": " << job.remote_ops
+       << ", \"comm_cost\": " << num(job.comm_cost)
+       << ", \"qpus_used\": " << job.qpus_used
+       << ", \"est_fidelity\": " << num(job.est_fidelity);
+    if (!result.tenants.empty()) {
+      os << ", \"tenant\": " << result.tenant_of[i]
+         << ", \"restarts\": " << job.restarts;
+    }
+    os << "}";
+  }
+  os << "\n" + indent + "]\n";
+}
+
+/// The sweep's points as JSON array elements: assignment, then run body.
+void write_sweep_points(std::ostream& os, const SweepResult& sweep) {
   for (std::size_t i = 0; i < sweep.points.size(); ++i) {
     const SweepPoint& point = sweep.points[i];
-    const ScenarioResult& r = point.result;
-    os << (i > 0 ? "," : "") << "\n    {\"assignment\": {";
+    os << (i > 0 ? "," : "") << "\n    {\n      \"assignment\": {";
     for (std::size_t j = 0; j < point.assignment.size(); ++j) {
       os << (j > 0 ? ", " : "") << json_string(point.assignment[j].first)
          << ": " << json_string(point.assignment[j].second);
     }
-    os << "}, \"engine\": " << json_string(r.engine)
-       << ", \"num_jobs\": " << r.jobs.size()
-       << ", \"placed_jobs\": " << placed_jobs(r)
-       << ", \"makespan\": " << num(r.makespan)
-       << ", \"mean_jct\": " << num(r.mean_jct)
-       << ", \"mean_fidelity\": " << num(r.mean_fidelity)
-       << ", \"placement_calls\": " << r.placement_calls
-       << ", \"cache_exact_hits\": " << r.cache.exact_hits
-       << ", \"cache_warm_hits\": " << r.cache.warm_hits
-       << ", \"cache_misses\": " << r.cache.misses;
-    if (!r.tenants.empty()) {
-      os << ", \"jain_fairness\": " << num(r.jain_fairness);
-    }
-    os << "}";
+    os << "},\n";
+    write_run_body(os, point.result, "      ");
+    os << "    }";
   }
 }
 
@@ -1247,47 +1284,8 @@ std::string write_golden_json(const ScenarioResult& result,
   if (!os) return "";
   os << "{\n";
   os << "  \"scenario\": " << json_string(result.scenario) << ",\n";
-  // Streaming runs have no per-job table; their deterministic record is
-  // the aggregate block.
-  for (const auto& [key, value] : aggregate_fields(result)) {
-    os << "  \"" << key << "\": " << value << ",\n";
-  }
-  // Tenant block and per-job tenant/restart fields appear only on tenant
-  // runs, so goldens predating tenant classes stay byte-identical.
-  if (!result.tenants.empty()) {
-    os << "  \"tenants\": [";
-    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-      const ScenarioTenantResult& t = result.tenants[i];
-      os << (i > 0 ? "," : "") << "\n    {\"name\": " << json_string(t.name)
-         << ", \"jobs\": " << t.jobs << ", \"completed\": " << t.completed
-         << ", \"slo_target\": " << num(t.slo_target)
-         << ", \"slo_attainment\": " << num(t.slo_attainment)
-         << ", \"mean_jct\": " << num(t.mean_jct)
-         << ", \"jct_p50\": " << num(t.jct_p50)
-         << ", \"jct_p95\": " << num(t.jct_p95)
-         << ", \"jct_p99\": " << num(t.jct_p99) << "}";
-    }
-    os << "\n  ],\n";
-  }
-  os << "  \"jobs\": [";
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const IncomingJobStats& job = result.jobs[i];
-    os << (i > 0 ? "," : "") << "\n    {\"name\": " << json_string(job.name)
-       << ", \"placed\": " << (job.placed ? "true" : "false")
-       << ", \"arrival\": " << num(job.arrival)
-       << ", \"placed_time\": " << num(job.placed_time)
-       << ", \"completion_time\": " << num(job.completion_time)
-       << ", \"remote_ops\": " << job.remote_ops
-       << ", \"comm_cost\": " << num(job.comm_cost)
-       << ", \"qpus_used\": " << job.qpus_used
-       << ", \"est_fidelity\": " << num(job.est_fidelity);
-    if (!result.tenants.empty()) {
-      os << ", \"tenant\": " << result.tenant_of[i]
-         << ", \"restarts\": " << job.restarts;
-    }
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
+  write_run_body(os, result, "  ");
+  os << "}\n";
   return os ? path : "";
 }
 
@@ -1330,12 +1328,14 @@ SweepResult run_sweep(const ScenarioSpec& spec) {
   result.points.resize(points.size());
   // Every point is an independent run_scenario() on a private spec, writing
   // only its own slot: bit-identical merged results at any worker count.
+  // Points run with one worker, so this pool is the sweep's only one.
   std::unique_ptr<ThreadPool> pool;
   if (spec.engine.workers > 1) {
     pool = std::make_unique<ThreadPool>(spec.engine.workers);
   }
   parallel_for(pool.get(), points.size(), [&](std::size_t i) {
     result.points[i].assignment = std::move(points[i].assignment);
+    points[i].spec.engine.workers = 1;
     result.points[i].result = run_scenario(points[i].spec);
   });
   result.wall_seconds =
@@ -1354,7 +1354,7 @@ std::string write_sweep_json(const SweepResult& result, std::string dir) {
   os << "{\n  \"bench\": \"sweep_" << safe << "\"";
   os << ",\n  \"points\": " << result.points.size();
   os << ",\n  \"rows\": [";
-  write_sweep_rows(os, result);
+  write_sweep_points(os, result);
   os << "\n  ]";
   os << ",\n  \"wall_seconds\": " << num(result.wall_seconds);
   os << "\n}\n";
@@ -1370,7 +1370,7 @@ std::string write_sweep_golden_json(const SweepResult& result,
   os << "  \"sweep\": " << json_string(result.name) << ",\n";
   os << "  \"num_points\": " << result.points.size() << ",\n";
   os << "  \"points\": [";
-  write_sweep_rows(os, result);
+  write_sweep_points(os, result);
   os << "\n  ]\n}\n";
   return os ? path : "";
 }

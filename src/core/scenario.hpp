@@ -289,22 +289,22 @@ struct SweepResult {
 };
 
 /// Execute every point of the sweep grid across a ThreadPool of
-/// spec.engine.workers threads (inline when workers == 1). Each point is an independent
-/// run_scenario() on a private spec copy, so the merged results are
-/// bit-identical at any worker count; a sweep of size 1 equals the plain
-/// run_scenario() result exactly.
+/// spec.engine.workers threads (inline when workers == 1). Each point is an
+/// independent run_scenario() on a private spec copy with workers = 1, so
+/// the merged results are bit-identical at any worker count; a sweep of
+/// size 1 equals the plain run_scenario() result exactly.
 SweepResult run_sweep(const ScenarioSpec& spec);
 
-/// Write the sweep as BENCH_sweep_<name>.json: one row per grid point
-/// with its axis assignment and headline aggregates. `dir` empty =
+/// Write the sweep as BENCH_sweep_<name>.json: one row per grid point,
+/// in the sweep golden's point format, plus the wall clock. `dir` empty =
 /// $CLOUDQC_BENCH_JSON_DIR, falling back to the working directory.
 /// Returns the path written, or "" on I/O failure.
 std::string write_sweep_json(const SweepResult& result, std::string dir = "");
 
-/// Write the sweep as <name>.golden.json in `dir`: per-point assignments
-/// and deterministic aggregates only (no per-job tables, no wall clock).
-/// Byte-stable for a fixed spec, diffed by the scenario-golden CI job.
-/// Returns the path written, or "" on I/O failure.
+/// Write the sweep as <name>.golden.json in `dir`: per grid point, its
+/// assignment and then exactly what write_golden_json writes for its run
+/// after the name (no wall clock). Byte-stable for a fixed spec, diffed by
+/// the scenario-golden CI job. Returns the path written, or "" on failure.
 std::string write_sweep_golden_json(const SweepResult& result,
                                     const std::string& dir);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "circuit/generators.hpp"
 #include "circuit/workloads.hpp"
 #include "graph/algorithms.hpp"
@@ -200,11 +202,47 @@ TEST(Workloads, MixesReferToKnownCircuits) {
   }
 }
 
-// Property test over all Table II workloads: generated 2-qubit-gate counts
-// must be within 15% of the paper's published numbers (except qft_n63 whose
-// published count is inconsistent with its sibling qft_n160 — see
-// EXPERIMENTS.md), and depths within a factor of 4.
+// Every Table II workload: its qubit count equals the paper's; its
+// 2-qubit-gate count is within 15% of the published one, except qft_n63,
+// whose published count (9828) is inconsistent with its sibling qft_n160
+// (25440 = 160 * 159); and its generated 2-qubit-gate count and depth equal
+// the pinned values below. The generators do not reproduce the published
+// depths (swap_test_n115: 463 against 60, multiplier_n75: 8776 against
+// 1300), so the pins hold the generators still rather than claim fidelity.
+// Each pin is {2-qubit gates, depth}; its comment gives the published pair.
 class WorkloadFidelity : public ::testing::TestWithParam<WorkloadSpec> {};
+
+struct GeneratedShape {
+  std::size_t two_qubit_gates;
+  int depth;
+};
+
+const std::map<std::string, GeneratedShape>& generated_shapes() {
+  static const std::map<std::string, GeneratedShape> kShapes = {
+      {"ghz_n127", {126, 128}},          // paper: 126, 128
+      {"bv_n70", {36, 40}},              // paper: 36, 40
+      {"bv_n140", {72, 76}},             // paper: 72, 76
+      {"ising_n34", {66, 8}},            // paper: 66, 16
+      {"ising_n66", {130, 8}},           // paper: 130, 16
+      {"ising_n98", {194, 8}},           // paper: 194, 16
+      {"cat_n65", {64, 66}},             // paper: 64, 66
+      {"cat_n130", {129, 131}},          // paper: 129, 131
+      {"swap_test_n115", {456, 463}},    // paper: 456, 60
+      {"knn_n67", {264, 272}},           // paper: 264, 36
+      {"knn_n129", {512, 520}},          // paper: 512, 67
+      {"qugan_n71", {416, 291}},         // paper: 418, 72
+      {"qugan_n111", {656, 451}},        // paper: 658, 112
+      {"cc_n64", {64, 323}},             // paper: 64, 195
+      {"adder_n64", {497, 748}},         // paper: 455, 78
+      {"adder_n118", {929, 1396}},       // paper: 845, 132
+      {"multiplier_n45", {2475, 3166}},  // paper: 2574, 462
+      {"multiplier_n75", {6875, 8776}},  // paper: 7350, 1300
+      {"qft_n63", {3906, 496}},          // paper: 9828, 494
+      {"qft_n160", {25440, 1272}},       // paper: 25440, 1270
+      {"qv_n100", {15000, 601}},         // paper: 15000, 701
+  };
+  return kShapes;
+}
 
 TEST_P(WorkloadFidelity, MatchesTable2Closely) {
   const WorkloadSpec& spec = GetParam();
@@ -215,7 +253,10 @@ TEST_P(WorkloadFidelity, MatchesTable2Closely) {
   if (spec.name != "qft_n63") {
     EXPECT_NEAR(generated, published, 0.15 * published) << spec.name;
   }
-  EXPECT_GT(c.depth(), 0);
+  const auto pinned = generated_shapes().find(spec.name);
+  ASSERT_NE(pinned, generated_shapes().end()) << spec.name;
+  EXPECT_EQ(c.two_qubit_gate_count(), pinned->second.two_qubit_gates);
+  EXPECT_EQ(c.depth(), pinned->second.depth);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, WorkloadFidelity,

@@ -977,7 +977,7 @@ TEST(ScenarioParserTest, CommittedSpecsParseAndRoundTrip) {
     }
   }
   std::sort(paths.begin(), paths.end());
-  EXPECT_GE(paths.size(), 15u);
+  EXPECT_GE(paths.size(), 29u);
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
     const ScenarioSpec spec = load_scenario_file(path);
@@ -1125,6 +1125,93 @@ TEST(ScenarioTest, SweepOfOneEqualsPlainRunScenario) {
   plain.sweep.clear();
   plain.engine.fifo = true;
   expect_same_core(sweep.points[0].result, run_scenario(plain));
+}
+
+// A batch sweep's pool is its only one (each point runs with one worker),
+// and the points equal each other at sweep widths 1 and 4.
+TEST(ScenarioTest, BatchSweepIsWorkerCountInvariant) {
+  ScenarioSpec spec;
+  spec.name = "batch_sweep";
+  spec.workload.circuits = {"ising_n34", "qugan_n39", "vqe_uccsd_n28"};
+  spec.engine.mode = EngineMode::kBatch;
+  spec.sweep.push_back({"engine.seed", {"1", "2"}});
+  spec.sweep.push_back({"engine.allocator", {"cloudqc", "greedy"}});
+  spec.engine.workers = 1;
+  const SweepResult serial = run_sweep(spec);
+  spec.engine.workers = 4;
+  const SweepResult parallel = run_sweep(spec);
+  ASSERT_EQ(serial.points.size(), 4u);
+  ASSERT_EQ(parallel.points.size(), 4u);
+  for (std::size_t i = 0; i < serial.points.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(serial.points[i].assignment, parallel.points[i].assignment);
+    expect_same_core(serial.points[i].result, parallel.points[i].result);
+  }
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// The two golden writers agree: every point of a sweep golden is its
+// assignment followed by exactly the lines of its own run's golden (minus
+// the scenario name), indented one level deeper.
+TEST(ScenarioTest, SweepGoldenPointsEqualRunGoldens) {
+  const std::string dir = ::testing::TempDir() + "/sweep_vs_run";
+  std::filesystem::create_directories(dir);
+  const char* text =
+      "[workload]\n"
+      "circuits = ising_n34, qugan_n39, vqe_uccsd_n28, qaoa_n50\n"
+      "[engine]\n"
+      "mode = multi_tenant\n"
+      "[tenant.gold]\n"
+      "priority = 1\n"
+      "slo_jct = 500\n"
+      "[tenant.bronze]\n"
+      "[sweep]\n"
+      "engine.seed = 1..2\n"
+      "engine.fifo = true, false\n";
+  const ScenarioSpec spec = parse_scenario(text, "sweep_vs_run");
+  const SweepResult sweep = run_sweep(spec);
+  const std::vector<std::string> lines =
+      read_lines(write_sweep_golden_json(sweep, dir));
+
+  const std::vector<SweepPointSpec> points = expand_sweep(spec);
+  ASSERT_EQ(points.size(), 4u);
+  std::filesystem::create_directories(dir + "/run");
+  std::size_t at = 4;  // after "{", the sweep name, num_points, "points"
+  ASSERT_GT(lines.size(), at);
+  EXPECT_EQ(lines[at - 1], "  \"points\": [");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_LT(at + 1, lines.size());
+    EXPECT_EQ(lines[at], "    {");
+    std::string assignment;
+    for (const auto& [key, value] : points[i].assignment) {
+      if (!assignment.empty()) assignment += ", ";
+      assignment += "\"" + key + "\": \"" + value + "\"";
+    }
+    EXPECT_EQ(lines[at + 1], "      \"assignment\": {" + assignment + "},");
+    at += 2;
+    std::vector<std::string> point_body;
+    while (at < lines.size() && lines[at].rfind("    }", 0) != 0) {
+      ASSERT_EQ(lines[at].rfind("    ", 0), 0u) << lines[at];
+      point_body.push_back(lines[at++].substr(4));
+    }
+    ++at;  // the point's closing brace
+
+    const std::vector<std::string> run = read_lines(
+        write_golden_json(run_scenario(points[i].spec), dir + "/run"));
+    ASSERT_GE(run.size(), 3u);
+    EXPECT_EQ(run[1], "  \"scenario\": \"sweep_vs_run\",");
+    const std::vector<std::string> run_body(run.begin() + 2, run.end() - 1);
+    EXPECT_EQ(point_body, run_body);
+  }
+  ASSERT_EQ(at + 2, lines.size());
+  EXPECT_EQ(lines[at], "  ]");
 }
 
 // End-to-end churn through the spec layer: maintenance over half the
