@@ -17,14 +17,16 @@
 //
 // At quick scale (the default, and what CI runs) every scenario A row's
 // events, allocation rounds, EPR rounds and waiting ops examined by the
-// rounds, and scenario B's placement calls, must equal the constants below, recorded from the reference
+// rounds, every routed row's router calls, and scenario B's placement
+// calls, must equal the constants below, recorded from the reference
 // implementation. The counts are machine-independent and repeat exactly,
 // so a change that makes gating skip less work moves a count and FAILS
 // the binary on any machine. EPR rounds also see the routes: a path of a
 // different length draws a different number of generation rounds even
-// where the event and allocation-round counts stay put. A change that
-// moves them on purpose re-records them. At full scale the counts are
-// printed but not compared.
+// where the event and allocation-round counts stay put. Router calls count
+// the ops the simulator routes, so a change that routes more or fewer ops
+// moves them. A change that moves a count on purpose re-records it. At
+// full scale the counts are printed but not compared.
 //
 // Environment knobs:
 //   CLOUDQC_BENCH_SCALE=full              paper-scale sizes (no count gate)
@@ -79,12 +81,50 @@ constexpr ExpectedRow kQuickRows[] = {
 };
 constexpr std::uint64_t kQuickTracePlacementCalls = 389;
 
+/// Quick-scale route() calls of one routed scenario A row.
+struct ExpectedRouteCalls {
+  const char* allocator;
+  std::uint64_t route_calls;
+};
+
+constexpr ExpectedRouteCalls kQuickRouteCalls[] = {
+    {"cloudqc", 102931},
+    {"greedy", 88090},
+    {"average", 109281},
+    {"random", 71388},
+};
+
 const ExpectedRow& quick_row(const std::string& allocator, bool router) {
   for (const ExpectedRow& row : kQuickRows) {
     if (allocator == row.allocator && router == row.router) return row;
   }
   std::abort();  // every allocator x router row has recorded counts
 }
+
+std::uint64_t quick_route_calls(const std::string& allocator) {
+  for (const ExpectedRouteCalls& row : kQuickRouteCalls) {
+    if (allocator == row.allocator) return row.route_calls;
+  }
+  std::abort();  // every routed row has a recorded count
+}
+
+/// Forwards every route() call to a real router and counts it.
+class CountingRouter final : public EprRouter {
+ public:
+  explicit CountingRouter(const EprRouter& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  std::optional<EprPath> route(const QuantumCloud& cloud, QpuId src,
+                               QpuId dst, const std::vector<int>& free_comm)
+      const override {
+    ++calls_;
+    return inner_.route(cloud, src, dst, free_comm);
+  }
+  std::uint64_t calls() const { return calls_; }
+
+ private:
+  const EprRouter& inner_;
+  mutable std::uint64_t calls_ = 0;
+};
 
 /// Placement-call counter for scenario B. Deliberately distinct from the
 /// tests' cloudqc::testing::CountingPlacer: this one passes the inner
@@ -134,6 +174,7 @@ struct SimRun {
   std::uint64_t alloc_rounds = 0;
   std::uint64_t epr_rounds = 0;
   std::uint64_t ops_examined = 0;
+  std::uint64_t route_calls = 0;
 };
 
 SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
@@ -141,8 +182,11 @@ SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
                const std::vector<std::vector<QpuId>>& maps,
                std::uint64_t seed) {
   SimRun out;
+  std::optional<CountingRouter> counting;
+  if (router != nullptr) counting.emplace(*router);
   const auto start = Clock::now();
-  NetworkSimulator sim(cloud, allocator, Rng(seed), router);
+  NetworkSimulator sim(cloud, allocator, Rng(seed),
+                       counting ? &*counting : nullptr);
   for (std::size_t j = 0; j < jobs.size(); ++j) sim.add_job(jobs[j], maps[j]);
   out.completions = sim.run_to_completion();
   out.seconds = seconds_since(start);
@@ -150,6 +194,7 @@ SimRun run_sim(const QuantumCloud& cloud, const CommAllocator& allocator,
   out.alloc_rounds = sim.num_allocation_rounds();
   out.epr_rounds = sim.total_epr_rounds();
   out.ops_examined = sim.num_ops_examined();
+  out.route_calls = counting ? counting->calls() : 0;
   return out;
 }
 
@@ -249,7 +294,7 @@ int main() {
   allocators.emplace_back("random", make_random_allocator());
 
   TextTable table({"allocator", "router", "events", "alloc rounds",
-                   "EPR rounds", "ops examined", "ev/s"});
+                   "EPR rounds", "ops examined", "route calls", "ev/s"});
   for (const auto& [name, alloc] : allocators) {
     for (const bool use_router : {false, true}) {
       const EprRouter* r = use_router ? router.get() : nullptr;
@@ -273,6 +318,11 @@ int main() {
             !count_matches(row + " EPR rounds", run.epr_rounds, want.epr_rounds);
         counts_failed |= !count_matches(row + " ops examined",
                                         run.ops_examined, want.ops_examined);
+        if (use_router) {
+          counts_failed |= !count_matches(row + " router calls",
+                                          run.route_calls,
+                                          quick_route_calls(name));
+        }
       }
 
       const double ev_per_s = static_cast<double>(run.events) / run.seconds;
@@ -281,12 +331,16 @@ int main() {
       json.add(key + "_alloc_rounds", static_cast<long>(run.alloc_rounds));
       json.add(key + "_epr_rounds", static_cast<long>(run.epr_rounds));
       json.add(key + "_ops_examined", static_cast<long>(run.ops_examined));
+      if (use_router) {
+        json.add(key + "_route_calls", static_cast<long>(run.route_calls));
+      }
       json.add(key + "_events_per_sec", ev_per_s);
       table.add_row({name, use_router ? "on" : "off",
                      std::to_string(run.events),
                      std::to_string(run.alloc_rounds),
                      std::to_string(run.epr_rounds),
                      std::to_string(run.ops_examined),
+                     use_router ? std::to_string(run.route_calls) : "-",
                      fmt_double(ev_per_s, 0)});
     }
   }

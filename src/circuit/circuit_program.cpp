@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace cloudqc {
@@ -105,6 +106,12 @@ GateTable::GateTable(const Circuit& circuit)
     : dag(circuit), front_layer(dag.front_layer()) {
   classes.reserve(circuit.num_gates());
   for (const Gate& g : circuit.gates()) classes.push_back(gate_class(g.kind));
+  in_degree.reserve(dag.num_nodes());
+  for (std::size_t g = 0; g < dag.num_nodes(); ++g) {
+    const int degree = dag.in_degree(static_cast<int>(g));
+    CLOUDQC_DCHECK(degree <= 2);
+    in_degree.push_back(static_cast<std::uint8_t>(degree));
+  }
 }
 
 CircuitProgram::CircuitProgram(Circuit circuit)

@@ -66,14 +66,18 @@ std::uint64_t circuit_content_hash(const Circuit& circuit);
 bool identical_circuits(const Circuit& a, const Circuit& b);
 
 /// What executing a circuit needs, placement aside: the gate DAG, one
-/// GateClass per gate and the front layer. A program holds it as a
-/// separately shared block, so a simulator job keeps only this alive, not
-/// the circuit copy and the placement artefacts.
+/// GateClass per gate, each gate's in-degree and the front layer. A job
+/// starts its per-gate countdown of unfinished predecessors as a copy of
+/// `in_degree`. A program holds it as a separately shared block, so a
+/// simulator job keeps only this alive, not the circuit copy and the
+/// placement artefacts.
 struct GateTable {
   explicit GateTable(const Circuit& circuit);
 
   CircuitDag dag;
   std::vector<GateClass> classes;  // per gate, in program order
+  /// dag.in_degree(g) per gate; at most 2, one predecessor per qubit.
+  std::vector<std::uint8_t> in_degree;
   std::vector<int> front_layer;    // dag.front_layer(), computed once
 };
 

@@ -50,12 +50,6 @@ CircuitDag::CircuitDag(const Circuit& c) {
   }
 }
 
-NodeRange CircuitDag::successors(int gate) const {
-  CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < num_nodes());
-  const auto g = static_cast<std::size_t>(gate);
-  return {succs_.data() + succs_at_[g], succs_.data() + succs_at_[g + 1]};
-}
-
 NodeRange CircuitDag::predecessors(int gate) const {
   CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < num_nodes());
   return preds_of(static_cast<std::size_t>(gate));

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/check.hpp"
 
 namespace cloudqc {
 
@@ -41,8 +42,13 @@ class CircuitDag {
   std::size_t num_nodes() const {
     return preds_at_.empty() ? 0 : preds_at_.size() - 1;
   }
-  /// Successors of `gate`, in increasing gate order.
-  NodeRange successors(int gate) const;
+  /// Successors of `gate`, in increasing gate order. Inline: the simulator
+  /// walks them on every finished gate.
+  NodeRange successors(int gate) const {
+    CLOUDQC_CHECK(gate >= 0 && static_cast<std::size_t>(gate) < num_nodes());
+    const auto g = static_cast<std::size_t>(gate);
+    return {succs_.data() + succs_at_[g], succs_.data() + succs_at_[g + 1]};
+  }
   /// Predecessors of `gate`: the previous gate on its first qubit, then the
   /// previous gate on its second qubit unless that is the same gate.
   NodeRange predecessors(int gate) const;

@@ -516,9 +516,9 @@ Circuit parse_qasm(std::string_view source, std::string name) {
   // qelib prelude is split first so ccx/cswap/controlled-rotation macros
   // are always defined; user line numbers restart at 1 for their chunk.
   std::vector<Stmt> stmts;
-  for (const std::string_view chunk : {kQelibPrelude, source}) {
-    split_statements(chunk, stmts);
-  }
+  split_statements(kQelibPrelude, stmts);
+  const std::size_t prelude_end = stmts.size();
+  split_statements(source, stmts);
 
   ParserState st;
   Circuit circ(std::move(name), 0);
@@ -597,6 +597,13 @@ Circuit parse_qasm(std::string_view source, std::string name) {
       continue;
     }
     executor.exec(s, nullptr, 0);
+  }
+  if (total_qubits == 0) {
+    // No gate can have run (it would name an unknown register), and a
+    // circuit without qubits is no job any engine can place. Reported on
+    // the program's last statement.
+    fail(stmts.size() > prelude_end ? stmts.back().line : 1,
+         "program declares no qubits");
   }
   return circ;
 }

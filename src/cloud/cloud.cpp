@@ -11,8 +11,10 @@ QuantumCloud::QuantumCloud(const CloudConfig& config, Rng& rng)
                                            config.link_probability, rng)) {}
 
 QuantumCloud::QuantumCloud(const CloudConfig& config, Graph topology)
-    : config_(config), topology_(std::move(topology)), hops_(topology_) {
-  CLOUDQC_CHECK(topology_.num_nodes() == config.num_qpus);
+    : config_(config),
+      topology_(std::make_shared<const Graph>(std::move(topology))),
+      hops_(*topology_) {
+  CLOUDQC_CHECK(topology_->num_nodes() == config.num_qpus);
   qpus_.assign(static_cast<std::size_t>(config.num_qpus),
                Qpu(config.computing_qubits_per_qpu,
                    config.comm_qubits_per_qpu));
@@ -20,8 +22,10 @@ QuantumCloud::QuantumCloud(const CloudConfig& config, Graph topology)
 
 QuantumCloud::QuantumCloud(const CloudConfig& config, Graph topology,
                            const std::vector<QpuCapacity>& capacities)
-    : config_(config), topology_(std::move(topology)), hops_(topology_) {
-  CLOUDQC_CHECK(topology_.num_nodes() == config.num_qpus);
+    : config_(config),
+      topology_(std::make_shared<const Graph>(std::move(topology))),
+      hops_(*topology_) {
+  CLOUDQC_CHECK(topology_->num_nodes() == config.num_qpus);
   CLOUDQC_CHECK(capacities.size() ==
                 static_cast<std::size_t>(config.num_qpus));
   qpus_.reserve(capacities.size());
@@ -65,11 +69,11 @@ int QuantumCloud::max_free_computing() const {
 }
 
 Graph QuantumCloud::resource_weighted_topology() const {
-  Graph g(topology_.num_nodes());
-  for (QpuId u = 0; u < topology_.num_nodes(); ++u) {
+  Graph g(topology_->num_nodes());
+  for (QpuId u = 0; u < topology_->num_nodes(); ++u) {
     g.set_node_weight(u, qpu(u).free_computing());
   }
-  for (const auto& e : topology_.edges()) {
+  for (const auto& e : topology_->edges()) {
     // Edge weight grows with the free capacity of both endpoints, so that
     // community detection prefers resource-rich neighbourhoods; +1 keeps
     // links between saturated QPUs visible.

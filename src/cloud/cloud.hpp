@@ -1,7 +1,14 @@
 // The quantum cloud: a fixed QPU-network topology plus the controller's
 // live view of per-QPU resource usage (Sec. III of the paper).
+//
+// The topology is immutable once the cloud is built, and copies of a cloud
+// share it (std::shared_ptr<const Graph>); only the per-QPU resource state
+// is copied. So copying a cloud to reserve against a scratch view costs no
+// graph copy, and a consumer that memoizes something per topology can hold
+// the shared pointer and recognise the topology by identity.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "cloud/fidelity_model.hpp"
@@ -50,7 +57,13 @@ class QuantumCloud {
   /// Number of QPUs (== topology().num_nodes()).
   int num_qpus() const { return static_cast<int>(qpus_.size()); }
   /// The fixed QPU-network graph (node i = QPU i).
-  const Graph& topology() const { return topology_; }
+  const Graph& topology() const { return *topology_; }
+  /// The same graph as the shared, immutable block that copies of this
+  /// cloud hold. Holding it keeps the graph alive, so two equal pointers
+  /// always name the same, unchanged topology.
+  const std::shared_ptr<const Graph>& shared_topology() const {
+    return topology_;
+  }
   /// The configuration this cloud was built from.
   const CloudConfig& config() const { return config_; }
 
@@ -90,7 +103,7 @@ class QuantumCloud {
 
  private:
   CloudConfig config_;
-  Graph topology_;
+  std::shared_ptr<const Graph> topology_;
   std::vector<Qpu> qpus_;
   HopDistanceMatrix hops_;
 };

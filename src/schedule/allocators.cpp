@@ -1,6 +1,7 @@
 #include "schedule/allocators.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -19,16 +20,28 @@ void take(const CommRequest& r, std::vector<int>& free_comm) {
   --free_comm[static_cast<std::size_t>(r.qpu_b)];
 }
 
-/// Indices of `requests` sorted by descending priority (stable, so FIFO
-/// order breaks ties — part of the starvation-freedom story).
-std::vector<std::size_t> by_priority(const std::vector<CommRequest>& requests) {
+}  // namespace
+
+std::vector<std::size_t> priority_order(
+    const std::vector<CommRequest>& requests) {
   std::vector<std::size_t> idx(requests.size());
   std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return requests[a].priority > requests[b].priority;
+  // Ties go to the lower index, so no key compares equal and an unstable
+  // sort gives the stable order without a merge buffer. A NaN priority
+  // would break the ordering std::sort relies on.
+  for (const CommRequest& r : requests) {
+    CLOUDQC_CHECK_MSG(!std::isnan(r.priority), "request priority is NaN");
+  }
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    if (requests[a].priority != requests[b].priority) {
+      return requests[a].priority > requests[b].priority;
+    }
+    return a < b;
   });
   return idx;
 }
+
+namespace {
 
 class CloudQcAllocator final : public CommAllocator {
  public:
@@ -43,7 +56,7 @@ class CloudQcAllocator final : public CommAllocator {
                             std::vector<int> free_comm,
                             Rng& /*rng*/) const override {
     std::vector<int> pairs(requests.size(), 0);
-    const auto order = by_priority(requests);
+    const auto order = priority_order(requests);
     // Pass 1 — effectiveness with starvation freedom: one pair to every
     // schedulable request, most important first.
     for (const std::size_t i : order) {
@@ -88,7 +101,7 @@ class GreedyAllocator final : public CommAllocator {
                             std::vector<int> free_comm,
                             Rng& /*rng*/) const override {
     std::vector<int> pairs(requests.size(), 0);
-    for (const std::size_t i : by_priority(requests)) {
+    for (const std::size_t i : priority_order(requests)) {
       while (can_take(requests[i], free_comm)) {
         take(requests[i], free_comm);
         ++pairs[i];

@@ -64,6 +64,13 @@ class CommAllocator {
                                     Rng& rng) const = 0;
 };
 
+/// Indices of `requests` by descending priority, ties in request order
+/// (FIFO, part of the starvation-freedom story): the order CloudQC and
+/// Greedy serve requests in. Equal to std::stable_sort on descending
+/// priority. Throws std::logic_error if a priority is NaN.
+std::vector<std::size_t> priority_order(
+    const std::vector<CommRequest>& requests);
+
 /// CloudQC: every schedulable request first receives one pair in priority
 /// order (starvation freedom), then the remaining budget is handed out one
 /// pair at a time to the request with the highest priority-per-pair ratio

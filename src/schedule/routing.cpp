@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "graph/csr.hpp"
 
 namespace cloudqc {
 namespace {
@@ -29,58 +29,90 @@ struct SortedRows {
   NodeId num_nodes() const { return static_cast<NodeId>(at.size() - 1); }
 };
 
-/// bfs_path's buffers, reused across searches.
+/// bfs_path's buffers, reused across searches. A node is seen by the
+/// current search when seen[v] == stamp: each search takes a fresh stamp
+/// instead of clearing the arrays, so it costs the nodes it reaches, not
+/// the topology. parent[v] is meaningful only for a seen node.
 struct BfsScratch {
   std::vector<NodeId> parent;
-  std::vector<char> seen;
+  std::vector<std::uint32_t> seen;
   std::vector<NodeId> queue;
+  std::uint32_t stamp = 0;
+
+  void begin(std::size_t n) {
+    if (seen.size() < n) {
+      seen.resize(n, 0);
+      parent.resize(n, kInvalidNode);
+    }
+    if (++stamp == 0) {  // wrapped: old stamps would read as seen
+      std::fill(seen.begin(), seen.end(), 0);
+      stamp = 1;
+    }
+    queue.clear();
+  }
 };
 
-/// Hop-shortest path with deterministic (lowest-id) tie-breaking via BFS
-/// parent tracking. `blocked` nodes (no free comm qubits) may be skipped.
-/// Allocates nothing but the path once `scratch` has grown to the
-/// topology's size.
+/// A search bound that no path reaches: a loop-free path has fewer than
+/// num_nodes hops.
+constexpr int kNoHopBound = std::numeric_limits<int>::max();
+
+/// Hop-shortest path with deterministic (lowest-id) tie-breaking: a FIFO
+/// BFS over the ascending rows, so every node's parent is its lowest-id
+/// neighbour in the previous level. Intermediate nodes for which
+/// `blocked(v)` holds are skipped; the destination never is (its qubits are
+/// accounted by the endpoint allocation). Nodes `max_hops` away from `src`
+/// are not expanded, so a path longer than `max_hops` is reported as none;
+/// the bound changes no parent within it. The search stops as soon as it
+/// reaches `dst`, whose parent is final from then on. Allocates nothing but
+/// the path once `scratch` has grown to the topology's size.
+template <typename Blocked>
 std::optional<EprPath> bfs_path(const SortedRows& rows, QpuId src, QpuId dst,
-                                const std::vector<char>* blocked,
+                                const Blocked& blocked, int max_hops,
                                 BfsScratch& scratch) {
-  const auto n = static_cast<std::size_t>(rows.num_nodes());
+  scratch.begin(static_cast<std::size_t>(rows.num_nodes()));
   std::vector<NodeId>& parent = scratch.parent;
-  std::vector<char>& seen = scratch.seen;
+  std::vector<std::uint32_t>& seen = scratch.seen;
   std::vector<NodeId>& queue = scratch.queue;
-  parent.assign(n, kInvalidNode);
-  seen.assign(n, 0);
-  queue.clear();
-  seen[static_cast<std::size_t>(src)] = 1;
+  const std::uint32_t stamp = scratch.stamp;
+  seen[static_cast<std::size_t>(src)] = stamp;
   queue.push_back(src);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
+  bool found = false;
+  std::size_t level_end = queue.size();  // queue[..level_end) is `level`
+  int level = 0;
+  for (std::size_t head = 0; head < queue.size() && !found; ++head) {
+    if (head == level_end) {
+      ++level;
+      level_end = queue.size();
+    }
+    if (level == max_hops) break;
     const NodeId u = queue[head];
-    if (u == dst) break;
     const auto row = static_cast<std::size_t>(u);
     for (std::size_t i = rows.at[row]; i < rows.at[row + 1]; ++i) {
       const NodeId v = rows.ids[i];
-      if (seen[static_cast<std::size_t>(v)]) continue;
-      // Intermediate nodes may be blocked; the destination never is (its
-      // qubits are accounted by the endpoint allocation).
-      if (blocked != nullptr && v != dst &&
-          (*blocked)[static_cast<std::size_t>(v)]) {
-        continue;
+      const auto vi = static_cast<std::size_t>(v);
+      if (seen[vi] == stamp) continue;
+      if (v != dst && blocked(v)) continue;
+      seen[vi] = stamp;
+      parent[vi] = u;
+      if (v == dst) {
+        found = true;
+        break;
       }
-      seen[static_cast<std::size_t>(v)] = 1;
-      parent[static_cast<std::size_t>(v)] = u;
       queue.push_back(v);
     }
   }
-  if (!seen[static_cast<std::size_t>(dst)]) return std::nullopt;
+  if (!found) return std::nullopt;
   EprPath path;
-  for (NodeId at = dst; at != kInvalidNode;
-       at = parent[static_cast<std::size_t>(at)]) {
+  for (NodeId at = dst; at != src; at = parent[static_cast<std::size_t>(at)]) {
     path.nodes.push_back(at);
-    if (at == src) break;
   }
+  path.nodes.push_back(src);
   std::reverse(path.nodes.begin(), path.nodes.end());
-  if (path.nodes.front() != src) return std::nullopt;
   return path;
 }
+
+/// bfs_path's `blocked` for an unmasked search.
+bool never_blocked(NodeId /*v*/) { return false; }
 
 class ShortestPathRouter final : public EprRouter {
  public:
@@ -92,7 +124,8 @@ class ShortestPathRouter final : public EprRouter {
     check_route_endpoints(cloud.topology(), src, dst);
     (void)free_comm;
     BfsScratch scratch;
-    return bfs_path(SortedRows(cloud.topology()), src, dst, nullptr, scratch);
+    return bfs_path(SortedRows(cloud.topology()), src, dst, never_blocked,
+                    kNoHopBound, scratch);
   }
 };
 
@@ -119,21 +152,20 @@ class CongestionAwareRouter final : public EprRouter {
     if (direct_hops < 0) return std::nullopt;  // disconnected
 
     // The memo first: it also holds the sorted rows the masked BFS reads.
-    const std::vector<EprPath>& candidates = static_paths(topo, src, dst);
+    const std::vector<EprPath>& candidates = static_paths(cloud, src, dst);
 
     // Saturated intermediates are unusable (no qubit left to swap with);
-    // find the shortest path avoiding them.
-    std::vector<char>& blocked = blocked_;
-    blocked.assign(static_cast<std::size_t>(topo.num_nodes()), 0);
-    for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-      if (v != src && v != dst &&
-          free_comm[static_cast<std::size_t>(v)] <= 0) {
-        blocked[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-    const auto unblocked = bfs_path(rows_, src, dst, &blocked, scratch_);
-    if (!unblocked.has_value() ||
-        unblocked->hops() > direct_hops + max_extra_hops_) {
+    // find the shortest path avoiding them. A path longer than the bound
+    // is never taken, so the search does not look past it.
+    const auto saturated = [&free_comm](NodeId v) {
+      return free_comm[static_cast<std::size_t>(v)] <= 0;
+    };
+    // A loop-free path has fewer than num_nodes hops, so capping the
+    // extra hops there changes nothing and keeps the sum in range.
+    const int max_hops =
+        direct_hops + std::min(max_extra_hops_, topo.num_nodes());
+    auto unblocked = bfs_path(rows_, src, dst, saturated, max_hops, scratch_);
+    if (!unblocked.has_value()) {
       // Every viable detour is too long: queue on the plain shortest path
       // (EPR success decays as p^hops, so a long detour costs more than
       // waiting for the hot QPU to free up). Yen's first path is it.
@@ -149,7 +181,7 @@ class CongestionAwareRouter final : public EprRouter {
       if (p.hops() != unblocked->hops()) continue;
       bool viable = true;
       for (std::size_t j = 1; j + 1 < p.nodes.size(); ++j) {
-        if (blocked[static_cast<std::size_t>(p.nodes[j])]) viable = false;
+        if (saturated(p.nodes[j])) viable = false;
       }
       if (!viable) continue;
       const double load = load_of(p, free_comm);
@@ -158,7 +190,8 @@ class CongestionAwareRouter final : public EprRouter {
         best = &p;
       }
     }
-    return *best;
+    if (best != &*unblocked) return *best;
+    return unblocked;
   }
 
  private:
@@ -172,50 +205,36 @@ class CongestionAwareRouter final : public EprRouter {
     return load;
   }
 
-  /// k_shortest_paths(topo, src, dst, kCandidates), computed once per
-  /// (src, dst) and topology. The memo is dropped when `topo` differs in
-  /// content from the topology it was filled for.
-  const std::vector<EprPath>& static_paths(const Graph& topo, QpuId src,
-                                           QpuId dst) const {
-    if (!memo_topology_matches(topo)) {
+  /// k_shortest_paths(topology, src, dst, kCandidates), computed once per
+  /// (src, dst) and topology. The memo holds the cloud's shared, immutable
+  /// topology, so a pointer compare recognises it: the memo co-owns the
+  /// graph, whose address therefore cannot be reused while the memo names
+  /// it. A different topology drops the memo.
+  const std::vector<EprPath>& static_paths(const QuantumCloud& cloud,
+                                           QpuId src, QpuId dst) const {
+    const std::shared_ptr<const Graph>& topo = cloud.shared_topology();
+    if (topo != memo_topology_) {
       paths_.clear();
-      memo_topology_ = CsrAdjacency(topo);
-      rows_ = SortedRows(topo);
+      rows_ = SortedRows(*topo);
+      memo_topology_ = topo;
     }
     const std::uint64_t key =
         static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(
-                                              topo.num_nodes()) +
+                                              topo->num_nodes()) +
         static_cast<std::uint64_t>(dst);
     const auto hit = paths_.find(key);
     if (hit != paths_.end()) return hit->second;
-    return paths_.emplace(key, k_shortest_paths(topo, src, dst, kCandidates))
+    return paths_.emplace(key, k_shortest_paths(*topo, src, dst, kCandidates))
         .first->second;
-  }
-
-  /// True when `topo` has the node count and the adjacency rows
-  /// (neighbour ids in stored order; paths read nothing else) the memo
-  /// was filled for. Compared in place, so a hit allocates nothing.
-  bool memo_topology_matches(const Graph& topo) const {
-    if (memo_topology_.num_nodes() != topo.num_nodes()) return false;
-    for (NodeId u = 0; u < topo.num_nodes(); ++u) {
-      const std::vector<Edge>& row = topo.neighbors(u);
-      if (memo_topology_.degree(u) != row.size()) return false;
-      std::size_t at = memo_topology_.begin(u);
-      for (const Edge& e : row) {
-        if (memo_topology_.to(at++) != e.to) return false;
-      }
-    }
-    return true;
   }
 
   int max_extra_hops_;
   // The memo, filled on first use, and the topology it belongs to.
-  mutable CsrAdjacency memo_topology_{Graph(0)};
+  mutable std::shared_ptr<const Graph> memo_topology_;
   mutable SortedRows rows_{Graph(0)};
   /// Candidates by src * num_nodes + dst; looked up, never iterated.
   mutable std::unordered_map<std::uint64_t, std::vector<EprPath>> paths_;
-  // Per-call buffers of the masked search, reused across calls.
-  mutable std::vector<char> blocked_;
+  // The masked search's buffers, reused across calls.
   mutable BfsScratch scratch_;
 };
 
@@ -297,7 +316,8 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
   std::vector<EprPath> result;
   const SortedRows rows(topology);
   BfsScratch scratch;
-  const auto first = bfs_path(rows, src, dst, nullptr, scratch);
+  const auto first =
+      bfs_path(rows, src, dst, never_blocked, kNoHopBound, scratch);
   if (!first.has_value()) return result;
   result.push_back(*first);
 
@@ -336,7 +356,11 @@ std::vector<EprPath> k_shortest_paths(const Graph& topology, QpuId src,
         }
       }
       if (blocked[static_cast<std::size_t>(dst)]) continue;
-      const auto spur_path = bfs_path(rows, spur, dst, &blocked, scratch);
+      const auto masked = [&blocked](NodeId v) {
+        return blocked[static_cast<std::size_t>(v)] != 0;
+      };
+      const auto spur_path =
+          bfs_path(rows, spur, dst, masked, kNoHopBound, scratch);
       if (!spur_path.has_value()) continue;
       EprPath total;
       total.nodes.assign(prev.nodes.begin(),

@@ -63,13 +63,21 @@ std::unique_ptr<EprRouter> make_shortest_path_router();
 /// The router memoizes, per (src, dst), the static part of its answer:
 /// the k_shortest_paths candidates, whose first path is the fallback.
 /// Both are pure functions of the topology, so the memo changes no path.
-/// It is dropped when route() sees a topology whose content (node count
-/// and adjacency rows) differs from the one it was filled for; the
-/// saturation-masked search still runs on every call, over neighbour rows
-/// sorted once with the memo and in search buffers reused across calls.
-/// Because route() fills the memo and the buffers, a congestion-aware
-/// router is confined to one thread, unlike the other routers, which are
-/// stateless.
+/// The memo holds the cloud's shared, immutable topology
+/// (QuantumCloud::shared_topology()) and is dropped when route() is handed
+/// a cloud with another one. Holding the pointer makes identity exact: the
+/// memo co-owns the graph, so its address cannot name a different graph
+/// while the memo points at it, and a cloud and its copies share one memo
+/// fill. The saturation-masked search still runs on every call, over
+/// neighbour rows sorted once with the memo, and reads `free_comm`
+/// directly. It expands no node at the detour cap (shortest +
+/// max_extra_hops hops from the source), because a longer masked path is
+/// refused anyway; the FIFO order over the sorted rows is unchanged, so
+/// the bound changes no path. Its buffers are reused
+/// across calls and need no per-call clearing, so a call costs the part of
+/// the cloud it searches, not the whole cloud. Because route() fills the
+/// memo and the buffers, a congestion-aware router is confined to one
+/// thread, unlike the other routers, which are stateless.
 std::unique_ptr<EprRouter> make_congestion_aware_router(int max_extra_hops = 2);
 
 /// Masked shortest path. The path is the hop-shortest one that never

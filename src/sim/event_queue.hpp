@@ -9,7 +9,10 @@
 // never runs backwards, so each lane is already sorted by (time, seq) and
 // costs O(1) per push and pop instead of O(log n). pop() takes the least
 // (time, seq) among the lane heads and the heap top. Keys are unique, so
-// the pop sequence is exactly that of one heap fed the same pushes.
+// the pop sequence is exactly that of one heap fed the same pushes. The
+// queue keeps track of where that least entry sits: a push compares its
+// entry with it, and only pop() and remove_if() rescan the lane heads, so
+// next_time() is O(1) and a pop scans the lanes once.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +38,11 @@ class EventQueue {
     CLOUDQC_DCHECK(time >= 0.0);
     heap_.push_back(Entry{time, next_seq_++, payload});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    // The heap top is the heap's least entry, so it is the queue's front
+    // iff it beats the front it competes with.
+    if (front_ == kNone || (front_ != kHeap && head(front_) > heap_.front())) {
+      front_ = kHeap;
+    }
   }
 
   /// Schedule an event on FIFO lane `lane`. Over the queue's life, the
@@ -45,24 +53,32 @@ class EventQueue {
     CLOUDQC_CHECK_MSG(time >= l.last_time,
                       "lane events must be pushed in time order");
     l.last_time = time;
+    const bool was_empty = l.head == l.entries.size();
     l.entries.push_back(Entry{time, next_seq_++, payload});
     ++lane_size_;
+    // Behind a non-empty lane's head the entry cannot be the front.
+    if (was_empty && (front_ == kNone || head(front_) > l.entries[l.head])) {
+      front_ = lane;
+    }
   }
 
   bool empty() const { return heap_.empty() && lane_size_ == 0; }
   std::size_t size() const { return heap_.size() + lane_size_; }
 
-  SimTime next_time() const { return front().first->time; }
+  SimTime next_time() const {
+    CLOUDQC_CHECK(!empty());
+    return head(front_).time;
+  }
 
   /// Pop the earliest event; returns (time, payload).
   std::pair<SimTime, Payload> pop() {
-    const auto [first, from] = front();
-    const Entry e = *first;
-    if (from == kLanes) {
+    CLOUDQC_CHECK(!empty());
+    const Entry e = head(front_);
+    if (front_ == kHeap) {
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
       heap_.pop_back();
     } else {
-      Lane& l = lanes_[from];
+      Lane& l = lanes_[front_];
       --lane_size_;
       if (++l.head == l.entries.size()) {
         l.entries.clear();
@@ -75,6 +91,7 @@ class EventQueue {
         l.head = 0;
       }
     }
+    front_ = find_front();
     return {e.time, e.payload};
   }
 
@@ -102,6 +119,7 @@ class EventQueue {
       heap_.erase(keep_end, heap_.end());
       std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
+    front_ = find_front();
     return removed + from_heap;
   }
 
@@ -128,22 +146,29 @@ class EventQueue {
     SimTime last_time = std::numeric_limits<SimTime>::lowest();
   };
 
-  /// The entry pop() returns, and where it sits: a lane index, or kLanes
-  /// for the heap top.
-  std::pair<const Entry*, std::size_t> front() const {
-    CLOUDQC_CHECK(!empty());
-    const Entry* first = heap_.empty() ? nullptr : &heap_.front();
-    std::size_t from = kLanes;
+  /// Where an entry sits: a lane index, kHeap for the heap top, or kNone
+  /// when the queue is empty.
+  static constexpr std::size_t kHeap = kLanes;
+  static constexpr std::size_t kNone = kLanes + 1;
+
+  /// The first entry of `from` (a lane index or kHeap), which must hold
+  /// one.
+  const Entry& head(std::size_t from) const {
+    if (from == kHeap) return heap_.front();
+    const Lane& l = lanes_[from];
+    return l.entries[l.head];
+  }
+
+  /// Where the least (time, seq) entry sits, by a scan of the lane heads
+  /// and the heap top.
+  std::size_t find_front() const {
+    std::size_t from = heap_.empty() ? kNone : kHeap;
     for (std::size_t i = 0; i < kLanes; ++i) {
       const Lane& l = lanes_[i];
       if (l.head == l.entries.size()) continue;
-      const Entry& head = l.entries[l.head];
-      if (first == nullptr || *first > head) {
-        first = &head;
-        from = i;
-      }
+      if (from == kNone || head(from) > l.entries[l.head]) from = i;
     }
-    return {first, from};
+    return from;
   }
 
   /// Min-heap over (time, seq) maintained with the std heap algorithms.
@@ -151,6 +176,8 @@ class EventQueue {
   std::array<Lane, kLanes> lanes_{};
   std::size_t lane_size_ = 0;
   std::uint64_t next_seq_ = 0;
+  /// Where pop() takes its entry from (see find_front()).
+  std::size_t front_ = kNone;
 };
 
 }  // namespace cloudqc

@@ -24,6 +24,7 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
   }
   impounded_.assign(free_comm_.size(), 0);
   offline_.assign(free_comm_.size(), 0);
+  spend_.assign(free_comm_.size(), 0);
   waiting_at_.resize(free_comm_.size());
   const LatencyModel& lat = cloud.config().latency;
   const FidelityModel& fid = cloud.config().fidelity;
@@ -83,12 +84,8 @@ int NetworkSimulator::add_job(const CircuitProgram& program,
 
   Job& job = jobs_[static_cast<std::size_t>(id)];
   const GateTable& gates = *part->gates;
-  const std::size_t num_gates = gates.classes.size();
-  job.pending_preds.resize(num_gates);
-  for (std::size_t g = 0; g < num_gates; ++g) {
-    job.pending_preds[g] = gates.dag.in_degree(static_cast<int>(g));
-  }
-  job.gates_left = num_gates;
+  job.pending_preds = gates.in_degree;
+  job.gates_left = gates.classes.size();
   job.live = true;
   job.dag = &gates.dag;
   job.gate_class = gates.classes.data();
@@ -373,17 +370,25 @@ std::size_t NetworkSimulator::run_allocation_round() {
   CLOUDQC_CHECK(grants.size() == requests_.size());
 
   // Validate the allocator respected per-QPU budgets, then start the
-  // funded operations in slot order.
-  spend_.assign(free_comm_.size(), 0);
+  // funded operations in slot order. Only a request's endpoints can be
+  // charged, so only they are checked; spend_ is all zeros between
+  // rounds, and the check puts back every entry it read before it throws.
+  bool negative = false;
   for (std::size_t i = 0; i < grants.size(); ++i) {
-    CLOUDQC_CHECK(grants[i] >= 0);
+    negative |= grants[i] < 0;
     spend_[static_cast<std::size_t>(requests_[i].qpu_a)] += grants[i];
     spend_[static_cast<std::size_t>(requests_[i].qpu_b)] += grants[i];
   }
-  for (std::size_t q = 0; q < free_comm_.size(); ++q) {
-    CLOUDQC_CHECK_MSG(spend_[q] <= free_comm_[q],
-                      "allocator exceeded communication budget");
+  bool over_budget = false;
+  for (const CommRequest& r : requests_) {
+    for (const QpuId q : {r.qpu_a, r.qpu_b}) {
+      int& spent = spend_[static_cast<std::size_t>(q)];
+      over_budget |= spent > free_comm_[static_cast<std::size_t>(q)];
+      spent = 0;
+    }
   }
+  CLOUDQC_CHECK_MSG(!negative, "allocator granted a negative pair count");
+  CLOUDQC_CHECK_MSG(!over_budget, "allocator exceeded communication budget");
 
   // A started op leaves a tombstone; the others keep their slots. Starting
   // an op readies nothing, so the wait set does not grow here.

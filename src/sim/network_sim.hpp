@@ -270,7 +270,9 @@ class NetworkSimulator {
     const CircuitDag* dag = nullptr;
     const GateClass* gate_class = nullptr;
     const int* remote_of_gate = nullptr;
-    std::vector<int> pending_preds;  // per gate
+    /// Unfinished predecessors per gate: a copy of the gate table's
+    /// in-degree template, counted down as gates finish.
+    std::vector<std::uint8_t> pending_preds;
     std::size_t gates_left = 0;
     double log_fidelity = 0.0;  // Σ log f per executed gate
     std::uint64_t epr_rounds = 0;
@@ -362,7 +364,8 @@ class NetworkSimulator {
   /// hold tombstones, which a walk over the list drops.
   std::vector<std::vector<int>> waiting_at_;
   /// Per-round scratch, reused so that a round allocates nothing of its
-  /// own: the offered requests and each QPU's granted qubits.
+  /// own: the offered requests and each QPU's granted qubits (all zero
+  /// between rounds).
   std::vector<CommRequest> requests_;
   std::vector<int> spend_;
   /// Free communication qubits per QPU (simulator-owned view).

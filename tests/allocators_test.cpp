@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -231,6 +234,129 @@ TEST_P(FundableFilter, SubsetAllocationEqualsFullAllocation) {
 
 INSTANTIATE_TEST_SUITE_P(AllFour, FundableFilter,
                          ::testing::Values(0, 1, 2, 3));
+
+// priority_order and the two allocators built on it against test-only
+// references that order requests with std::stable_sort, on random request
+// lists with heavy priority ties (two or three levels, duplicated
+// endpoints) and random budgets.
+namespace reference {
+
+std::vector<std::size_t> stable_priority_order(
+    const std::vector<CommRequest>& requests) {
+  std::vector<std::size_t> idx(requests.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return requests[a].priority > requests[b].priority;
+  });
+  return idx;
+}
+
+bool can_take(const CommRequest& r, const std::vector<int>& free_comm) {
+  return free_comm[static_cast<std::size_t>(r.qpu_a)] >= 1 &&
+         free_comm[static_cast<std::size_t>(r.qpu_b)] >= 1;
+}
+
+void take(const CommRequest& r, std::vector<int>& free_comm) {
+  --free_comm[static_cast<std::size_t>(r.qpu_a)];
+  --free_comm[static_cast<std::size_t>(r.qpu_b)];
+}
+
+std::vector<int> cloudqc(const std::vector<CommRequest>& requests,
+                         std::vector<int> free_comm, int max_redundancy) {
+  std::vector<int> pairs(requests.size(), 0);
+  const auto order = stable_priority_order(requests);
+  for (const std::size_t i : order) {
+    if (can_take(requests[i], free_comm)) {
+      take(requests[i], free_comm);
+      pairs[i] = 1;
+    }
+  }
+  while (true) {
+    double best_score = -1.0;
+    std::size_t best = requests.size();
+    for (const std::size_t i : order) {
+      if (pairs[i] == 0 || pairs[i] >= max_redundancy) continue;
+      if (!can_take(requests[i], free_comm)) continue;
+      const double score = (requests[i].priority + 1.0) / pairs[i];
+      if (score > best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == requests.size()) break;
+    take(requests[best], free_comm);
+    ++pairs[best];
+  }
+  return pairs;
+}
+
+std::vector<int> greedy(const std::vector<CommRequest>& requests,
+                        std::vector<int> free_comm) {
+  std::vector<int> pairs(requests.size(), 0);
+  for (const std::size_t i : stable_priority_order(requests)) {
+    while (can_take(requests[i], free_comm)) {
+      take(requests[i], free_comm);
+      ++pairs[i];
+    }
+  }
+  return pairs;
+}
+
+}  // namespace reference
+
+TEST(PriorityOrder, EqualsStableSortOnHeavyTies) {
+  Rng gen(0x0DE5);
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto levels = 1 + gen.below(3);  // 1..3 priority levels
+    std::vector<CommRequest> rs;
+    const int n = static_cast<int>(gen.below(40));
+    for (int i = 0; i < n; ++i) {
+      rs.push_back(req(static_cast<double>(gen.below(levels)) * 0.5, 0, 1));
+    }
+    EXPECT_EQ(priority_order(rs), reference::stable_priority_order(rs));
+  }
+}
+
+TEST(PriorityOrder, RejectsNanPriority) {
+  const std::vector<CommRequest> rs{req(1, 0, 1), req(std::nan(""), 0, 1)};
+  EXPECT_THROW(priority_order(rs), std::logic_error);
+}
+
+TEST(PriorityOrder, CloudQcAndGreedyGrantsEqualReference) {
+  Rng gen(0x6A27);
+  const auto greedy = make_greedy_allocator();
+  for (const int cap : {1, 2, 1 << 20}) {
+    const auto cloudqc = make_cloudqc_allocator(cap);
+    for (int trial = 0; trial < 300; ++trial) {
+      SCOPED_TRACE("cap " + std::to_string(cap) + " trial " +
+                   std::to_string(trial));
+      const int qpus = 2 + static_cast<int>(gen.below(6));
+      std::vector<int> budget(static_cast<std::size_t>(qpus));
+      for (auto& b : budget) b = static_cast<int>(gen.below(5));
+      std::vector<CommRequest> rs;
+      const int n = static_cast<int>(gen.below(16));
+      for (int i = 0; i < n; ++i) {
+        if (!rs.empty() && gen.below(3) == 0) {
+          rs.push_back(rs[gen.below(rs.size())]);  // duplicate endpoints
+          rs.back().priority = static_cast<double>(gen.below(2));
+          continue;
+        }
+        const auto a =
+            static_cast<QpuId>(gen.below(static_cast<std::uint64_t>(qpus)));
+        auto b = static_cast<QpuId>(
+            gen.below(static_cast<std::uint64_t>(qpus - 1)));
+        if (b >= a) ++b;
+        rs.push_back(req(static_cast<double>(gen.below(2)), a, b));
+      }
+      Rng unused(1);
+      EXPECT_EQ(cloudqc->allocate(rs, budget, unused),
+                reference::cloudqc(rs, budget, cap));
+      EXPECT_EQ(greedy->allocate(rs, budget, unused),
+                reference::greedy(rs, budget));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cloudqc

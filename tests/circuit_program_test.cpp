@@ -5,9 +5,11 @@
 // same jobs, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +17,8 @@
 
 #include "circuit/circuit_program.hpp"
 #include "circuit/generators.hpp"
+#include "circuit/qasm.hpp"
+#include "circuit/workloads.hpp"
 #include "common/bounded_lru.hpp"
 #include "graph/topology.hpp"
 #include "pin_hash.hpp"
@@ -135,6 +139,44 @@ void expect_same_graph(const Graph& a, const Graph& b) {
       EXPECT_EQ(a.neighbors(u)[i].to, b.neighbors(u)[i].to);
       EXPECT_EQ(a.neighbors(u)[i].weight, b.neighbors(u)[i].weight);
     }
+  }
+}
+
+// A job's countdown of unfinished predecessors starts as a copy of the
+// gate table's in-degree template; it must equal the DAG's in-degrees for
+// every generator workload and every committed QASM circuit.
+void expect_in_degree_template(const Circuit& circuit) {
+  SCOPED_TRACE(circuit.name());
+  const GateTable table(circuit);
+  ASSERT_EQ(table.in_degree.size(), table.dag.num_nodes());
+  ASSERT_EQ(table.in_degree.size(), circuit.num_gates());
+  for (std::size_t g = 0; g < table.in_degree.size(); ++g) {
+    ASSERT_EQ(static_cast<int>(table.in_degree[g]),
+              table.dag.in_degree(static_cast<int>(g)))
+        << "gate " << g;
+  }
+}
+
+TEST(GateTable, InDegreeTemplateMatchesDagForEveryWorkload) {
+  for (const std::string& name : known_workloads()) {
+    expect_in_degree_template(make_workload(name));
+  }
+  expect_in_degree_template(small());
+  expect_in_degree_template(Circuit("empty", 3));
+}
+
+TEST(GateTable, InDegreeTemplateMatchesDagForEveryQasmFixture) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(CLOUDQC_SCENARIO_DIR) + "/circuits")) {
+    if (entry.path().extension() == ".qasm") {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const std::string& file : files) {
+    expect_in_degree_template(parse_qasm_file(file));
   }
 }
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -137,6 +138,75 @@ TEST(EventQueueProperty, LanesAndHeapPopLikeOneHeap) {
     }
     EXPECT_TRUE(queue.empty());
     EXPECT_GT(pops, 1000u);
+  }
+}
+
+/// next_time() of `queue` equals the reference's whenever either holds an
+/// event: the queue's cached front must be right after every operation.
+template <std::size_t kN>
+void expect_same_front(const EventQueue<int, kN>& queue,
+                       const ReferenceQueue& reference) {
+  ASSERT_EQ(queue.empty(), reference.empty());
+  if (!reference.empty()) {
+    ASSERT_EQ(queue.next_time(), reference.next_time());
+  }
+}
+
+// The queue tracks where its least entry sits instead of rescanning the
+// lanes on every next_time(). Interleave next_time() with every kind of
+// update, including remove_if calls that take the front or empty the
+// queue and lane pushes into an empty lane that beat the heap top; the
+// small time grid makes cross-source ties common.
+TEST(EventQueueProperty, NextTimeTracksEveryUpdate) {
+  for (int iter = 0; iter < property_iters(); ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    Rng rng(stream_seed(0xF207, static_cast<std::uint64_t>(iter)));
+    EventQueue<int, kLanes> queue;
+    EventQueue<int> heap_only;
+    ReferenceQueue reference;
+    ReferenceQueue heap_reference;
+    std::vector<SimTime> lane_last(kLanes, 0.0);
+    SimTime clock = 0.0;
+    int next_payload = 0;
+    for (int op = 0; op < 3000; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const double dice = rng.uniform();
+      if (dice < 0.3) {
+        const auto lane = static_cast<std::size_t>(rng.below(kLanes));
+        const SimTime time =
+            std::max(lane_last[lane], clock + grid_step(rng, 2));
+        lane_last[lane] = time;
+        queue.push_lane(lane, time, next_payload);
+        reference.push(time, next_payload);
+        ++next_payload;
+      } else if (dice < 0.6) {
+        const SimTime time = clock + grid_step(rng, 3);
+        queue.push(time, next_payload);
+        reference.push(time, next_payload);
+        heap_only.push(time, next_payload);
+        heap_reference.push(time, next_payload);
+        ++next_payload;
+      } else if (dice < 0.93) {
+        if (!reference.empty()) {
+          const auto got = queue.pop();
+          ASSERT_EQ(got, reference.pop());
+          clock = std::max(clock, got.first);
+        }
+        if (!heap_reference.empty()) {
+          ASSERT_EQ(heap_only.pop(), heap_reference.pop());
+        }
+      } else {
+        // Sometimes everything, sometimes one residue class.
+        const std::int64_t mod = rng.chance(0.2) ? 1 : rng.range(2, 4);
+        const std::int64_t rest = rng.range(0, mod - 1);
+        const auto pred = [&](int payload) { return payload % mod == rest; };
+        ASSERT_EQ(queue.remove_if(pred), reference.remove_if(pred));
+        ASSERT_EQ(heap_only.remove_if(pred), heap_reference.remove_if(pred));
+      }
+      expect_same_front(queue, reference);
+      expect_same_front(heap_only, heap_reference);
+      ASSERT_EQ(queue.size(), reference.size());
+    }
   }
 }
 

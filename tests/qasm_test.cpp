@@ -323,6 +323,23 @@ TEST(Qasm, DuplicateRegisterRejected) {
   expect_error_on_line("qreg q[2];\nh q[0];\nqreg q[3];\n", 3);
 }
 
+// A program without qubits is rejected on its last statement: no gate can
+// name a register, and no engine can place an empty circuit.
+TEST(Qasm, ProgramWithoutQubitsRejected) {
+  expect_error_on_line("OPENQASM 2.0;\n", 1);
+  expect_error_on_line("OPENQASM 2.0;\ninclude \"qelib1.inc\";\ncreg c[2];\n",
+                       3);
+  expect_error_on_line("OPENQASM 2.0;\nqreg q[0];\n", 2);
+  expect_error_on_line("", 1);
+  try {
+    parse_qasm("OPENQASM 2.0;\n");
+  } catch (const QasmError& e) {
+    EXPECT_NE(std::string(e.what()).find("program declares no qubits"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Qasm, RoundTripThroughSerialiser) {
   const auto original = parse_qasm(R"(
     qreg q[3];

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "reference_router.hpp"
 #include "graph/topology.hpp"
 #include "schedule/routing.hpp"
 #include "sim/network_sim.hpp"
@@ -421,6 +422,125 @@ TEST(CongestionAwareMemo, LongLivedRouterMatchesFreshRouterPerCall) {
       }
     }
   }
+}
+
+// The congestion-aware router against a test-only copy of its unbounded
+// predecessor (tests/reference_router.hpp): full masked BFS, per-call
+// `blocked` mask, content-compared memo and its own Yen. Random topologies
+// as in MaskedRoutingProperty, plus random spanning trees (edge
+// probability 0) and dense graphs (0.9); random, all-saturated and
+// all-free communication budgets; every ordered pair; detour caps 0..3.
+// Each pair of long-lived routers sees every topology in turn, so memo
+// refills are compared too.
+namespace differential {
+
+enum class Budget { kRandom, kSaturated, kFree };
+
+std::vector<int> budget_of(Budget kind, NodeId n, Rng& rng) {
+  std::vector<int> free_comm(static_cast<std::size_t>(n), 0);
+  for (auto& f : free_comm) {
+    switch (kind) {
+      case Budget::kRandom: f = static_cast<int>(rng.below(4)); break;
+      case Budget::kSaturated: f = 0; break;
+      case Budget::kFree: f = 3; break;
+    }
+  }
+  return free_comm;
+}
+
+/// Every ordered pair of `cloud` routed by both routers under `free_comm`.
+void expect_same_paths(const EprRouter& got_router,
+                       const EprRouter& want_router, const QuantumCloud& cloud,
+                       const std::vector<int>& free_comm) {
+  const NodeId n = cloud.num_qpus();
+  for (QpuId s = 0; s < n; ++s) {
+    for (QpuId d = 0; d < n; ++d) {
+      if (s == d) continue;
+      const auto got = got_router.route(cloud, s, d, free_comm);
+      const auto want = want_router.route(cloud, s, d, free_comm);
+      ASSERT_EQ(got.has_value(), want.has_value()) << s << "→" << d;
+      if (want.has_value()) {
+        ASSERT_EQ(got->nodes, want->nodes) << s << "→" << d;
+      }
+    }
+  }
+}
+
+}  // namespace differential
+
+TEST(CongestionAwareDifferential, MatchesUnboundedReferenceRouter) {
+  for (int extra = 0; extra <= 3; ++extra) {
+    SCOPED_TRACE("max_extra_hops " + std::to_string(extra));
+    const auto router = make_congestion_aware_router(extra);
+    const reference::CongestionAwareRouter want(extra);
+    for (int iter = 0; iter < property::iters(); ++iter) {
+      SCOPED_TRACE("iter " + std::to_string(iter));
+      Rng rng(stream_seed(0xD1FF, static_cast<std::uint64_t>(iter)));
+      const auto n = static_cast<NodeId>(6 + rng.below(20));
+      const double density[3] = {0.12 + rng.uniform() * 0.4, 0.0, 0.9};
+      for (const double p : density) {
+        const QuantumCloud cloud = property::cloud_of(random_topology(n, p, rng));
+        for (const auto kind :
+             {differential::Budget::kRandom, differential::Budget::kSaturated,
+              differential::Budget::kFree}) {
+          differential::expect_same_paths(
+              *router, want, cloud, differential::budget_of(kind, n, rng));
+        }
+      }
+    }
+  }
+}
+
+TEST(CongestionAwareDifferential, YenMatchesReferenceOnEveryPair) {
+  for (int iter = 0; iter < property::iters(); ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    Rng rng(stream_seed(0x7E4, static_cast<std::uint64_t>(iter)));
+    const auto n = static_cast<NodeId>(6 + rng.below(20));
+    const Graph topo = property::random_graph(n, rng);
+    for (QpuId s = 0; s < n; ++s) {
+      for (QpuId d = 0; d < n; ++d) {
+        if (s == d) continue;
+        const auto got = k_shortest_paths(topo, s, d, 5);
+        const auto want = reference::k_shortest_paths(topo, s, d, 5);
+        ASSERT_EQ(got.size(), want.size()) << s << "→" << d;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].nodes, want[i].nodes) << s << "→" << d;
+        }
+      }
+    }
+  }
+}
+
+// A copied cloud shares its topology, so the router's memo, which holds
+// that shared graph, serves the copy without a refill; assigning another
+// cloud over it between calls hands the router a new topology, and the
+// memo moves to it. The memo's hold shows in the shared graph's use count.
+TEST(CongestionAwareDifferential, CopiesShareTheMemoAndReassignmentRefillsIt) {
+  Rng rng(stream_seed(0xC0B1, 0));
+  const NodeId n = 12;
+  const auto router = make_congestion_aware_router();
+  const reference::CongestionAwareRouter want(2);
+  QuantumCloud a = property::cloud_of(property::random_graph(n, rng));
+  const QuantumCloud c = property::cloud_of(property::random_graph(n, rng));
+  const std::vector<int> free_comm =
+      differential::budget_of(differential::Budget::kRandom, n, rng);
+
+  differential::expect_same_paths(*router, want, a, free_comm);
+  const std::shared_ptr<const Graph> a_topology = a.shared_topology();
+  EXPECT_EQ(a_topology.use_count(), 3);  // a, the memo and this handle
+
+  const QuantumCloud b = a;
+  EXPECT_EQ(&b.topology(), &a.topology());
+  differential::expect_same_paths(*router, want, b, free_comm);
+  EXPECT_EQ(a_topology.use_count(), 4);  // + b; still one memo hold
+
+  a = c;
+  EXPECT_EQ(&a.topology(), &c.topology());
+  differential::expect_same_paths(*router, want, a, free_comm);
+  EXPECT_EQ(a_topology.use_count(), 2);  // b and this handle: memo moved
+  EXPECT_EQ(c.shared_topology().use_count(), 3);  // c, a and the memo
+  differential::expect_same_paths(*router, want, b, free_comm);
+  EXPECT_EQ(a_topology.use_count(), 3);  // back on b's graph
 }
 
 }  // namespace

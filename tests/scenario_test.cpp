@@ -16,6 +16,7 @@
 #include <set>
 #include <sstream>
 
+#include "circuit/qasm.hpp"
 #include "circuit/workloads.hpp"
 #include "common/check.hpp"
 #include "core/incoming.hpp"
@@ -822,8 +823,10 @@ TEST(ScenarioTest, GoldenJsonEscapesJobNames) {
 }
 
 // A batch job that the placer cannot map stays in the job table as an
-// unplaced row and out of every aggregate. A QASM file without qubits fits
-// any cloud, but no placer maps an empty register.
+// unplaced row and out of every aggregate. The unplaced job is a 400-qubit
+// CX chain on the default 400-qubit cloud: it passes the capacity check,
+// but the CloudQC placer finds no placement for a chain that needs every
+// computing qubit.
 TEST(ScenarioTest, BatchAggregatesSkipUnplacedJobs) {
   const std::string dir = ::testing::TempDir();
   ScenarioSpec spec;
@@ -833,19 +836,55 @@ TEST(ScenarioTest, BatchAggregatesSkipUnplacedJobs) {
   spec.workload.qasm_files = {
       write_temp_file(dir, "bell.qasm",
                       "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"),
-      write_temp_file(dir, "no_qubits.qasm", "OPENQASM 2.0;\n")};
+      write_temp_file(dir, "full_chain.qasm", [] {
+        std::string chain = "OPENQASM 2.0;\nqreg q[400];\n";
+        for (int q = 0; q + 1 < 400; ++q) {
+          chain += "cx q[" + std::to_string(q) + "],q[" +
+                   std::to_string(q + 1) + "];\n";
+        }
+        return chain;
+      }())};
   const ScenarioResult result = run_scenario(spec);
   ASSERT_EQ(result.jobs.size(), 2u);
   const IncomingJobStats& placed = result.jobs[0];
   ASSERT_TRUE(placed.placed);
   EXPECT_FALSE(result.jobs[1].placed);
-  EXPECT_EQ(result.jobs[1].name, "no_qubits");
+  EXPECT_EQ(result.jobs[1].name, "full_chain");
   EXPECT_EQ(result.makespan, placed.completion_time);
   EXPECT_EQ(result.mean_jct, placed.jct());
   EXPECT_EQ(result.mean_fidelity, placed.est_fidelity);
   const std::string golden = read_file(write_golden_json(result, dir));
   EXPECT_NE(golden.find("\"num_jobs\": 2,"), std::string::npos);
   EXPECT_NE(golden.find("\"placed_jobs\": 1,"), std::string::npos);
+}
+
+// A QASM file without qubits is no job: every engine mode fails the run
+// with the parser's line-numbered QasmError when it pulls the file, instead
+// of reporting it unplaced, rejecting it or deadlocking on it.
+TEST(ScenarioTest, QubitLessQasmFailsWithTypedErrorInEveryMode) {
+  const std::string dir = ::testing::TempDir();
+  const std::string empty =
+      write_temp_file(dir, "no_qubits.qasm", "OPENQASM 2.0;\n");
+  for (const EngineMode mode :
+       {EngineMode::kBatch, EngineMode::kMultiTenant, EngineMode::kIncoming,
+        EngineMode::kNetworkSim, EngineMode::kStreaming}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ScenarioSpec spec;
+    spec.name = "no_qubits";
+    spec.engine.mode = mode;
+    spec.workload.source = WorkloadSource::kQasm;
+    spec.workload.qasm_files = {empty};
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "expected QasmError";
+    } catch (const QasmError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("declares no qubits"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioParserTest, ParsesChurnTenantAndSweepSections) {
