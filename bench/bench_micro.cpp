@@ -24,6 +24,28 @@ void BM_PartitionInteractionGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionInteractionGraph)->Arg(2)->Arg(6)->Arg(12);
 
+// The regime that dominates cold placement in streaming runs: at k = 16–20
+// these circuits have at most 4k qubits, so nothing is coarsened and the
+// time goes into region growing and refinement. One workspace per circuit,
+// as in the placer's (imbalance, k) sweep.
+void BM_PartitionUncoarsened(benchmark::State& state, const char* circuit) {
+  const Graph ig = make_workload(circuit).interaction_graph();
+  PartitionWorkspace workspace(ig);
+  PartitionOptions opt;
+  opt.num_parts = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workspace.partition(opt));
+  }
+}
+BENCHMARK_CAPTURE(BM_PartitionUncoarsened, qaoa_n50, "qaoa_n50")
+    ->Arg(16)
+    ->Arg(18)
+    ->Arg(20);
+BENCHMARK_CAPTURE(BM_PartitionUncoarsened, qugan_n39, "qugan_n39")
+    ->Arg(16)
+    ->Arg(18)
+    ->Arg(20);
+
 void BM_LouvainOnCloudTopology(benchmark::State& state) {
   Rng rng(1);
   const Graph g = random_topology(static_cast<NodeId>(state.range(0)), 0.3,

@@ -31,6 +31,12 @@ class CsrAdjacency {
   NodeId to(std::size_t i) const { return to_[i]; }
   double weight(std::size_t i) const { return weight_[i]; }
 
+  /// The flat arrays: row u is [offsets()[u], offsets()[u + 1]) of
+  /// targets() and weights().
+  const std::vector<std::size_t>& offsets() const { return offset_; }
+  const std::vector<NodeId>& targets() const { return to_; }
+  const std::vector<double>& weights() const { return weight_; }
+
  private:
   std::vector<std::size_t> offset_;  // size num_nodes + 1
   std::vector<NodeId> to_;

@@ -9,11 +9,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace cloudqc {
+
+namespace internal {
+struct PartitionScratch;
+}  // namespace internal
 
 struct PartitionOptions {
   /// Number of parts k (>= 1).
@@ -41,6 +47,28 @@ struct PartitionResult {
 /// disconnected interaction graphs — e.g. BV circuits). Never produces an
 /// empty part when num_parts <= num_nodes.
 PartitionResult partition_graph(const Graph& g, const PartitionOptions& opt);
+
+/// Working memory for partitioning one graph many times, as the placer's
+/// (imbalance, k) sweep does: the graph's CSR, node weights and every
+/// level's buffers, reused from call to call. Partitions are identical to
+/// partition_graph(g, opt). One workspace serves one thread at a time.
+class PartitionWorkspace {
+ public:
+  /// Builds its own CSR snapshot of `g`.
+  explicit PartitionWorkspace(const Graph& g);
+  /// Reads `csr`, which must be CsrAdjacency(g) (a CircuitProgram's, say);
+  /// `g` and `csr` must outlive the workspace.
+  PartitionWorkspace(const Graph& g, const CsrAdjacency& csr);
+  ~PartitionWorkspace();
+  PartitionWorkspace(const PartitionWorkspace&) = delete;
+  PartitionWorkspace& operator=(const PartitionWorkspace&) = delete;
+
+  /// Partition the workspace's graph.
+  PartitionResult partition(const PartitionOptions& opt);
+
+ private:
+  std::unique_ptr<internal::PartitionScratch> scratch_;
+};
 
 /// Weight of edges of `g` crossing between different values of `part`.
 double edge_cut(const Graph& g, const std::vector<int>& part);

@@ -302,7 +302,8 @@ class CloudQcFamilyPlacer final : public Placer {
       const PlacementContext& ctx) const override {
     const int n = circuit.num_qubits();
     if (n == 0) return std::nullopt;
-    CLOUDQC_CHECK(ctx.dag != nullptr && ctx.interaction != nullptr);
+    CLOUDQC_CHECK(ctx.dag != nullptr && ctx.interaction != nullptr &&
+                  ctx.csr != nullptr);
     const CircuitDag& dag = *ctx.dag;
 
     // Algorithm 1 line 2: whole circuit fits one QPU.
@@ -336,6 +337,9 @@ class CloudQcFamilyPlacer final : public Placer {
       centers.emplace_back(set, graph_center_of(cloud.topology(), set));
       return centers.back().second;
     };
+    // One partitioner workspace for the whole sweep, over the program's
+    // CSR: every grid point reuses its buffers.
+    PartitionWorkspace partitions(interaction, *ctx.csr);
     std::optional<Placement> best;
 
     // A candidate replaces the best only with a strictly higher score, so
@@ -361,7 +365,7 @@ class CloudQcFamilyPlacer final : public Placer {
         popt.imbalance = alpha;
         popt.seed = rng();
         if (skip(bound.time_floor, bound.cut_floor(k))) continue;
-        const PartitionResult pres = partition_graph(interaction, popt);
+        const PartitionResult pres = partitions.partition(popt);
         CLOUDQC_CHECK(pres.edge_cut >= bound.cut_floor(k));
         if (skip(bound.time_floor, pres.edge_cut)) continue;
         const double time_floor =

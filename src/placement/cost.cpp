@@ -82,25 +82,40 @@ double remote_gate_cost(const EprModel& epr, const LatencyModel& lat,
 }
 
 /// Critical path of the gate DAG with every 2-qubit gate priced by
-/// `two_qubit_cost(gate)` and every other gate by its fixed latency.
+/// `two_qubit_cost(gate)` and every other gate by its fixed latency. A
+/// gate's DAG predecessors are the previous gate on each of its qubits, so
+/// the longest path is a sweep in program order over per-qubit ready
+/// times. It adds the same costs and takes maxima over the same finish
+/// times, in the same order, as CircuitDag::critical_path, so the result
+/// is bit-identical without its per-gate cost and finish arrays.
 template <typename TwoQubitCost>
 double critical_path_with(const Circuit& circuit, const CircuitDag& dag,
                           const LatencyModel& lat,
                           TwoQubitCost&& two_qubit_cost) {
-  std::vector<double> node_cost(circuit.num_gates());
-  for (std::size_t i = 0; i < circuit.num_gates(); ++i) {
-    const Gate& g = circuit.gates()[i];
-    if (g.kind == GateKind::kMeasure) {
-      node_cost[i] = lat.t_measure;
+  CLOUDQC_CHECK(dag.num_nodes() == circuit.num_gates());
+  std::vector<double> ready(static_cast<std::size_t>(circuit.num_qubits()),
+                            0.0);
+  double best = 0.0;
+  for (const Gate& g : circuit.gates()) {
+    double& first = ready[static_cast<std::size_t>(g.qubits[0])];
+    double start = std::max(0.0, first);
+    double finish;
+    if (g.two_qubit()) {
+      double& second = ready[static_cast<std::size_t>(g.qubits[1])];
+      start = std::max(start, second);
+      finish = start + two_qubit_cost(g);
+      second = finish;
+    } else if (g.kind == GateKind::kMeasure) {
+      finish = start + lat.t_measure;
     } else if (g.kind == GateKind::kBarrier) {
-      node_cost[i] = 0.0;
-    } else if (!g.two_qubit()) {
-      node_cost[i] = lat.t_1q;
+      finish = start + 0.0;
     } else {
-      node_cost[i] = two_qubit_cost(g);
+      finish = start + lat.t_1q;
     }
+    first = finish;
+    best = std::max(best, finish);
   }
-  return dag.critical_path(node_cost);
+  return best;
 }
 
 }  // namespace

@@ -40,7 +40,13 @@ NetworkSimulator::NetworkSimulator(const QuantumCloud& cloud,
 
 int NetworkSimulator::add_job(const Circuit& circuit,
                               std::vector<QpuId> qubit_to_qpu) {
-  return add_job(CircuitProgram(circuit), std::move(qubit_to_qpu));
+  CLOUDQC_CHECK(qubit_to_qpu.size() ==
+                static_cast<std::size_t>(circuit.num_qubits()));
+  // The part holds a gate table no later call can share, so no later call
+  // could hit it in the placed-part cache: it skips the cache.
+  auto gates = std::make_shared<const GateTable>(circuit);
+  return admit(
+      compile_part(circuit, std::move(gates), std::move(qubit_to_qpu)));
 }
 
 int NetworkSimulator::add_job(const CircuitProgram& program,
@@ -57,21 +63,28 @@ int NetworkSimulator::add_job(const CircuitProgram& program,
         return part->gates == program.gate_table() &&
                part->qubit_to_qpu == qubit_to_qpu;
       });
-  std::shared_ptr<const PlacedPart> part;
-  if (hit != nullptr) {
-    part = *hit;
-  } else {
-    auto fresh = std::make_shared<PlacedPart>();
-    fresh->remote_ops = extract_remote_ops(circuit, qubit_to_qpu, cloud_,
-                                           fresh->remote_of_gate);
-    fresh->remote_prio = remote_priorities(
-        program.dag(), fresh->remote_of_gate, fresh->remote_ops.size());
-    fresh->gates = program.gate_table();
-    fresh->qubit_to_qpu = std::move(qubit_to_qpu);
-    ++placed_parts_compiled_;
-    part = placed_parts_.insert(key, std::move(fresh));
-  }
+  if (hit != nullptr) return admit(*hit);
+  return admit(placed_parts_.insert(
+      key, compile_part(circuit, program.gate_table(),
+                        std::move(qubit_to_qpu))));
+}
 
+std::shared_ptr<const NetworkSimulator::PlacedPart>
+NetworkSimulator::compile_part(const Circuit& circuit,
+                               std::shared_ptr<const GateTable> gates,
+                               std::vector<QpuId> qubit_to_qpu) {
+  auto part = std::make_shared<PlacedPart>();
+  part->remote_ops =
+      extract_remote_ops(circuit, qubit_to_qpu, cloud_, part->remote_of_gate);
+  part->remote_prio = remote_priorities(gates->dag, part->remote_of_gate,
+                                        part->remote_ops.size());
+  part->gates = std::move(gates);
+  part->qubit_to_qpu = std::move(qubit_to_qpu);
+  ++placed_parts_compiled_;
+  return part;
+}
+
+int NetworkSimulator::admit(std::shared_ptr<const PlacedPart> part) {
   int id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();

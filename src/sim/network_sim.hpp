@@ -122,8 +122,9 @@ class NetworkSimulator {
   /// that admit every job before the first completion get unique ids.
   int add_job(const CircuitProgram& program, std::vector<QpuId> qubit_to_qpu);
 
-  /// Compiles `circuit` into a fresh program first. The simulator keeps no
-  /// reference to `circuit`.
+  /// Builds the circuit's gate table and placed part afresh; the part
+  /// bypasses the placed-part cache, since no later call can share its
+  /// table. The simulator keeps no reference to `circuit`.
   int add_job(const Circuit& circuit, std::vector<QpuId> qubit_to_qpu);
 
   /// Advance the simulation until the next job completes; nullopt when all
@@ -278,6 +279,14 @@ class NetworkSimulator {
     std::uint64_t epr_rounds = 0;
     bool live = false;          // admitted, not yet completed or cancelled
   };
+
+  /// Compile the placed part of `gates` (built from `circuit`) under
+  /// `qubit_to_qpu`; counted in num_placed_parts_compiled().
+  std::shared_ptr<const PlacedPart> compile_part(
+      const Circuit& circuit, std::shared_ptr<const GateTable> gates,
+      std::vector<QpuId> qubit_to_qpu);
+  /// Give `part` a job slot and start it at the current time.
+  int admit(std::shared_ptr<const PlacedPart> part);
 
   /// Gate became ready: local gates start immediately; remote gates join
   /// the wait queue for the next allocation round (and mark it dirty).

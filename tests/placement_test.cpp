@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -62,6 +64,91 @@ TEST(Cost, EstimateTimeSingleQpuHasNoEprTerm) {
   EXPECT_DOUBLE_EQ(local, 1.0);
   // p=0.3 → expected 1/0.3 rounds à 10 + 6.1 overhead.
   EXPECT_NEAR(remote, 10.0 / 0.3 + 6.1, 1e-9);
+}
+
+/// estimate_execution_time / execution_time_floor as the gate DAG's
+/// critical path over a per-gate cost vector, the form the per-qubit sweep
+/// replaced. `remote_cost(a, b)` prices a 2-qubit gate between qubits a, b.
+template <typename RemoteCost>
+double dag_critical_path(const Circuit& c, const CircuitDag& dag,
+                         const LatencyModel& lat, RemoteCost&& remote_cost) {
+  std::vector<double> cost(c.num_gates());
+  for (std::size_t i = 0; i < c.num_gates(); ++i) {
+    const Gate& g = c.gates()[i];
+    if (g.kind == GateKind::kMeasure) {
+      cost[i] = lat.t_measure;
+    } else if (g.kind == GateKind::kBarrier) {
+      cost[i] = 0.0;
+    } else if (!g.two_qubit()) {
+      cost[i] = lat.t_1q;
+    } else {
+      cost[i] = remote_cost(g.qubits[0], g.qubits[1]);
+    }
+  }
+  return dag.critical_path(cost);
+}
+
+TEST(Cost, CriticalPathSweepMatchesDagCriticalPath) {
+  const QuantumCloud cloud = paper_cloud();
+  const LatencyModel& lat = cloud.config().latency;
+  const EprModel epr(cloud.config().epr_success_prob);
+  auto remote = [&](int hops) {
+    return epr.expected_rounds(hops, 1) * lat.t_epr +
+           lat.remote_gate_overhead();
+  };
+  double cheapest = std::numeric_limits<double>::infinity();
+  for (int hops = 1; hops < cloud.num_qpus(); ++hops) {
+    cheapest = std::min(cheapest, remote(hops));
+  }
+  // Measure, reset and barrier gates on the critical path, a qubit's first
+  // gate being a 2-qubit one, and a 2-qubit gate whose qubits share their
+  // predecessor.
+  Circuit mixed("mixed", 4);
+  mixed.h(0);
+  mixed.cx(1, 2);
+  mixed.cx(1, 2);
+  mixed.add(Gate::one(GateKind::kBarrier, 1));
+  mixed.cx(1, 2);
+  mixed.add(Gate::one(GateKind::kReset, 2));
+  mixed.cx(0, 2);
+  mixed.measure(2);
+  mixed.cx(3, 1);
+  std::vector<Circuit> circuits{mixed};
+  for (const char* name : {"qft_n29", "grover_n33", "ising_n34", "qaoa_n50"}) {
+    circuits.push_back(make_workload(name));
+  }
+  Rng rng(11);
+  for (const Circuit& c : circuits) {
+    SCOPED_TRACE(c.name());
+    const CircuitDag dag(c);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<QpuId> map(static_cast<std::size_t>(c.num_qubits()));
+      std::vector<int> part(map.size());
+      for (std::size_t q = 0; q < map.size(); ++q) {
+        map[q] = static_cast<QpuId>(rng.below(4));
+        part[q] = static_cast<int>(map[q]);
+      }
+      const double estimate = dag_critical_path(
+          c, dag, lat, [&](QubitId a, QubitId b) {
+            const QpuId qa = map[static_cast<std::size_t>(a)];
+            const QpuId qb = map[static_cast<std::size_t>(b)];
+            return qa == qb ? lat.t_2q : remote(cloud.distance(qa, qb));
+          });
+      EXPECT_EQ(estimate_execution_time(c, dag, cloud, map), estimate);
+      const double floor = dag_critical_path(
+          c, dag, lat, [&](QubitId a, QubitId b) {
+            return part[static_cast<std::size_t>(a)] ==
+                           part[static_cast<std::size_t>(b)]
+                       ? lat.t_2q
+                       : cheapest;
+          });
+      EXPECT_EQ(execution_time_floor(c, dag, cloud, part), floor);
+    }
+    const double open = dag_critical_path(c, dag, lat, [&](QubitId, QubitId) {
+      return std::min(lat.t_2q, cheapest);
+    });
+    EXPECT_EQ(execution_time_floor(c, dag, cloud), open);
+  }
 }
 
 TEST(Cost, FinalizeFillsEverything) {

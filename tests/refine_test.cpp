@@ -2,10 +2,15 @@
 // (partition/internal.hpp): FM-style boundary moves and empty-part repair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
+#include "circuit/workloads.hpp"
 #include "common/rng.hpp"
 #include "graph/topology.hpp"
 #include "partition/internal.hpp"
 #include "partition/partitioner.hpp"
+#include "reference_partitioner.hpp"
 
 namespace cloudqc {
 namespace {
@@ -75,6 +80,56 @@ TEST(Refine, NoopOnSinglePart) {
   Rng rng(1);
   internal::refine_partition(g, part, 1, 10.0, 4, rng);
   EXPECT_EQ(part, (std::vector<int>{0, 0, 0}));
+}
+
+TEST(Refine, EvaluatesOnlyNodesThatMayMove) {
+  // qaoa_n50 at k = 20 is not coarsened (50 nodes <= 4k), so
+  // partition_graph is four restarts of grow, refine and repair on the
+  // interaction graph itself. Replay them with the library's refinement
+  // and, in lockstep on a second RNG, the reference's full scan: the two
+  // make the same moves and draws, and the library evaluates fewer nodes.
+  // The counts are exact work, so a change that stops skipping fails here.
+  const Graph g = make_workload("qaoa_n50").interaction_graph();
+  PartitionOptions opt;
+  opt.num_parts = 20;
+  opt.imbalance = 0.05;
+  opt.seed = 1;
+  const int k = opt.num_parts;
+  const double total = g.total_node_weight();
+  double max_node = 0.0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    max_node = std::max(max_node, g.node_weight(u));
+  }
+  const double ceiling =
+      std::max((1.0 + opt.imbalance) * total / k, total / k + max_node);
+  const std::vector<double> target(static_cast<std::size_t>(k), total / k);
+
+  Rng lib_rng(opt.seed);
+  Rng ref_rng(opt.seed);
+  std::uint64_t evaluated = 0;
+  std::uint64_t full_scan = 0;
+  std::vector<int> best;
+  double best_cut = 1e300;
+  for (int restart = 0; restart < 4; ++restart) {
+    std::vector<int> part =
+        reference::grow_initial_partition(g, k, lib_rng, target);
+    std::vector<int> ref_part =
+        reference::grow_initial_partition(g, k, ref_rng, target);
+    evaluated += internal::refine_partition(g, part, k, ceiling,
+                                            opt.refine_passes, lib_rng);
+    full_scan += reference::refine_partition(g, ref_part, k, ceiling,
+                                             opt.refine_passes, ref_rng);
+    ASSERT_EQ(part, ref_part) << "restart " << restart;
+    internal::repair_empty_parts(g, part, k);
+    const double cut = edge_cut(g, part);
+    if (cut < best_cut) {
+      best_cut = cut;
+      best = part;
+    }
+  }
+  EXPECT_EQ(best, partition_graph(g, opt).part);
+  EXPECT_EQ(full_scan, 500u);
+  EXPECT_EQ(evaluated, 264u);
 }
 
 TEST(RepairEmptyParts, FillsEveryPart) {
