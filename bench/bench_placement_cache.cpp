@@ -17,10 +17,20 @@
 //   - warm placements/sec must be at least CLOUDQC_BENCH_CACHE_MIN_SPEEDUP
 //     times the cold rate (default 5; set 0 to disable);
 //   - warm-started placements must never score worse than the cold run on
-//     the same seed (exact per-circuit check, always on).
+//     the same seed (exact per-circuit check, always on);
+//   - at quick scale (the default, and what CI runs) the warm leg's exact
+//     hits, warm hits, misses and lookups, and the warm-start leg's warm
+//     hits, must equal the constants below, recorded from the reference
+//     implementation. The counts are machine-independent and repeat
+//     exactly, so unlike the two ratio gates above they cannot be moved by
+//     a faster cold path or a slow machine; a change that makes the cache
+//     hit less (or more) moves one and FAILS the binary. A change that
+//     moves a count on purpose re-records it. At full scale the counts
+//     are printed but not compared.
 //
 // Environment knobs:
-//   CLOUDQC_BENCH_SCALE=full               100k arrivals (quick: 20k)
+//   CLOUDQC_BENCH_SCALE=full               100k arrivals, no count gate
+//                                          (quick: 20k)
 //   CLOUDQC_BENCH_CACHE_MIN_HITRATE=0.80   hit-rate gate (0 disables)
 //   CLOUDQC_BENCH_CACHE_MIN_SPEEDUP=5      speedup gate (0 disables)
 //   CLOUDQC_BENCH_JSON_DIR=dir             where the BENCH json lands
@@ -41,6 +51,25 @@ namespace {
 
 using namespace cloudqc;
 using Clock = std::chrono::steady_clock;
+
+/// Quick-scale cache counts of the warm leg (Zipf stream) and of the
+/// warm-start leg.
+constexpr std::uint64_t kQuickZipfLookups = 20000;
+constexpr std::uint64_t kQuickZipfExactHits = 19900;
+constexpr std::uint64_t kQuickZipfWarmHits = 0;
+constexpr std::uint64_t kQuickZipfMisses = 100;
+constexpr std::uint64_t kQuickWarmStartHits = 100;
+
+/// False (and a FATAL line) when `what` counted `got` instead of the
+/// recorded `expected`.
+bool count_matches(const char* what, std::uint64_t got,
+                   std::uint64_t expected) {
+  if (got == expected) return true;
+  std::fprintf(stderr, "FATAL: %s: %llu, expected exactly %llu\n", what,
+               static_cast<unsigned long long>(got),
+               static_cast<unsigned long long>(expected));
+  return false;
+}
 
 /// The bench's circuit library: 4 families x 25 widths = 100 distinct
 /// interaction graphs (ghz/cat are structurally identical, so cat is not
@@ -106,6 +135,7 @@ int main() {
   const std::vector<Circuit> library = make_library();
   const std::vector<double> cdf = zipf_cdf(library.size(), /*s=*/1.1);
   const std::unique_ptr<Placer> placer = make_cloudqc_placer();
+  const bool gate_counts = !bench_full_scale();
   bench::BenchJson json("placement_cache");
   json.add("distinct_circuits", static_cast<long>(library.size()));
   json.add("zipf_s", 1.1);
@@ -113,6 +143,7 @@ int main() {
   json.add("min_hitrate_required", min_hitrate);
   json.add("min_speedup_required", min_speedup);
   bool gate_failed = false;
+  bool counts_failed = false;
 
   // ------------------------------------------------------------- warm leg
   // The full Zipf stream through the cache. The cloud stays idle, so the
@@ -192,6 +223,16 @@ int main() {
                    speedup, min_speedup);
       gate_failed = true;
     }
+    if (gate_counts) {
+      bool exact = count_matches("Zipf lookups", stats.lookups,
+                                 kQuickZipfLookups);
+      exact &= count_matches("Zipf exact hits", stats.exact_hits,
+                             kQuickZipfExactHits);
+      exact &= count_matches("Zipf warm hits", stats.warm_hits,
+                             kQuickZipfWarmHits);
+      exact &= count_matches("Zipf misses", stats.misses, kQuickZipfMisses);
+      counts_failed |= !exact;
+    }
   }
 
   // ------------------------------------------------------ warm-start leg
@@ -251,12 +292,21 @@ int main() {
         static_cast<unsigned long long>(stats.warm_hits), cost_ratio,
         time_ratio);
     json.add("warm_start_hits", static_cast<long>(stats.warm_hits));
+    if (gate_counts) {
+      counts_failed |= !count_matches("warm-start hits", stats.warm_hits,
+                                      kQuickWarmStartHits);
+    }
     json.add("warm_start_cost_ratio", cost_ratio);
     json.add("warm_start_time_ratio", time_ratio);
   }
 
+  const char* verdict = !gate_counts    ? "not compared (full scale)"
+                        : counts_failed ? "mismatch"
+                                        : "exact";
+  std::printf("cache counts: %s\n", verdict);
+  json.add("counts", std::string(verdict));
   const std::string path = json.write();
   std::printf("results: %s\n",
               path.empty() ? "(json write failed)" : path.c_str());
-  return gate_failed ? 1 : 0;
+  return (gate_failed || counts_failed) ? 1 : 0;
 }

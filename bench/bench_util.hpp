@@ -1,6 +1,5 @@
-// Shared helpers for the binaries in bench/: the performance and gate
-// benches, and the two ablations whose knobs have no scenario key. The
-// paper's tables and figures are committed sweep specs
+// Shared helpers for the binaries in bench/, the performance and gate
+// benches. The paper's tables and figures are committed sweep specs
 // (scenarios/paper_*.ini) with goldens. Run sizes default to a quick
 // configuration; CLOUDQC_BENCH_SCALE=full switches to full-scale counts.
 #pragma once

@@ -67,24 +67,6 @@ std::vector<int> CircuitDag::front_layer() const {
   return fl;
 }
 
-std::vector<int> CircuitDag::topological_order() const {
-  // Gate indices in program order are already topologically sorted because
-  // every edge points from an earlier gate to a later one.
-  std::vector<int> order(num_nodes());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  return order;
-}
-
-std::vector<int> CircuitDag::level_of_each() const {
-  std::vector<int> level(num_nodes(), 1);
-  for (std::size_t i = 0; i < level.size(); ++i) {
-    for (const int p : preds_of(i)) {
-      level[i] = std::max(level[i], level[static_cast<std::size_t>(p)] + 1);
-    }
-  }
-  return level;
-}
-
 double CircuitDag::critical_path(const std::vector<double>& node_cost) const {
   CLOUDQC_CHECK(node_cost.size() == num_nodes());
   std::vector<double> finish(num_nodes(), 0.0);

@@ -1,8 +1,9 @@
 // Gate-dependency DAG of a circuit (the paper's "preprocessing" step).
 // Nodes are gate indices; an edge u→v exists when gate v is the next gate
-// after u on some shared qubit. Provides the front layer, topological order
-// and weighted longest-path estimates used by placement scoring, and the
-// adjacency the network simulator walks on every completed gate.
+// after u on some shared qubit, so program order is a topological order.
+// Provides the front layer and weighted longest-path estimates used by
+// placement scoring, and the adjacency the network simulator walks on
+// every completed gate.
 //
 // Layout: both adjacency directions are CSR (offsets + one index array),
 // so a DAG is four allocations however many gates it has, and neighbour
@@ -56,13 +57,6 @@ class CircuitDag {
 
   /// Gates with no unexecuted predecessors at program start.
   std::vector<int> front_layer() const;
-
-  /// A topological order (program order is already one; returned explicitly
-  /// for generic consumers).
-  std::vector<int> topological_order() const;
-
-  /// Longest path length (#nodes on it) ending at each node.
-  std::vector<int> level_of_each() const;
 
   /// Longest weighted path through the DAG where node `g` costs
   /// `node_cost[g]`. This is the circuit-execution-time lower bound used by

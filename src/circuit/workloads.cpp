@@ -128,22 +128,4 @@ const std::vector<std::string>& mixed_workload_names() {
   return kNames;
 }
 
-const std::vector<std::string>& qft_workload_names() {
-  static const std::vector<std::string> kNames = {"qft_n29", "qft_n63",
-                                                  "qft_n100"};
-  return kNames;
-}
-
-const std::vector<std::string>& qugan_workload_names() {
-  static const std::vector<std::string> kNames = {"qugan_n39", "qugan_n71",
-                                                  "qugan_n111"};
-  return kNames;
-}
-
-const std::vector<std::string>& arithmetic_workload_names() {
-  static const std::vector<std::string> kNames = {
-      "adder_n64", "adder_n118", "multiplier_n45", "multiplier_n75"};
-  return kNames;
-}
-
 }  // namespace cloudqc

@@ -34,10 +34,7 @@ bool is_known_workload(const std::string& name);
 /// All names make_workload accepts.
 std::vector<std::string> known_workloads();
 
-// Workload mixes used by the multi-tenant evaluation (Sec. VI-D).
+// Workload mix used by the multi-tenant evaluation (Sec. VI-D).
 const std::vector<std::string>& mixed_workload_names();
-const std::vector<std::string>& qft_workload_names();
-const std::vector<std::string>& qugan_workload_names();
-const std::vector<std::string>& arithmetic_workload_names();
 
 }  // namespace cloudqc

@@ -1,7 +1,5 @@
 #include "cloud/cloud.hpp"
 
-#include <algorithm>
-
 #include "graph/topology.hpp"
 
 namespace cloudqc {
@@ -40,12 +38,6 @@ int QuantumCloud::total_computing_capacity() const {
   return total;
 }
 
-int QuantumCloud::total_comm_capacity() const {
-  int total = 0;
-  for (const auto& q : qpus_) total += q.comm_capacity();
-  return total;
-}
-
 Qpu& QuantumCloud::qpu(QpuId id) {
   CLOUDQC_CHECK(id >= 0 && id < static_cast<QpuId>(qpus_.size()));
   return qpus_[static_cast<std::size_t>(id)];
@@ -60,12 +52,6 @@ int QuantumCloud::total_free_computing() const {
   int total = 0;
   for (const auto& q : qpus_) total += q.free_computing();
   return total;
-}
-
-int QuantumCloud::max_free_computing() const {
-  int best = 0;
-  for (const auto& q : qpus_) best = std::max(best, q.free_computing());
-  return best;
 }
 
 Graph QuantumCloud::resource_weighted_topology() const {

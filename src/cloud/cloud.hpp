@@ -81,14 +81,8 @@ class QuantumCloud {
   /// sum-conserving capacity profiles in cloud/topologies.hpp).
   int total_computing_capacity() const;
 
-  /// Sum of communication-qubit capacities across the cloud.
-  int total_comm_capacity() const;
-
   /// Sum of free computing qubits across the cloud.
   int total_free_computing() const;
-
-  /// Largest free computing block on any single QPU.
-  int max_free_computing() const;
 
   /// QPU-topology graph with node weights set to current free computing
   /// qubits and each edge re-weighted by the endpoint resource availability

@@ -1,16 +1,16 @@
-// First-order output-fidelity estimation. The paper motivates placement
+// First-order output-fidelity parameters. The paper motivates placement
 // quality partly through fidelity ("circuits with more remote interactions
-// suffer ... reduced fidelity"); this model makes that cost measurable:
-// every gate multiplies the job's fidelity estimate by a per-operation
-// factor, and remote gates additionally pay for their entanglement link —
-// degraded once per swap hop.
+// suffer ... reduced fidelity"); these factors make that cost measurable.
+// The network simulator multiplies each job's fidelity estimate by one
+// factor per operation. A remote gate pays f_2q * f_measure * f_1q for the
+// cat-comm pipeline times its entangled pair's fidelity: f_epr per link,
+// raised to the hop count, scaled by calibration drift and lifted by
+// purification (NetworkSimulator's remote-gate start).
 //
 // Defaults are typical published NISQ numbers (two-qubit error ~1%,
 // measurement error ~2%, entangled-pair fidelity ~0.9); override via
 // CloudConfig for sensitivity studies.
 #pragma once
-
-#include <cmath>
 
 namespace cloudqc {
 
@@ -20,20 +20,6 @@ struct FidelityModel {
   double f_measure = 0.98;
   /// Fidelity of one heralded EPR pair across a single link.
   double f_epr = 0.9;
-
-  /// Fidelity of the entangled pair consumed by a remote gate whose
-  /// endpoints are `hops` links apart: one link pair degraded per
-  /// entanglement swap (chain model, ignoring purification).
-  double epr_path_fidelity(int hops) const {
-    return std::pow(f_epr, hops);
-  }
-
-  /// Total multiplicative factor of one remote two-qubit gate: the
-  /// consumed pair plus the local CX + measurement + correction of the
-  /// cat-comm pipeline.
-  double remote_gate_fidelity(int hops) const {
-    return epr_path_fidelity(hops) * f_2q * f_measure * f_1q;
-  }
 };
 
 }  // namespace cloudqc

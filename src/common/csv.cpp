@@ -41,28 +41,6 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << quote(row[c]);
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt_double(double v, int digits) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(digits) << v;

@@ -1,5 +1,6 @@
 // Small helpers for emitting experiment results: aligned console tables and
-// CSV files. The bench binaries use these to print paper-style rows.
+// trimmed number formatting. The bench binaries use these to print
+// paper-style rows.
 #pragma once
 
 #include <iosfwd>
@@ -19,9 +20,6 @@ class TextTable {
 
   /// Render with column alignment to `os`.
   void print(std::ostream& os) const;
-
-  /// Render as CSV (RFC-4180-style quoting) to `os`.
-  void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const { return rows_.size(); }
 

@@ -10,17 +10,11 @@ double job_importance(const Circuit& circuit, const BatchWeights& w) {
          w.lambda2 * circuit.num_qubits() + w.lambda3 * circuit.depth();
 }
 
-std::vector<double> job_importances(const std::vector<Circuit>& jobs,
-                                    const BatchWeights& w) {
+std::vector<std::size_t> batch_order(const std::vector<Circuit>& jobs,
+                                     const BatchWeights& w) {
   std::vector<double> importance;
   importance.reserve(jobs.size());
   for (const Circuit& job : jobs) importance.push_back(job_importance(job, w));
-  return importance;
-}
-
-std::vector<std::size_t> batch_order(const std::vector<Circuit>& jobs,
-                                     const BatchWeights& w) {
-  const std::vector<double> importance = job_importances(jobs, w);
   std::vector<std::size_t> order(jobs.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),

@@ -22,10 +22,6 @@ struct BatchWeights {
 /// The metric I_i for one circuit.
 double job_importance(const Circuit& circuit, const BatchWeights& w = {});
 
-/// I_i for every circuit, in submission order.
-std::vector<double> job_importances(const std::vector<Circuit>& jobs,
-                                    const BatchWeights& w = {});
-
 /// Indices of `jobs` in CloudQC batch order (descending importance; ties
 /// keep submission order).
 std::vector<std::size_t> batch_order(const std::vector<Circuit>& jobs,

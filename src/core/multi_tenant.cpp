@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/batch_manager.hpp"
 #include "core/engine.hpp"
 
 namespace cloudqc {
@@ -21,8 +22,7 @@ std::vector<IncomingJobStats> run_batch(const std::vector<Circuit>& jobs,
 
   // Rank order; priority-first when classed, stable within a priority
   // level, so uniform classes reproduce the classless order exactly.
-  auto order = options.fifo ? fifo_order(jobs.size())
-                            : batch_order(jobs, options.weights);
+  auto order = options.fifo ? fifo_order(jobs.size()) : batch_order(jobs);
   if (!classes.empty()) {
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {

@@ -7,17 +7,14 @@
 
 #include <vector>
 
-#include "core/batch_manager.hpp"
 #include "core/incoming.hpp"
 
 namespace cloudqc {
 
 /// Knobs of run_batch.
 struct MultiTenantOptions : EngineOptions {
-  /// Importance-metric weights used for batch ordering.
-  BatchWeights weights{};
-  /// Use submission order instead of the importance metric
-  /// (CloudQC-FIFO baseline).
+  /// Use submission order instead of the importance metric with its
+  /// Eq. 11 weights (CloudQC-FIFO baseline).
   bool fifo = false;
   /// Optional per-job tenant classes, indexed like `jobs`. Empty keeps
   /// the classless engine bit-identical (no priority sort, no

@@ -1,7 +1,7 @@
 // Classic graph algorithms used throughout placement: BFS orders and
-// distances, weighted shortest paths, all-pairs hop distances, connected
-// components, and graph centers (Algorithm 2 of the paper maps the center of
-// the partition-interaction graph onto the center of the detected QPU
+// distances, all-pairs hop distances, connected components, and graph
+// centers (Algorithm 2 of the paper maps the center of the
+// partition-interaction graph onto the center of the detected QPU
 // community).
 #pragma once
 
@@ -16,10 +16,6 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src);
 
 /// Nodes in BFS visitation order starting at `src` (only reachable ones).
 std::vector<NodeId> bfs_order(const Graph& g, NodeId src);
-
-/// Dijkstra with edge weights (must be non-negative); unreachable nodes get
-/// infinity().
-std::vector<double> dijkstra(const Graph& g, NodeId src);
 
 /// All-pairs unweighted hop distance matrix (row-major n*n), -1 when
 /// unreachable. O(n * (n + m)); fine for cloud-sized graphs (tens of QPUs).

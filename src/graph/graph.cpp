@@ -12,12 +12,6 @@ Graph::Graph(NodeId num_nodes) {
   node_weight_.assign(static_cast<std::size_t>(num_nodes), 1.0);
 }
 
-NodeId Graph::add_node(double weight) {
-  adj_.emplace_back();
-  node_weight_.push_back(weight);
-  return static_cast<NodeId>(adj_.size() - 1);
-}
-
 void Graph::add_edge(NodeId u, NodeId v, double w) {
   CLOUDQC_CHECK(u >= 0 && u < num_nodes() && v >= 0 && v < num_nodes());
   auto bump = [&](NodeId a, NodeId b) -> bool {

@@ -34,9 +34,6 @@ class Graph {
   NodeId num_nodes() const { return static_cast<NodeId>(adj_.size()); }
   std::size_t num_edges() const { return num_edges_; }
 
-  /// Append a new isolated node; returns its id.
-  NodeId add_node(double weight = 1.0);
-
   /// Add weight `w` to the undirected edge (u, v). Self-loops allowed
   /// (stored once; contribute 2w to degree as usual in modularity math).
   void add_edge(NodeId u, NodeId v, double w = 1.0);

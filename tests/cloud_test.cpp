@@ -35,7 +35,6 @@ TEST(QuantumCloud, DefaultsFromConfig) {
   QuantumCloud cloud(cfg, ring_topology(4));
   EXPECT_EQ(cloud.num_qpus(), 4);
   EXPECT_EQ(cloud.total_free_computing(), 40);
-  EXPECT_EQ(cloud.max_free_computing(), 10);
   EXPECT_EQ(cloud.qpu(0).comm_capacity(), 3);
 }
 

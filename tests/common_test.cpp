@@ -113,17 +113,6 @@ TEST(TextTable, RowArityMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), std::logic_error);
 }
 
-TEST(TextTable, CsvQuotesSpecialCharacters) {
-  TextTable t({"x"});
-  t.add_row({"has,comma"});
-  t.add_row({"has\"quote"});
-  std::ostringstream os;
-  t.print_csv(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(s.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(FmtDouble, TrimsTrailingZeros) {
   EXPECT_EQ(fmt_double(3.0), "3");
   EXPECT_EQ(fmt_double(12.50), "12.5");

@@ -61,35 +61,6 @@ TEST(CircuitDag, EmptyCircuit) {
   EXPECT_TRUE(dag.front_layer().empty());
 }
 
-TEST(CircuitDag, TopologicalOrderRespectsEdges) {
-  Circuit c("t", 3);
-  c.h(0);
-  c.cx(0, 1);
-  c.cx(1, 2);
-  c.h(2);
-  const CircuitDag dag(c);
-  const auto order = dag.topological_order();
-  std::vector<int> pos(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-  }
-  for (std::size_t g = 0; g < dag.num_nodes(); ++g) {
-    for (int s : dag.successors(static_cast<int>(g))) {
-      EXPECT_LT(pos[g], pos[static_cast<std::size_t>(s)]);
-    }
-  }
-}
-
-TEST(CircuitDag, LevelsMatchDepth) {
-  Circuit c("t", 2);
-  c.h(0);      // level 1
-  c.cx(0, 1);  // level 2
-  c.h(1);      // level 3
-  const CircuitDag dag(c);
-  const auto levels = dag.level_of_each();
-  EXPECT_EQ(levels, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(CircuitDag, CriticalPathWeighted) {
   Circuit c("t", 2);
   c.h(0);      // 0: cost 1

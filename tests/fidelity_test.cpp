@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "circuit/workloads.hpp"
 #include "cloud/fidelity_model.hpp"
 #include "graph/topology.hpp"
@@ -19,13 +17,6 @@ QuantumCloud make_cloud(int qpus, const FidelityModel& fid = {}) {
   cfg.epr_success_prob = 1.0;  // deterministic timing for these tests
   cfg.fidelity = fid;
   return QuantumCloud(cfg, ring_topology(qpus));
-}
-
-TEST(FidelityModel, PathFidelityDecaysPerHop) {
-  const FidelityModel fid;
-  EXPECT_DOUBLE_EQ(fid.epr_path_fidelity(1), fid.f_epr);
-  EXPECT_DOUBLE_EQ(fid.epr_path_fidelity(3), std::pow(fid.f_epr, 3));
-  EXPECT_LT(fid.remote_gate_fidelity(2), fid.remote_gate_fidelity(1));
 }
 
 TEST(Fidelity, LocalGatesMultiply) {
@@ -57,7 +48,8 @@ TEST(Fidelity, RemoteGateCostsMoreThanLocal) {
   const double remote = run_mapped({0, 1});
   EXPECT_GT(local, remote);
   const FidelityModel fid;
-  EXPECT_NEAR(remote, fid.remote_gate_fidelity(1), 1e-12);
+  EXPECT_NEAR(remote, fid.f_epr * fid.f_2q * fid.f_measure * fid.f_1q,
+              1e-12);
 }
 
 TEST(Fidelity, MoreHopsLowerFidelity) {

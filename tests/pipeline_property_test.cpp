@@ -48,10 +48,8 @@ TEST_P(PipelineProperty, EndToEndInvariants) {
   }
   EXPECT_FALSE(dag.front_layer().empty());
   // Unweighted critical path equals circuit depth (measures included).
-  const auto levels = dag.level_of_each();
-  int max_level = 0;
-  for (const int l : levels) max_level = std::max(max_level, l);
-  EXPECT_EQ(max_level, c.depth());
+  EXPECT_EQ(dag.critical_path(std::vector<double>(dag.num_nodes(), 1.0)),
+            static_cast<double>(c.depth()));
 
   // --- placement invariants ----------------------------------------------
   Rng topo_rng(11);

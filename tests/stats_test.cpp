@@ -5,11 +5,9 @@
 namespace cloudqc {
 namespace {
 
-TEST(Stats, MeanVarianceStddev) {
+TEST(Stats, Mean) {
   const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-  EXPECT_DOUBLE_EQ(variance(xs), 4.0);
-  EXPECT_DOUBLE_EQ(stddev(xs), 2.0);
 }
 
 TEST(Stats, MinMax) {
@@ -21,48 +19,6 @@ TEST(Stats, MinMax) {
 TEST(Stats, EmptyInputThrows) {
   EXPECT_THROW(mean({}), std::logic_error);
   EXPECT_THROW(minimum({}), std::logic_error);
-  EXPECT_THROW(percentile({}, 50), std::logic_error);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
-  EXPECT_DOUBLE_EQ(median(xs), 25.0);
-  EXPECT_DOUBLE_EQ(percentile({42.0}, 77), 42.0);
-}
-
-TEST(Stats, PercentileRangeChecked) {
-  EXPECT_THROW(percentile({1.0}, -1), std::logic_error);
-  EXPECT_THROW(percentile({1.0}, 101), std::logic_error);
-}
-
-TEST(Stats, FractionBelow) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(fraction_below(xs, 10.0), 1.0);
-}
-
-TEST(Stats, EmpiricalCdfMonotone) {
-  std::vector<double> xs;
-  for (int i = 100; i >= 1; --i) xs.push_back(static_cast<double>(i));
-  const auto cdf = empirical_cdf(xs, 11);
-  ASSERT_EQ(cdf.size(), 11u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GE(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().first, 100.0);
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-TEST(Stats, EmpiricalCdfSmallSamples) {
-  const auto cdf = empirical_cdf({5.0}, 2);
-  ASSERT_EQ(cdf.size(), 2u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 5.0);
-  EXPECT_DOUBLE_EQ(cdf[1].second, 1.0);
 }
 
 TEST(Stats, JainsIndexMatchesBruteForceFormula) {

@@ -217,7 +217,6 @@ TEST(TopologiesTest, BuildCloudWiresCapacitiesThrough) {
   const QuantumCloud cloud = build_cloud(spec);
   EXPECT_EQ(cloud.num_qpus(), 20);
   EXPECT_EQ(cloud.total_computing_capacity(), 400);
-  EXPECT_EQ(cloud.total_comm_capacity(), 100);
   EXPECT_EQ(cloud.qpu(0).computing_capacity(), 30);
   EXPECT_EQ(cloud.qpu(19).computing_capacity(), 10);
   EXPECT_EQ(cloud.config().num_qpus, 20);
